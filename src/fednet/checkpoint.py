@@ -72,13 +72,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     return out
 
 
-def state_arrays(net, include_momentum: bool = True) -> dict[str, np.ndarray]:
-    """Flatten a network's parameters (and momentum buffers) for saving."""
+def state_arrays(net) -> dict[str, np.ndarray]:
+    """Flatten a network's parameters and momentum buffers for saving."""
     out: dict[str, np.ndarray] = {}
     for name, p in net.named_parameters().items():
         out[name] = p.value.data
-        if include_momentum:
-            out[name + MOMENTUM_SUFFIX] = p.momentum
+        out[name + MOMENTUM_SUFFIX] = p.momentum
     return out
 
 

@@ -4,7 +4,7 @@ rejected, missing keys defaulted, everything validated with line numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .blocks import NetworkSpec
 from .losses import LossWeights
@@ -157,8 +157,3 @@ def parse_config(path) -> TrainConfig:
     cfg = TrainConfig(network=net, loss=loss, **buckets["cfg"])
     cfg.validate()
     return cfg
-
-
-def config_for_stage(cfg: TrainConfig, stage: str) -> TrainConfig:
-    """A copy of ``cfg`` switched to the given stage."""
-    return replace(cfg, stage=stage)

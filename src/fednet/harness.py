@@ -298,8 +298,8 @@ def infer(cfg: TrainConfig, liver_ckpt, lesion_ckpt, volume: Volume) -> Volume:
 
     Stage 1 runs the baseline liver network on every slice; the thresholded
     largest component selects the slices the lesion network sees.  The final
-    mask is the lesion mask restricted to the liver bounding box; an empty
-    liver yields an empty mask.
+    mask is the lesion mask restricted to that component's bounding box; an
+    empty liver yields an empty mask.
     """
     liver_net = build_network(cfg, stage="liver")
     checkpoint.load_parameters(liver_net, checkpoint.load_checkpoint(liver_ckpt))
@@ -316,8 +316,7 @@ def infer(cfg: TrainConfig, liver_ckpt, lesion_ckpt, volume: Volume) -> Volume:
     if liver_z.size:
         lesion_prob = predict_volume(lesion_net, norm, liver_z,
                                      batch_size=max(cfg.batch_size, 8))
-    final = hierarchical_postprocess(liver_prob, lesion_prob, cfg.liver_threshold,
-                                     cfg.lesion_threshold, cfg.connectivity)
+    final = hierarchical_postprocess(liver_mask, lesion_prob, cfg.lesion_threshold)
     return Volume(final, volume.spacing)
 
 

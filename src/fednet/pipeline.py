@@ -1,6 +1,8 @@
 """CT processing around the network: HU windowing, 3-channel slice stacking,
 probabilistic slice sampling, flip augmentation, thresholding, 3-D connected
-components, bounding boxes, and the two-stage mask merge.
+components (a vectorized run-based two-pass labeler), bounding boxes, and the
+two-stage mask merge.  Inference labels the stage-1 liver mask once: the
+merge takes the liver component that ``harness.infer`` already kept.
 
 All functions here operate on plain numpy arrays in (z, y, x) axis order;
 slices are (H, W) = (ny, nx) images.
@@ -8,7 +10,6 @@ slices are (H, W) = (ny, nx) images.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +105,10 @@ def threshold_mask(prob: np.ndarray, t: float) -> np.ndarray:
     return (np.asarray(prob) >= t).astype(np.uint8)
 
 
-_OFFSETS_6 = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]
-_OFFSETS_26 = [(dz, dy, dx)
-               for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
-               if (dz, dy, dx) != (0, 0, 0)]
+# Rows (dz, dy) behind a row whose runs can touch it; 26-connectivity also
+# links runs that meet only at a corner, so their x intervals widen by one.
+_NEIGHBOUR_ROWS = {6: ((0, -1), (-1, 0)),
+                   26: ((0, -1), (-1, -1), (-1, 0), (-1, 1))}
 
 
 def connected_components_3d(mask: np.ndarray, connectivity: int = 6):
@@ -116,37 +117,69 @@ def connected_components_3d(mask: np.ndarray, connectivity: int = 6):
     Labels are 1..K in discovery order of an x-fastest scan (x, then y, then
     z); connectivity is 6 (face-adjacent) or 26.  Returns (labels int32,
     sizes int64 array where sizes[k-1] is the voxel count of label k).
+
+    Run-based two-pass labeling (Wu, Otoo & Suzuki 2009), vectorized: the
+    foreground runs along x are linked to the overlapping runs of the rows
+    behind them, the links are merged by hooking roots onto smaller roots
+    with pointer jumping, and each component is numbered by its first run.
     """
-    if connectivity == 6:
-        offsets = _OFFSETS_6
-    elif connectivity == 26:
-        offsets = _OFFSETS_26
-    else:
+    if connectivity not in _NEIGHBOUR_ROWS:
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
     fg = np.asarray(mask).astype(bool)
     nz, ny, nx = fg.shape
-    labels = np.zeros(fg.shape, dtype=np.int32)
-    sizes = []
-    for z in range(nz):
-        for y in range(ny):
-            for x in range(nx):
-                if not fg[z, y, x] or labels[z, y, x]:
-                    continue
-                label = len(sizes) + 1
-                count = 0
-                queue = deque([(z, y, x)])
-                labels[z, y, x] = label
-                while queue:
-                    cz, cy, cx = queue.popleft()
-                    count += 1
-                    for dz, dy, dx in offsets:
-                        pz, py, px = cz + dz, cy + dy, cx + dx
-                        if (0 <= pz < nz and 0 <= py < ny and 0 <= px < nx
-                                and fg[pz, py, px] and not labels[pz, py, px]):
-                            labels[pz, py, px] = label
-                            queue.append((pz, py, px))
-                sizes.append(count)
-    return labels, np.asarray(sizes, dtype=np.int64)
+    padded = np.zeros((nz * ny, nx + 2), dtype=np.int8)
+    padded[:, 1:-1] = fg.reshape(nz * ny, nx)
+    edges = np.diff(padded, axis=1)
+    row, start = np.nonzero(edges == 1)      # run = [start, end) in row z*ny + y
+    end = np.nonzero(edges == -1)[1]
+
+    # Runs in row order have increasing (row, start) and (row, end) keys, so
+    # the runs of a neighbour row overlapping [start - w, end + w) form one
+    # contiguous index range, found by two binary searches.
+    width = nx + 3
+    start_key = row * width + start + 1
+    end_key = row * width + end + 1
+    w = 1 if connectivity == 26 else 0
+    y = row % ny
+    z = row // ny
+    firsts, counts, sources = [], [], []
+    for dz, dy in _NEIGHBOUR_ROWS[connectivity]:
+        valid = (z + dz >= 0) & (y + dy >= 0) & (y + dy < ny)
+        base = (row + dz * ny + dy) * width + 1
+        lo = np.searchsorted(end_key, base + start - w, side="right")
+        hi = np.searchsorted(start_key, base + end + w, side="left")
+        firsts.append(lo[valid])
+        counts.append((hi - lo)[valid])
+        sources.append(np.nonzero(valid)[0])
+    first = np.concatenate(firsts)
+    count = np.concatenate(counts)
+    a = np.repeat(np.concatenate(sources), count)
+    offset = np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+    b = np.repeat(first, count) + offset
+
+    # Every root is the smallest run index of its set, so the roots in
+    # ascending order are the components in discovery order.
+    parent = np.arange(row.size)
+    while True:
+        ra, rb = parent[a], parent[b]
+        crossing = ra != rb
+        if not crossing.any():
+            break
+        np.minimum.at(parent, np.maximum(ra, rb)[crossing], np.minimum(ra, rb)[crossing])
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    component = np.unique(parent, return_inverse=True)[1]
+    sizes = np.bincount(component, weights=end - start).astype(np.int64)
+
+    steps = np.zeros((nz * ny, nx + 1), dtype=np.int32)
+    run_label = component.astype(np.int32) + 1
+    steps[row, start] = run_label
+    steps[row, end] = -run_label
+    labels = np.cumsum(steps[:, :nx], axis=1, dtype=np.int32).reshape(nz, ny, nx)
+    return labels, sizes
 
 
 def largest_component(mask: np.ndarray, connectivity: int = 6) -> np.ndarray:
@@ -191,22 +224,21 @@ def bbox_of_mask(mask: np.ndarray) -> Bbox3:
     return Bbox3(lo, hi)
 
 
-def hierarchical_postprocess(liver_prob: np.ndarray, lesion_prob: np.ndarray,
-                             liver_threshold: float = 0.5, lesion_threshold: float = 0.3,
-                             connectivity: int = 6) -> np.ndarray:
-    """Two-stage merge: threshold the liver probabilities at 0.5, keep the
-    largest component, take its bounding box, and intersect the 0.3-threshold
-    lesion mask with that box.  An empty liver yields an empty result."""
-    liver_prob = np.asarray(liver_prob)
+def hierarchical_postprocess(liver_mask: np.ndarray, lesion_prob: np.ndarray,
+                             lesion_threshold: float = 0.3) -> np.ndarray:
+    """Two-stage merge: intersect the 0.3-threshold lesion mask with the
+    bounding box of ``liver_mask``, the kept liver component (the largest
+    component of the liver probabilities thresholded at 0.5, which ``infer``
+    computes once).  An empty liver yields an empty result."""
+    liver_mask = np.asarray(liver_mask)
     lesion_prob = np.asarray(lesion_prob)
-    if liver_prob.shape != lesion_prob.shape:
+    if liver_mask.shape != lesion_prob.shape:
         raise ValueError(
-            f"volume dims mismatch: liver {liver_prob.shape} vs lesion {lesion_prob.shape}")
-    liver = largest_component(threshold_mask(liver_prob, liver_threshold), connectivity)
-    final = np.zeros(liver_prob.shape, dtype=np.uint8)
-    if not liver.any():
+            f"volume dims mismatch: liver {liver_mask.shape} vs lesion {lesion_prob.shape}")
+    final = np.zeros(liver_mask.shape, dtype=np.uint8)
+    if not liver_mask.any():
         return final
-    box = bbox_of_mask(liver)
+    box = bbox_of_mask(liver_mask)
     lesion = threshold_mask(lesion_prob, lesion_threshold)
     sl = box.slices()
     final[sl] = lesion[sl]

@@ -66,11 +66,6 @@ class Volume:
         return nx, ny, nz
 
 
-# Aliases kept for readability at call sites.
-CtVolume = Volume
-MaskVolume = Volume
-
-
 def write_mvol(vol: Volume, path) -> None:
     dt = vol.voxels.dtype
     code = _CODE_FOR_KIND.get(np.dtype(dt))

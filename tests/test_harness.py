@@ -4,7 +4,7 @@ gradient-check suite, and the CLI surface."""
 import numpy as np
 import pytest
 
-from fednet import cli, harness
+from fednet import cli, harness, pipeline
 from fednet.checkpoint import CheckpointMismatch, save_checkpoint, state_arrays
 from fednet.config import TrainConfig
 from fednet.synth import synth_generate
@@ -203,6 +203,29 @@ class TestInfer:
         assert mask.voxels.shape == ct.voxels.shape
         assert not mask.voxels.any()
         assert mask.spacing == ct.spacing
+
+    def test_one_connected_components_pass(self, dataset, tmp_path, monkeypatch):
+        cfg = micro_config(dataset, tmp_path / "unused1.fedckpt")
+        liver_net = harness.build_network(cfg, stage="liver")
+        for p in liver_net.parameters():
+            p.value.data[...] = 0.0
+        liver_net.head_out.b.value.data[...] = 2.0  # logits 2 -> prob 0.88: all liver
+        liver_ckpt = tmp_path / "liver1.fedckpt"
+        lesion_ckpt = tmp_path / "lesion1.fedckpt"
+        save_checkpoint(liver_ckpt, state_arrays(liver_net))
+        save_checkpoint(lesion_ckpt, state_arrays(harness.build_network(cfg, stage="lesion")))
+        calls = []
+        labeler = pipeline.connected_components_3d
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return labeler(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "connected_components_3d", counting)
+        _, ct, _ = harness.load_dataset(dataset)[0]
+        mask = harness.infer(cfg, liver_ckpt, lesion_ckpt, ct)
+        assert mask.voxels.shape == ct.voxels.shape
+        assert len(calls) == 1 and calls[0].all()
 
     def test_checkpoint_spec_mismatch_rejected(self, dataset, tmp_path):
         cfg = micro_config(dataset, tmp_path / "unused2.fedckpt")

@@ -202,13 +202,35 @@ class TestConnectedComponents:
         assert labels[0, 0, 0] == 1 and labels[0, 0, 2] == 2 and labels[0, 0, 4] == 3
         np.testing.assert_array_equal(sizes, [1, 1, 1])
 
-    @pytest.mark.parametrize("connectivity", [6, 26])
-    def test_matches_flood_fill_oracle(self, connectivity):
+    @staticmethod
+    def _oracle_inputs():
         rng = np.random.default_rng(99)
         for _ in range(25):
-            mask = (rng.uniform(size=(16, 16, 16)) > 0.72).astype(np.uint8)
+            yield (rng.uniform(size=(16, 16, 16)) > 0.72).astype(np.uint8)
+        # extent 1 on each axis, and non-cubic shapes
+        for shape in [(1, 9, 11), (7, 1, 11), (7, 9, 1), (1, 1, 13), (1, 1, 1),
+                      (5, 9, 13), (11, 4, 7), (3, 17, 2)]:
+            yield (rng.uniform(size=shape) > 0.5).astype(np.uint8)
+        yield np.zeros((4, 5, 6), dtype=np.uint8)
+        yield np.ones((4, 5, 6), dtype=np.uint8)
+        for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+            yield (rng.uniform(size=(9, 10, 11)) < density).astype(np.uint8)
+        # diagonal chains, across z and y and beyond, that only 26-connectivity joins
+        chains = np.zeros((8, 8, 8), dtype=np.uint8)
+        for i in range(8):
+            chains[i, i, 1] = 1          # z-y diagonal
+            chains[i, 7 - i, 3] = 1      # z-y anti-diagonal
+            chains[i, 5, i] = 1          # z-x diagonal
+            chains[0, i, 7 - i] = 1      # y-x anti-diagonal
+            chains[i, i, i] = 1          # space diagonal
+        yield chains
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_matches_flood_fill_oracle(self, connectivity):
+        for mask in self._oracle_inputs():
             labels, sizes = connected_components_3d(mask, connectivity)
             expected = flood_fill_labels(mask, connectivity)
+            assert labels.dtype == np.int32 and sizes.dtype == np.int64
             np.testing.assert_array_equal(labels, expected)
             np.testing.assert_array_equal(
                 sizes, np.bincount(expected.ravel())[1:])
@@ -298,19 +320,20 @@ class TestHierarchicalPostprocess:
         lesion = np.zeros((6, 6, 6), dtype=np.float32)
         lesion[2, 2, 2] = 0.9   # inside box
         lesion[5, 5, 5] = 0.9   # outside box
-        final = hierarchical_postprocess(liver, lesion)
+        final = hierarchical_postprocess(largest_component(threshold_mask(liver, 0.5)), lesion)
         assert final[2, 2, 2] == 1 and final[5, 5, 5] == 0
 
     def test_empty_liver_short_circuits(self):
         lesion = np.ones((4, 4, 4), dtype=np.float32)
-        final = hierarchical_postprocess(np.zeros((4, 4, 4), dtype=np.float32), lesion)
+        liver = np.zeros((4, 4, 4), dtype=np.float32)
+        final = hierarchical_postprocess(largest_component(threshold_mask(liver, 0.5)), lesion)
         assert not final.any()
 
     def test_matches_step_by_step_recomputation(self):
         rng = np.random.default_rng(55)
         liver = rng.uniform(size=(8, 8, 8)).astype(np.float32)
         lesion = rng.uniform(size=(8, 8, 8)).astype(np.float32)
-        final = hierarchical_postprocess(liver, lesion)
+        final = hierarchical_postprocess(largest_component(threshold_mask(liver, 0.5)), lesion)
         liver_mask = largest_component(threshold_mask(liver, 0.5))
         expected = np.zeros_like(final)
         if liver_mask.any():
@@ -323,14 +346,16 @@ class TestHierarchicalPostprocess:
         rng = np.random.default_rng(56)
         liver = rng.uniform(size=(8, 8, 8)).astype(np.float32)
         lesion = rng.uniform(size=(8, 8, 8)).astype(np.float32)
-        final = hierarchical_postprocess(liver, lesion)
+        final = hierarchical_postprocess(largest_component(threshold_mask(liver, 0.5)), lesion)
         liver_mask = largest_component(threshold_mask(liver, 0.5))
         if liver_mask.any():
             assert bbox_of_mask(liver_mask).contains_mask(final)
 
     def test_dim_mismatch_rejected(self):
+        liver = np.zeros((2, 2, 2))
         with pytest.raises(ValueError, match="dims mismatch"):
-            hierarchical_postprocess(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
+            hierarchical_postprocess(largest_component(threshold_mask(liver, 0.5)),
+                                     np.zeros((2, 2, 3)))
 
 
 class TestSynthGenerate:
