@@ -4,7 +4,7 @@ BCE + Jaccard loss, a two-stage CT pipeline with synthetic phantom data, and
 a command-line harness.
 """
 
-from .blocks import FeaturePyramid, FedNet, NetworkSpec
+from .blocks import FedNet, NetworkSpec
 from .config import ConfigError, TrainConfig, parse_config
 from .losses import (LossWeights, combined_loss, combined_loss_with_logits, dice, dice_global,
                      dice_per_case, soft_jaccard, weighted_bce)
@@ -12,7 +12,7 @@ from .tensor import GradCheckReport, Parameter, Tape, Tensor, backward, grad_che
 from .volume import MVolError, Volume, read_mvol, write_mvol
 
 __all__ = [
-    "FeaturePyramid", "FedNet", "NetworkSpec",
+    "FedNet", "NetworkSpec",
     "ConfigError", "TrainConfig", "parse_config",
     "LossWeights", "combined_loss", "combined_loss_with_logits", "dice", "dice_global",
     "dice_per_case", "soft_jaccard", "weighted_bce",

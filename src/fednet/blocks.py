@@ -11,7 +11,7 @@ built with the same flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ class NetworkSpec:
     enable_ff: bool = True
     enable_se: bool = True
     enable_duc: bool = True
-    out_stride_head_factor: int = 4
 
     def __post_init__(self):
         if self.channels_per_level is None:
@@ -62,31 +61,11 @@ class NetworkSpec:
                     raise ValueError(
                         f"se_reduction {self.se_reduction} must divide every fused channel "
                         f"count, but {c} is not divisible")
-        if self.out_stride_head_factor != 4:
-            raise ValueError(
-                f"out_stride_head_factor must be 4 (the stem stride), got "
-                f"{self.out_stride_head_factor}")
 
     def baseline(self) -> "NetworkSpec":
         """The plain encoder-decoder variant: all three ablation axes off."""
         return replace(self, enable_rcb=False, enable_ff=False, enable_se=False,
                        enable_duc=False)
-
-
-@dataclass
-class FeaturePyramid:
-    """Encoder outputs x_1..x_4 at strides 4, 8, 16, 32 relative to the input."""
-
-    levels: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for low, high in zip(self.levels, self.levels[1:]):
-            if low.shape[0] != high.shape[0]:
-                raise ValueError("pyramid levels must share the batch extent")
-            if low.shape[2] != 2 * high.shape[2] or low.shape[3] != 2 * high.shape[3]:
-                raise ValueError(
-                    f"pyramid level spatial extents must halve per level, got "
-                    f"{tuple(low.shape)} then {tuple(high.shape)}")
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int,
@@ -251,8 +230,6 @@ class FeatureFusion(Block):
                     f"{tuple(lvl.shape[2:])} do not match a halving pyramid")
 
     def __call__(self, levels: Sequence[Tensor]) -> list[Tensor]:
-        if isinstance(levels, FeaturePyramid):
-            levels = levels.levels
         self._validate(levels)
         fused = []
         for l in range(len(levels)):
@@ -345,7 +322,8 @@ class Encoder(Block):
             self.rcbs = [self._child(f"rcb{i + 1}", RCB(c, rng, dtype))
                          for i, c in enumerate((c1, c2, c3, c4))]
 
-    def __call__(self, x: Tensor) -> FeaturePyramid:
+    def __call__(self, x: Tensor) -> list[Tensor]:
+        """Levels x_1..x_4 at strides 4, 8, 16, 32 relative to the input."""
         if x.ndim != 4:
             raise ValueError(f"encoder input must be 4-d [N,C,H,W], got {tuple(x.shape)}")
         h, w = x.shape[2], x.shape[3]
@@ -357,7 +335,7 @@ class Encoder(Block):
             levels.append(stage(levels[-1]))
         if self.rcbs is not None:
             levels = [rcb(t) for rcb, t in zip(self.rcbs, levels)]
-        return FeaturePyramid(levels)
+        return levels
 
 
 class FedNet(Block):
@@ -377,11 +355,9 @@ class FedNet(Block):
     with raw skip connections.
     """
 
-    def __init__(self, spec: NetworkSpec, rng=None, dtype=np.float32):
+    def __init__(self, spec: NetworkSpec, rng: np.random.Generator, dtype=np.float32):
         super().__init__()
         spec.validate()
-        if rng is None or isinstance(rng, int):
-            rng = np.random.default_rng(0 if rng is None else rng)
         self.spec = spec
         self.dtype = dtype
         c1, c2, c3, c4 = spec.channels_per_level
@@ -394,15 +370,13 @@ class FedNet(Block):
                                                           spec.se_reduction,
                                                           spec.enable_se, rng, dtype))
         head_ch = max(1, c1 // 2)
+        # the head upsamples by 4, undoing the stem's stride
         if spec.enable_duc:
             self.up4 = self._child("duc4", DUC(c4, c3, 2, rng, dtype))
-            self.head_up = self._child("head_duc",
-                                       DUC(c1, head_ch, spec.out_stride_head_factor, rng, dtype))
+            self.head_up = self._child("head_duc", DUC(c1, head_ch, 4, rng, dtype))
         else:
             self.up4 = self._child("upconv4", UpsampleConv(c4, c3, 2, rng, dtype))
-            self.head_up = self._child("head_upconv",
-                                       UpsampleConv(c1, head_ch, spec.out_stride_head_factor,
-                                                    rng, dtype))
+            self.head_up = self._child("head_upconv", UpsampleConv(c1, head_ch, 4, rng, dtype))
         self.skip3 = self._child("skip3", Conv2d(c3, c3, 1, rng, dtype=dtype))
         self.skip2 = self._child("skip2", Conv2d(c2, c2, 1, rng, dtype=dtype))
         self.skip1 = self._child("skip1", Conv2d(c1, c1, 1, rng, dtype=dtype))
@@ -417,8 +391,8 @@ class FedNet(Block):
 
     def logits(self, x: Tensor) -> Tensor:
         """Pre-sigmoid output [N, 1, H, W] of the head's 1x1 conv."""
-        pyr = self.encoder(x)
-        skips = self.fuse(pyr.levels) if self.fuse is not None else pyr.levels
+        levels = self.encoder(x)
+        skips = self.fuse(levels) if self.fuse is not None else levels
         d = self.up4(skips[3])
         d = d + self.skip3(skips[2])
         d = self.dec3(d)
@@ -432,12 +406,3 @@ class FedNet(Block):
         return sigmoid(self.logits(x))
 
     __call__ = forward
-
-
-def baseline_forward(x: Tensor, net: FedNet) -> Tensor:
-    """Forward pass of the plain baseline; ``net`` must be built from a
-    baseline spec (all ablation flags off)."""
-    spec = net.spec
-    if spec.enable_rcb or spec.enable_ff or spec.enable_duc:
-        raise ValueError("baseline_forward requires a network with all ablation flags off")
-    return net.forward(x)

@@ -31,14 +31,12 @@ class TrainConfig:
     p_neg: float = 0.1
     liver_threshold: float = 0.5
     lesion_threshold: float = 0.3
-    crop_to_liver_bbox: bool = False
     connectivity: int = 6
     # pooled over the batch by default: the per-slice form diverges when a
     # batch holds empty-target slices (its gradient grows without bound as
     # predictions shrink), which from-scratch desk-scale training cannot absorb
     jaccard_per_slice: bool = False
     grad_clip: float = 3.0                 # global grad-norm cap; 0 disables
-    shuffle_buffer: int = 0
 
     def validate(self) -> None:
         if self.stage not in ("liver", "lesion"):
@@ -65,8 +63,6 @@ class TrainConfig:
             raise ConfigError(f"connectivity must be 6 or 26, got {self.connectivity}")
         if self.grad_clip < 0:
             raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
-        if self.shuffle_buffer < 0:
-            raise ConfigError(f"shuffle_buffer must be >= 0, got {self.shuffle_buffer}")
         try:
             self.network.validate()
         except ValueError as exc:
@@ -101,11 +97,9 @@ _SCHEMA = {
     "p_neg": ("cfg", "p_neg", float),
     "liver_threshold": ("cfg", "liver_threshold", float),
     "lesion_threshold": ("cfg", "lesion_threshold", float),
-    "crop_to_liver_bbox": ("cfg", "crop_to_liver_bbox", _parse_bool),
     "connectivity": ("cfg", "connectivity", int),
     "jaccard_per_slice": ("cfg", "jaccard_per_slice", _parse_bool),
     "grad_clip": ("cfg", "grad_clip", float),
-    "shuffle_buffer": ("cfg", "shuffle_buffer", int),
     "in_channels": ("net", "in_channels", int),
     "base_channels": ("net", "base_channels", int),
     "channels_per_level": ("net", "channels_per_level", _parse_int_list),
@@ -114,7 +108,6 @@ _SCHEMA = {
     "enable_ff": ("net", "enable_ff", _parse_bool),
     "enable_se": ("net", "enable_se", _parse_bool),
     "enable_duc": ("net", "enable_duc", _parse_bool),
-    "out_stride_head_factor": ("net", "out_stride_head_factor", int),
     "omega1": ("loss", "omega1", float),
     "omega2": ("loss", "omega2", float),
     "epsilon": ("loss", "epsilon", float),

@@ -22,9 +22,9 @@ from .blocks import (DUC, RCB, DecoderBlock, Encoder, FeatureFusion, FedNet,
 from .config import TrainConfig
 from .losses import (LossWeights, combined_loss, combined_loss_with_logits, dice,
                      dice_global, dice_per_case)
-from .pipeline import (bbox_of_mask, flip_augment, hierarchical_postprocess,
-                       hu_window_normalize, largest_component, sample_slices,
-                       stack_adjacent_slices, threshold_mask)
+from .pipeline import (flip_augment, hierarchical_postprocess, hu_window_normalize,
+                       largest_component, sample_slices, stack_adjacent_slices,
+                       threshold_mask)
 from .tensor import (Tape, Tensor, backward, clip_gradients, grad_check,
                      sgd_step)
 from .volume import Volume, read_mvol
@@ -111,23 +111,6 @@ def stage_targets(seg: np.ndarray, stage: str):
     return target, eligible
 
 
-def _crop_to_bbox_multiple32(image: np.ndarray, target: np.ndarray, box,
-                             out_hw: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Crop [C,H,W] slices to the in-plane bbox, zero-padded up to ``out_hw``
-    (a common dataset-wide shape so batches can be stacked)."""
-    _, y0, x0 = box.lo
-    _, y1, x1 = box.hi
-    image = image[:, y0:y1 + 1, x0:x1 + 1]
-    target = target[:, y0:y1 + 1, x0:x1 + 1]
-    pad_h = out_hw[0] - image.shape[1]
-    pad_w = out_hw[1] - image.shape[2]
-    if pad_h or pad_w:
-        spec = ((0, 0), (0, pad_h), (0, pad_w))
-        image = np.pad(image, spec)
-        target = np.pad(target, spec)
-    return image, target
-
-
 def _sample_stream(volumes, cfg: TrainConfig, aug_rng: np.random.Generator) -> Iterator:
     """Endless deterministic stream of augmented samples.
 
@@ -139,30 +122,15 @@ def _sample_stream(volumes, cfg: TrainConfig, aug_rng: np.random.Generator) -> I
     for name, ct, seg in volumes:
         norm = hu_window_normalize(ct.voxels)
         target, eligible = stage_targets(seg.voxels, cfg.stage)
-        box = None
-        if cfg.crop_to_liver_bbox and cfg.stage == "lesion" and (seg.voxels >= 1).any():
-            box = bbox_of_mask((seg.voxels >= 1).astype(np.uint8))
-        prepared.append((norm, target, eligible, box))
-
-    # common crop shape (multiple of 32) so batches stack across volumes
-    crop_hw = None
-    boxes = [box for _, _, _, box in prepared if box is not None]
-    if boxes:
-        max_h = max(box.hi[1] - box.lo[1] + 1 for box in boxes)
-        max_w = max(box.hi[2] - box.lo[2] + 1 for box in boxes)
-        crop_hw = (max_h + (-max_h) % 32, max_w + (-max_w) % 32)
+        prepared.append((norm, target, eligible))
 
     epoch = 0
     empty_epochs = 0
     while True:
         produced = 0
-        for vol_idx, (norm, target, eligible, box) in enumerate(prepared):
+        for vol_idx, (norm, target, eligible) in enumerate(prepared):
             seed = np.random.SeedSequence([cfg.seed, epoch, vol_idx])
             for sample in sample_slices(norm, target, seed, cfg.p_pos, cfg.p_neg, eligible):
-                if box is not None:
-                    image, tgt = _crop_to_bbox_multiple32(sample.image, sample.target,
-                                                          box, crop_hw)
-                    sample = replace(sample, image=image, target=tgt)
                 sample = flip_augment(sample, aug_rng)
                 produced += 1
                 yield sample
@@ -170,20 +138,6 @@ def _sample_stream(volumes, cfg: TrainConfig, aug_rng: np.random.Generator) -> I
         if empty_epochs >= 8:
             raise DatasetError("sampling produced no slices for 8 consecutive epochs")
         epoch += 1
-
-
-def _shuffled(stream: Iterator, buffer_size: int, seed) -> Iterator:
-    if buffer_size <= 0:
-        yield from stream
-        return
-    rng = np.random.default_rng(seed)
-    buf = []
-    for item in stream:
-        buf.append(item)
-        if len(buf) > buffer_size:
-            yield buf.pop(int(rng.integers(len(buf))))
-    while buf:
-        yield buf.pop(int(rng.integers(len(buf))))
 
 
 def build_network(cfg: TrainConfig, stage: Optional[str] = None,
@@ -216,14 +170,12 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     started = time.perf_counter()
     volumes = load_dataset(cfg.data_dir)
     shapes = {ct.voxels.shape for _, ct, _ in volumes}
-    if len(shapes) > 1 and not (cfg.crop_to_liver_bbox and cfg.stage == "lesion"):
+    if len(shapes) > 1:
         raise DatasetError(f"training batches need uniform volume dims, got {sorted(shapes)}")
     net = build_network(cfg)
     params = list(net.named_parameters().values())
     aug_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA0]))
     stream = _sample_stream(volumes, cfg, aug_rng)
-    stream = _shuffled(stream, cfg.shuffle_buffer,
-                       np.random.SeedSequence([cfg.seed, 0xB0]))
 
     curve: list[tuple[int, float]] = []
     zero_norm_run = 0
@@ -507,9 +459,8 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         coeffs = (1.0, 0.7, 1.3, 0.9)
 
         def f(t):
-            pyr = enc(t)
             acc = None
-            for level, c in zip(pyr.levels, coeffs):
+            for level, c in zip(enc(t), coeffs):
                 term = level.mean() * c
                 acc = term if acc is None else acc + term
             return acc

@@ -7,7 +7,7 @@ import pytest
 
 from fednet import ops
 from fednet.blocks import (DUC, RCB, DecoderBlock, Encoder, FeatureFusion, FedNet,
-                           FeaturePyramid, NetworkSpec, SEBlock, baseline_forward)
+                           NetworkSpec, SEBlock)
 from fednet.tensor import Tensor
 
 from oracles import conv2d_reference, conv_transpose2d_reference, pixel_shuffle_reference
@@ -168,6 +168,8 @@ class TestFeatureFusion:
             fuse([t(np.zeros((1, 3, 6, 6))), good_hi])
         with pytest.raises(ValueError, match="spatial|halving"):
             fuse([t(np.zeros((1, 2, 5, 6))), good_hi])
+        with pytest.raises(ValueError, match="batch"):
+            fuse([t(np.zeros((2, 2, 6, 6))), good_hi])
         with pytest.raises(ValueError, match="levels"):
             fuse([good_hi])
 
@@ -222,8 +224,8 @@ class TestDecoderBlock:
 class TestEncoder:
     def test_pyramid_shapes(self):
         enc = Encoder(3, (16, 32, 64, 128), False, rng_for(31))
-        pyr = enc(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
-        shapes = [tuple(level.shape) for level in pyr.levels]
+        levels = enc(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
+        shapes = [tuple(level.shape) for level in levels]
         assert shapes == [(1, 16, 16, 16), (1, 32, 8, 8), (1, 64, 4, 4), (1, 128, 2, 2)]
 
     def test_deterministic_per_seed(self):
@@ -231,7 +233,7 @@ class TestEncoder:
         outs = []
         for _ in range(2):
             enc = Encoder(3, (4, 8, 16, 32), True, rng_for(32), dtype=F64)
-            outs.append(enc(t(x)).levels[3].data.tobytes())
+            outs.append(enc(t(x))[3].data.tobytes())
         assert outs[0] == outs[1]
 
     def test_indivisible_extent_rejected(self):
@@ -283,17 +285,6 @@ class TestFedNet:
         x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 32, 32)).astype(np.float32))
         np.testing.assert_array_equal(net.forward(x).data, ops.sigmoid(net.logits(x)).data)
 
-    def test_baseline_forward_is_flagless_fednet(self):
-        spec = NetworkSpec(base_channels=4).baseline()
-        net = FedNet(spec, rng=rng_for(37), dtype=F64)
-        x = t(np.random.default_rng(2).uniform(-1, 1, (1, 3, 32, 32)))
-        np.testing.assert_array_equal(baseline_forward(x, net).data, net(x).data)
-
-    def test_baseline_forward_rejects_full_net(self):
-        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(38), dtype=F64)
-        with pytest.raises(ValueError, match="flags off"):
-            baseline_forward(t(np.zeros((1, 3, 32, 32))), net)
-
     def test_six_ablation_configs_constructible_with_disjoint_block_names(self):
         from fednet.harness import ABLATION_ROWS
         from dataclasses import replace
@@ -320,13 +311,3 @@ class TestFedNet:
         assert len(names) == len(set(names))
         net2 = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(42), dtype=F64)
         assert names == list(net2.named_parameters())
-
-
-class TestFeaturePyramid:
-    def test_halving_invariant_checked(self):
-        good = [t(np.zeros((1, 2, 8, 8))), t(np.zeros((1, 4, 4, 4)))]
-        FeaturePyramid(good)
-        with pytest.raises(ValueError, match="halve"):
-            FeaturePyramid([t(np.zeros((1, 2, 8, 8))), t(np.zeros((1, 4, 3, 4)))])
-        with pytest.raises(ValueError, match="batch"):
-            FeaturePyramid([t(np.zeros((1, 2, 8, 8))), t(np.zeros((2, 4, 4, 4)))])

@@ -1,8 +1,15 @@
 """Config parsing: defaults, typed values, line-numbered errors, validation."""
 
+from dataclasses import fields, replace
+from pathlib import Path
+
 import pytest
 
-from fednet.config import ConfigError, TrainConfig, parse_config
+from fednet.blocks import NetworkSpec
+from fednet.config import _SCHEMA, ConfigError, TrainConfig, parse_config
+from fednet.losses import LossWeights
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "lesion_example.cfg"
 
 
 def write(tmp_path, text):
@@ -101,3 +108,27 @@ class TestValidateMethod:
 
     def test_default_config_is_valid(self):
         TrainConfig().validate()
+
+
+class TestSchema:
+    def test_keys_are_the_dataclass_fields(self):
+        # a field without a key cannot be set from a file, and a key without a
+        # field makes the dataclass constructor raise TypeError, not ConfigError
+        expected = {
+            "cfg": {f.name for f in fields(TrainConfig)} - {"network", "loss"},
+            "net": {f.name for f in fields(NetworkSpec)},
+            "loss": {f.name for f in fields(LossWeights)},
+        }
+        routed = {target: set() for target in expected}
+        for key, (target, attr, _) in _SCHEMA.items():
+            assert attr == key
+            routed[target].add(key)
+        assert routed == expected
+
+    def test_example_config_shows_the_defaults(self):
+        cfg = parse_config(EXAMPLE_CONFIG)
+        assert cfg == replace(TrainConfig(), data_dir=cfg.data_dir,
+                              checkpoint_out=cfg.checkpoint_out)
+        keys = {line.split("=", 1)[0].strip().lstrip("# ")
+                for line in EXAMPLE_CONFIG.read_text().splitlines() if "=" in line}
+        assert set(_SCHEMA) <= keys

@@ -148,7 +148,7 @@ def test_encoder(hw):
 
     def f(v):
         acc = None
-        for level, c in zip(enc(v).levels, coeffs):
+        for level, c in zip(enc(v), coeffs):
             term = level.mean() * c
             acc = term if acc is None else acc + term
         return acc
