@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,38 +25,27 @@ from .tensor import Parameter, Tensor
 class NetworkSpec:
     """Hyperparameters of one network; the four enable flags are the ablation axes."""
 
-    in_channels: int = 3
     base_channels: int = 16
-    channels_per_level: Optional[tuple[int, int, int, int]] = None
     se_reduction: int = 16
     enable_rcb: bool = True
     enable_ff: bool = True
     enable_se: bool = True
     enable_duc: bool = True
 
-    def __post_init__(self):
-        if self.channels_per_level is None:
-            b = self.base_channels
-            self.channels_per_level = (b, 2 * b, 4 * b, 8 * b)
-        else:
-            self.channels_per_level = tuple(self.channels_per_level)
+    @property
+    def channels_per_level(self) -> tuple[int, int, int, int]:
+        """Channel counts of levels 1..4: doubling from ``base_channels``."""
+        b = self.base_channels
+        return (b, 2 * b, 4 * b, 8 * b)
 
     def validate(self) -> None:
-        if self.in_channels < 1:
-            raise ValueError(f"in_channels must be >= 1, got {self.in_channels}")
-        ch = self.channels_per_level
-        if len(ch) != 4:
-            raise ValueError(f"channels_per_level must have 4 entries, got {len(ch)}")
-        for lo, hi in zip(ch, ch[1:]):
-            if hi != 2 * lo:
-                raise ValueError(
-                    f"channels_per_level must double per level, got {ch}")
-        if ch[0] < 4:
-            raise ValueError(f"level-1 channel count must be >= 4 for the decoder, got {ch[0]}")
+        if self.base_channels < 4:
+            raise ValueError(
+                f"base_channels must be >= 4 for the decoder, got {self.base_channels}")
         if self.se_reduction < 1:
             raise ValueError(f"se_reduction must be >= 1, got {self.se_reduction}")
         if self.enable_ff and self.enable_se:
-            for c in ch:
+            for c in self.channels_per_level:
                 if c % self.se_reduction != 0:
                     raise ValueError(
                         f"se_reduction {self.se_reduction} must divide every fused channel "
@@ -104,30 +93,28 @@ class Block:
 
 class Conv2d(Block):
     def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int = 0, dtype=np.float32, bias: bool = True):
+                 stride: int = 1, pad: int = 0, dtype=np.float32):
         super().__init__()
         self.stride, self.pad = stride, pad
         w = glorot_uniform(rng, (cout, cin, k, k), cin * k * k, cout * k * k, dtype)
         self.w = self._param("w", w)
-        self.b = self._param("b", np.zeros(cout, dtype=dtype)) if bias else None
+        self.b = self._param("b", np.zeros(cout, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        b = self.b.value if self.b is not None else None
-        return ops.conv2d(x, self.w.value, b, self.stride, self.pad)
+        return ops.conv2d(x, self.w.value, self.b.value, self.stride, self.pad)
 
 
 class ConvTranspose2d(Block):
     def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int = 0, dtype=np.float32, bias: bool = True):
+                 stride: int = 1, pad: int = 0, dtype=np.float32):
         super().__init__()
         self.stride, self.pad = stride, pad
         w = glorot_uniform(rng, (cin, cout, k, k), cin * k * k, cout * k * k, dtype)
         self.w = self._param("w", w)
-        self.b = self._param("b", np.zeros(cout, dtype=dtype)) if bias else None
+        self.b = self._param("b", np.zeros(cout, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        b = self.b.value if self.b is not None else None
-        return ops.conv_transpose2d(x, self.w.value, b, self.stride, self.pad)
+        return ops.conv_transpose2d(x, self.w.value, self.b.value, self.stride, self.pad)
 
 
 class Dense(Block):
@@ -360,16 +347,16 @@ class FedNet(Block):
         spec.validate()
         self.spec = spec
         self.dtype = dtype
-        c1, c2, c3, c4 = spec.channels_per_level
-        self.encoder = self._child("encoder", Encoder(spec.in_channels,
-                                                      spec.channels_per_level,
-                                                      spec.enable_rcb, rng, dtype))
+        channels = spec.channels_per_level
+        c1, c2, c3, c4 = channels
+        # three input channels: slices z-1, z, z+1 (pipeline.stack_adjacent_slices)
+        self.encoder = self._child("encoder", Encoder(3, channels, spec.enable_rcb, rng,
+                                                      dtype))
         self.fuse = None
         if spec.enable_ff:
-            self.fuse = self._child("fuse", FeatureFusion(spec.channels_per_level,
-                                                          spec.se_reduction,
+            self.fuse = self._child("fuse", FeatureFusion(channels, spec.se_reduction,
                                                           spec.enable_se, rng, dtype))
-        head_ch = max(1, c1 // 2)
+        head_ch = c1 // 2
         # the head upsamples by 4, undoing the stem's stride
         if spec.enable_duc:
             self.up4 = self._child("duc4", DUC(c4, c3, 2, rng, dtype))

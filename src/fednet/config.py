@@ -32,9 +32,9 @@ class TrainConfig:
     liver_threshold: float = 0.5
     lesion_threshold: float = 0.3
     connectivity: int = 6
-    # pooled over the batch by default: the per-slice form diverges when a
-    # batch holds empty-target slices (its gradient grows without bound as
-    # predictions shrink), which from-scratch desk-scale training cannot absorb
+    # pooled over the batch by default: per-slice overlap trains to a lower
+    # Dice with larger loss spikes, since an empty-target slice's Jaccard
+    # gradient grows as its predictions shrink
     jaccard_per_slice: bool = False
     grad_clip: float = 3.0                 # global grad-norm cap; 0 disables
 
@@ -78,10 +78,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in raw.split(","))
-
-
 # key -> (target, field, caster); target "cfg" / "net" / "loss"
 _SCHEMA = {
     "stage": ("cfg", "stage", str),
@@ -100,9 +96,7 @@ _SCHEMA = {
     "connectivity": ("cfg", "connectivity", int),
     "jaccard_per_slice": ("cfg", "jaccard_per_slice", _parse_bool),
     "grad_clip": ("cfg", "grad_clip", float),
-    "in_channels": ("net", "in_channels", int),
     "base_channels": ("net", "base_channels", int),
-    "channels_per_level": ("net", "channels_per_level", _parse_int_list),
     "se_reduction": ("net", "se_reduction", int),
     "enable_rcb": ("net", "enable_rcb", _parse_bool),
     "enable_ff": ("net", "enable_ff", _parse_bool),
@@ -111,7 +105,6 @@ _SCHEMA = {
     "omega1": ("loss", "omega1", float),
     "omega2": ("loss", "omega2", float),
     "epsilon": ("loss", "epsilon", float),
-    "clamp_delta": ("loss", "clamp_delta", float),
 }
 
 
@@ -139,9 +132,6 @@ def parse_config(path) -> TrainConfig:
             raise ConfigError(
                 f"{path}:{lineno}: cannot parse {key!r} from {value!r}: {exc}") from exc
 
-    if ("base_channels" in buckets["net"]
-            and "channels_per_level" not in buckets["net"]):
-        buckets["net"]["channels_per_level"] = None  # rederive from base_channels
     try:
         net = NetworkSpec(**buckets["net"])
         loss = LossWeights(**buckets["loss"])

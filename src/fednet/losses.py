@@ -6,7 +6,7 @@ the reference definition.  :func:`combined_loss_with_logits` takes the
 network's pre-sigmoid logits and is what training minimizes: its cross
 entropy is a fused log-sigmoid, so a saturated pixel keeps a gradient of
 order one instead of the ~1e-38 that flows back through a saturated sigmoid.
-The two forms agree wherever delta <= p <= 1 - delta.
+The two forms agree wherever CLAMP_DELTA <= p <= 1 - CLAMP_DELTA.
 
 The differentiable pieces operate on :class:`~fednet.tensor.Tensor`; the Dice
 metrics operate on plain binary numpy masks.
@@ -22,21 +22,20 @@ import numpy as np
 from .ops import sigmoid
 from .tensor import Tensor, as_tensor, record
 
+# Bounds probabilities away from 0 and 1 before the probability-form cross
+# entropy takes logs.  It guards against log(0) and is not part of the loss:
+# the logits form needs no guard.
+CLAMP_DELTA = 1e-7
+
 
 @dataclass(frozen=True)
 class LossWeights:
     """omega1 balances the two cross-entropy terms, omega2 scales the Jaccard
-    term, epsilon guards the Jaccard denominator.
-
-    clamp_delta bounds probabilities away from 0 and 1 before the
-    probability-form cross entropy takes logs.  It guards against log(0) and
-    is not part of the loss: the logits form needs no guard and ignores it.
-    """
+    term, epsilon guards the Jaccard denominator."""
 
     omega1: float = 0.5
     omega2: float = 1.0
     epsilon: float = 1e-15
-    clamp_delta: float = 1e-7
 
     def __post_init__(self):
         if not 0.0 < self.omega1 < 1.0:
@@ -45,8 +44,6 @@ class LossWeights:
             raise ValueError(f"omega2 must be >= 0, got {self.omega2}")
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not 0.0 < self.clamp_delta < 0.5:
-            raise ValueError(f"clamp_delta must lie in (0, 0.5), got {self.clamp_delta}")
 
 
 def _validate_pair(y: Tensor, y_hat: Tensor, op: str, probabilities: bool = True) -> None:
@@ -65,10 +62,10 @@ def _validate_pair(y: Tensor, y_hat: Tensor, op: str, probabilities: bool = True
 def weighted_bce(y, y_hat, w: LossWeights = LossWeights()) -> Tensor:
     """Mean over elements of
     (omega1 - 1) * y * log(p) - omega1 * (1 - y) * log(1 - p),
-    with p the prediction clamped to [delta, 1 - delta]."""
+    with p the prediction clamped to [CLAMP_DELTA, 1 - CLAMP_DELTA]."""
     y, y_hat = as_tensor(y), as_tensor(y_hat)
     _validate_pair(y, y_hat, "weighted_bce")
-    p = y_hat.clamp(w.clamp_delta, 1.0 - w.clamp_delta)
+    p = y_hat.clamp(CLAMP_DELTA, 1.0 - CLAMP_DELTA)
     pos = y * p.log() * (w.omega1 - 1.0)
     negm = (1.0 - y) * (1.0 - p).log() * w.omega1
     return (pos - negm).mean()
@@ -150,7 +147,7 @@ def combined_loss_with_logits(y, z, w: LossWeights = LossWeights(),
     The cross entropy is :func:`weighted_bce_with_logits`; the Jaccard term
     takes ``sigmoid(z)`` from the same logits.  Equal to
     ``combined_loss(y, sigmoid(z), w, per_slice)`` wherever every probability
-    lies in [clamp_delta, 1 - clamp_delta]; outside that range it keeps the
+    lies in [CLAMP_DELTA, 1 - CLAMP_DELTA]; outside that range it keeps the
     cross-entropy gradient that the clamp of the probability form cuts off.
     """
     y, z = as_tensor(y), as_tensor(z)

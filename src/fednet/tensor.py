@@ -147,9 +147,6 @@ class Tape:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def backward(self, root: Tensor) -> None:
-        backward(root, self)
-
 
 _TAPE_STACK: list[Tape] = []
 
@@ -330,13 +327,6 @@ class Parameter:
         self.name = name
         self.value = Tensor(array, requires_grad=True)
         self.momentum = np.zeros_like(self.value.data)
-
-    @property
-    def grad(self) -> Optional[np.ndarray]:
-        return self.value.grad
-
-    def zero_grad(self) -> None:
-        self.value.grad = None
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={tuple(self.value.shape)})"

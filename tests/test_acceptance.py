@@ -13,7 +13,7 @@ import pytest
 from fednet import cli, harness, ops
 from fednet.blocks import FeatureFusion
 from fednet.config import TrainConfig
-from fednet.losses import LossWeights, combined_loss, soft_jaccard
+from fednet.losses import CLAMP_DELTA, LossWeights, combined_loss, soft_jaccard
 from fednet.pipeline import (bbox_of_mask, connected_components_3d,
                              hu_window_normalize, largest_component, threshold_mask)
 from fednet.synth import synth_generate
@@ -93,7 +93,7 @@ def test_criterion_3_oracle_equivalences():
     expected_j = (inter + 1e-15) / (union + 1e-15)
     assert abs(soft_jaccard(Tensor(yv), Tensor(pv)).item() - expected_j) <= 1e-12
     w_loss = LossWeights(omega1=0.4, omega2=0.7)
-    delta = w_loss.clamp_delta
+    delta = CLAMP_DELTA
     bce_terms = [(w_loss.omega1 - 1.0) * yi * math.log(min(max(pi, delta), 1 - delta))
                  - w_loss.omega1 * (1 - yi) * math.log(1 - min(max(pi, delta), 1 - delta))
                  for yi, pi in zip(yv, pv)]

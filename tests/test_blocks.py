@@ -251,10 +251,9 @@ class TestEncoder:
 class TestNetworkSpec:
     def test_channels_derived_from_base(self):
         assert NetworkSpec(base_channels=8).channels_per_level == (8, 16, 32, 64)
-
-    def test_doubling_enforced(self):
-        with pytest.raises(ValueError, match="double"):
-            NetworkSpec(channels_per_level=(8, 16, 24, 48)).validate()
+        spec = NetworkSpec()
+        spec.base_channels = 4
+        assert spec.channels_per_level == (4, 8, 16, 32)
 
     def test_se_divisibility_enforced_only_when_used(self):
         spec = NetworkSpec(base_channels=8, se_reduction=16)

@@ -48,10 +48,6 @@ class TestParsing:
         assert cfg.loss.omega1 == 0.25
         assert cfg.stage == "liver"
 
-    def test_channels_per_level_list(self, tmp_path):
-        cfg = parse_config(write(tmp_path, "channels_per_level = 4, 8, 16, 32\nse_reduction = 4\n"))
-        assert cfg.network.channels_per_level == (4, 8, 16, 32)
-
     @pytest.mark.parametrize("raw,value", [
         ("true", True), ("false", False), ("1", True), ("0", False),
         ("yes", True), ("off", False),
@@ -85,8 +81,8 @@ class TestErrors:
         ("omega1 = 1.5", "omega1"),
         ("p_pos = 1.5", "p_pos"),
         ("connectivity = 18", "connectivity"),
-        ("channels_per_level = 8,16,24,48", "double"),
         ("grad_clip = -1", "grad_clip"),
+        ("base_channels = 2", "base_channels must be >= 4"),
         ("momentum = 1.0", "momentum"),
         ("data_dir =", "non-empty"),
     ])

@@ -6,7 +6,7 @@ import pytest
 
 from fednet import cli, harness, pipeline
 from fednet.checkpoint import CheckpointMismatch, save_checkpoint, state_arrays
-from fednet.config import TrainConfig
+from fednet.config import TrainConfig, parse_config
 from fednet.synth import synth_generate
 from fednet.volume import Volume, read_mvol, write_mvol
 
@@ -108,6 +108,21 @@ class TestTrain:
         harness.train(a)
         harness.train(b)
         assert (tmp_path / "a2.fedckpt").read_bytes() != (tmp_path / "b2.fedckpt").read_bytes()
+
+    @pytest.mark.parametrize("line", [
+        "omega1 = 0.3", "omega2 = 0.5", "epsilon = 1e-6", "jaccard_per_slice = true",
+    ])
+    def test_loss_key_changes_checkpoint(self, dataset, tmp_path, line):
+        def train_with(extra, name):
+            ckpt = tmp_path / f"{name}.fedckpt"
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(f"data_dir = {dataset}\ncheckpoint_out = {ckpt}\n"
+                            "iterations = 3\nbatch_size = 2\n"
+                            f"base_channels = 4\nse_reduction = 4\n{extra}\n")
+            harness.train(parse_config(path))
+            return ckpt.read_bytes()
+
+        assert train_with(line, "keyed") != train_with("", "default")
 
     def test_loss_decreases(self, dataset, tmp_path):
         cfg = micro_config(dataset, tmp_path / "long.fedckpt", iterations=60, batch_size=4)

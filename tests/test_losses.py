@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fednet.losses import (LossWeights, combined_loss, combined_loss_with_logits, dice,
-                           dice_global, dice_per_case, soft_jaccard, weighted_bce)
+from fednet.losses import (CLAMP_DELTA, LossWeights, combined_loss, combined_loss_with_logits,
+                           dice, dice_global, dice_per_case, soft_jaccard, weighted_bce)
 from fednet.ops import sigmoid
 from fednet.tensor import Tape, Tensor, backward, grad_check
 
@@ -24,7 +24,7 @@ def bce_scalar(y, p, w):
     """Direct per-element evaluation of the weighted cross entropy."""
     terms = []
     for yi, pi in zip(np.ravel(y), np.ravel(p)):
-        pc = min(max(pi, w.clamp_delta), 1.0 - w.clamp_delta)
+        pc = min(max(pi, CLAMP_DELTA), 1.0 - CLAMP_DELTA)
         terms.append((w.omega1 - 1.0) * yi * math.log(pc)
                      - w.omega1 * (1.0 - yi) * math.log(1.0 - pc))
     return sum(terms) / len(terms)
@@ -40,11 +40,11 @@ class TestLossWeights:
     def test_defaults_valid(self):
         w = LossWeights()
         assert w.omega1 == 0.5 and w.omega2 == 1.0
-        assert w.epsilon == 1e-15 and w.clamp_delta == 1e-7
+        assert w.epsilon == 1e-15 and CLAMP_DELTA == 1e-7
 
     @pytest.mark.parametrize("kwargs", [
         dict(omega1=0.0), dict(omega1=1.0), dict(omega2=-0.1),
-        dict(epsilon=0.0), dict(clamp_delta=0.0), dict(clamp_delta=0.5),
+        dict(epsilon=0.0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ class TestWeightedBce:
         w = LossWeights()
         y, p = pair(np.ones(8), np.ones(8))
         v = weighted_bce(y, p, w).item()
-        assert 0.0 <= v <= (1.0 - w.omega1) * abs(math.log(1.0 - w.clamp_delta)) + 1e-12
+        assert 0.0 <= v <= (1.0 - w.omega1) * abs(math.log(1.0 - CLAMP_DELTA)) + 1e-12
 
     def test_half_confidence_anchor(self):
         y, p = pair([1.0], [0.5])
@@ -177,7 +177,7 @@ class TestCombinedLossWithLogits:
         y = Tensor((rng.uniform(size=(3, 1, 4, 5)) > 0.6).astype(np.float64))
         z = Tensor(rng.uniform(-8.0, 8.0, size=y.shape))
         p = sigmoid(z)
-        assert np.all((p.data >= w.clamp_delta) & (p.data <= 1.0 - w.clamp_delta))
+        assert np.all((p.data >= CLAMP_DELTA) & (p.data <= 1.0 - CLAMP_DELTA))
         got = combined_loss_with_logits(y, z, w, per_slice=per_slice).item()
         want = combined_loss(y, p, w, per_slice=per_slice).item()
         assert got == pytest.approx(want, abs=1e-12)
