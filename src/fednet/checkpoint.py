@@ -14,6 +14,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .volume import atomic_write
+
 MAGIC = b"FEDCKPT1"
 MOMENTUM_SUFFIX = ".m"
 
@@ -27,7 +29,8 @@ class CheckpointMismatch(CheckpointError):
 
 
 def save_checkpoint(path, arrays: Mapping[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
+    """Write ``arrays`` to ``path``; a failed write leaves the old file."""
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(arrays)))
         for name in sorted(arrays):

@@ -98,7 +98,9 @@ def cmd_gradcheck(args) -> int:
     results = harness.gradcheck_suite(tol=args.tol)
     for check in results:
         state = "PASS" if check.passed else "FAIL"
-        print(f"{check.name}\t{check.max_rel_err:.3e}\t{state}")
+        worst = "-" if check.worst_coord is None else ",".join(map(str, check.worst_coord))
+        print(f"{check.name}\t{check.max_rel_err:.3e}\t{state}"
+              f"\tworst_coord={worst}\tkink_coords_skipped={check.kink_coords_skipped}")
     failed = [c for c in results if not c.passed]
     print(f"checks\t{len(results)}")
     print(f"failed\t{len(failed)}")

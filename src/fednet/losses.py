@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ops import sigmoid
+from .ops import flush_subnormals, sigmoid
 from .tensor import Tensor, as_tensor, record
 
 # Bounds probabilities away from 0 and 1 before the probability-form cross
@@ -108,8 +108,11 @@ def weighted_bce_with_logits(y, z, w: LossWeights = LossWeights()) -> Tensor:
     n = zd.size
 
     def backward_fn(g):
+        # sigmoid(z) is subnormal in float32 for z < -87, and so is the
+        # gradient of every background pixel there; flushed, it stops slowing
+        # the convolutions it flows back through
         dz = pos_w * yd * (prob - 1.0) + neg_w * (1.0 - yd) * prob
-        return None, g * dz / n
+        return None, flush_subnormals(g * dz / n)
 
     return record(out, (y, z), backward_fn)
 

@@ -215,8 +215,28 @@ def relu(x: Tensor) -> Tensor:
     return record(out, (x,), lambda g: (g * mask,))
 
 
+def flush_subnormals(d) -> np.ndarray:
+    """Set the entries of the array ``d`` smaller in magnitude than the
+    smallest normal number to 0, in place, and return it.
+
+    Arithmetic on subnormal operands runs on a slow path in x86 CPUs (Dooley
+    and Kale, "Quantifying the interference caused by subnormal
+    floating-point values", 2006): a float32 matmul of a [144, 128] weight
+    with an [8, 128, 256] operand measured 0.35 ms on normal data and 38.9 ms
+    with 78% of the operand subnormal.  numpy has no flush-to-zero mode, so
+    the backward functions that make subnormal gradients flush them here.
+    """
+    d = np.asarray(d)  # a 0-d product arrives as a numpy scalar
+    d[np.abs(d) < np.finfo(d.dtype).tiny] = 0
+    return d
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic; output clipped strictly inside (0, 1)."""
+    """Numerically stable logistic; output clipped strictly inside (0, 1).
+
+    Its backward flushes subnormal gradients to 0: where p is clipped to the
+    smallest normal number, g * p * (1 - p) is subnormal for any |g| < 1.
+    """
     z = x.data
     out_data = np.empty_like(z)
     pos = z >= 0
@@ -226,7 +246,7 @@ def sigmoid(x: Tensor) -> Tensor:
     info = np.finfo(z.dtype)
     np.clip(out_data, info.tiny, 1.0 - info.epsneg, out=out_data)
     out = Tensor(out_data)
-    return record(out, (x,), lambda g: (g * out_data * (1.0 - out_data),))
+    return record(out, (x,), lambda g: (flush_subnormals(g * out_data * (1.0 - out_data)),))
 
 
 def activation(x: Tensor, kind: str) -> Tensor:

@@ -14,8 +14,11 @@ so the on-disk payload is exactly ``voxels.tobytes()``.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -66,6 +69,23 @@ class Volume:
         return nx, ny, nz
 
 
+@contextmanager
+def atomic_write(path):
+    """Open a temporary file next to ``path`` for binary writing; when the
+    block finishes, ``os.replace`` moves it onto ``path``.  A write that
+    raises or is killed midway leaves any previous file at ``path`` as it was
+    (a raise also deletes the temporary file)."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_mvol(vol: Volume, path) -> None:
     dt = vol.voxels.dtype
     code = _CODE_FOR_KIND.get(np.dtype(dt))
@@ -73,7 +93,7 @@ def write_mvol(vol: Volume, path) -> None:
         raise MVolError(f"unsupported voxel dtype {dt}; use int16, float32 or uint8")
     nx, ny, nz = vol.dims
     arr = np.ascontiguousarray(vol.voxels, dtype=_DTYPE_CODES[code])
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(nx, ny, nz, code, *vol.spacing))
         fh.write(arr.tobytes())

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fednet import ops
-from fednet.tensor import (GradCheckReport, Parameter, Tape, Tensor, backward,
-                           clip_gradients, grad_check, record, sgd_step)
+from fednet.tensor import (GRAD_CHECK_COPIES, GradCheckReport, Parameter, Tape, Tensor,
+                           backward, clip_gradients, grad_check, record, sgd_step)
 
 RNG = np.random.default_rng(7)
 
@@ -215,6 +215,46 @@ class TestGradCheck:
         x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError, match="float64"):
             grad_check(lambda v: v, x)
+
+    @staticmethod
+    def kinked_conv():
+        """conv(relu(x)), with a quarter of x within h = 1e-5 of relu's kink."""
+        rng = np.random.default_rng(31)
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        b = Tensor(rng.standard_normal(3))
+        x = rng.uniform(-1, 1, (3, 2, 3, 5))  # 180 copies: the last call holds 4
+        near = x.reshape(-1)[::4]
+        near[:] = rng.uniform(-5e-6, 5e-6, near.size)
+        return (lambda v: ops.conv2d(ops.relu(v), w, b, 1, 1)), x
+
+    def test_samplewise_report_equals_serial(self):
+        f, x = self.kinked_conv()
+        serial = grad_check(f, leaf(x))
+        stacked = grad_check(f, leaf(x), samplewise=True)
+        assert serial.passed and serial.kink_coords_skipped > 0
+        assert stacked == serial
+
+    def test_samplewise_stacks_copies_into_fewer_calls(self):
+        shapes = []
+
+        def f(v):
+            shapes.append(v.shape)
+            return ops.relu(v)
+
+        x = RNG.uniform(-1, 1, (2, 3, 5))  # 30 coordinates, 60 copies
+        grad_check(f, leaf(x))
+        assert len(shapes) == 2 + 60
+        shapes.clear()
+        grad_check(f, leaf(x), samplewise=True)
+        calls = -(-60 // GRAD_CHECK_COPIES)
+        assert len(shapes) == 2 + calls
+        assert shapes[2] == (2 * GRAD_CHECK_COPIES, 3, 5)
+        assert shapes[-1] == (2 * (60 - (calls - 1) * GRAD_CHECK_COPIES), 3, 5)
+
+    def test_samplewise_rejects_f_that_mixes_samples(self):
+        x = leaf(RNG.uniform(-1, 1, (2, 3)))
+        with pytest.raises(ValueError, match="stacked copies"):
+            grad_check(lambda v: v.sum(axis=0), x, samplewise=True)
 
     def test_report_is_printable(self):
         report = GradCheckReport(1e-9, True)

@@ -60,6 +60,16 @@ class TestFormat:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "kept.fedckpt"
+        save_checkpoint(path, {"w": np.ones((2, 2), np.float32)})
+        before = path.read_bytes()
+        # entries are written in name order: "a" goes out, then "b" raises
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {"a": np.zeros(3, np.float32), "b": "not an array"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.fedckpt"]
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "extra.fedckpt"
         save_checkpoint(path, {"w": np.zeros(2, np.float32)})

@@ -324,6 +324,11 @@ class TestGradcheckSuite:
         assert [c.name for c in results] == ["dense/input", "sigmoid", "se_block"]
         assert all(c.passed for c in results)
 
+    def test_reports_the_gate_fields(self):
+        (check,) = harness.gradcheck_suite(names=["relu"])
+        assert check.worst_coord is not None and len(check.worst_coord) == 4
+        assert check.kink_coords_skipped == 0
+
     def test_fault_injection_detected(self, monkeypatch):
         import fednet.ops as ops_mod
         from fednet.tensor import Tensor, record
@@ -411,6 +416,15 @@ class TestCli:
         bad = [harness.SuiteCheck("x", 1e-2, False)]
         monkeypatch.setattr(harness, "gradcheck_suite", lambda tol: bad)
         assert cli.main(["gradcheck"]) == 2
+
+    def test_gradcheck_prints_worst_coord_and_kinks(self, monkeypatch, capsys):
+        checks = [harness.SuiteCheck("x", 1e-9, True, (0, 2, 1), 3),
+                  harness.SuiteCheck("y", 1e-9, True)]
+        monkeypatch.setattr(harness, "gradcheck_suite", lambda tol: checks)
+        assert cli.main(["gradcheck"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "x\t1.000e-09\tPASS\tworst_coord=0,2,1\tkink_coords_skipped=3"
+        assert lines[1] == "y\t1.000e-09\tPASS\tworst_coord=-\tkink_coords_skipped=0"
 
     def test_ablate_cli(self, dataset, tmp_path, capsys):
         cfg_path = tmp_path / "ab.cfg"

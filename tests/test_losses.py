@@ -201,6 +201,20 @@ class TestCombinedLossWithLogits:
         assert from_logits <= -(1.0 - w.omega1) / n
         assert abs(from_probs) < 1e-30
 
+    def test_float32_gradient_has_no_subnormal(self):
+        # sigmoid(-95) is subnormal in float32, and so would be the gradient
+        # of each background pixel
+        y = Tensor(np.zeros((2, 1, 4, 4), dtype=np.float32))
+        y.data[0, 0, 0, 0] = 1.0
+        z = Tensor(np.full(y.shape, -95.0, dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            loss = combined_loss_with_logits(y, z, LossWeights())
+        backward(loss, tape)
+        tiny = np.finfo(np.float32).tiny
+        assert z.grad.dtype == np.float32
+        assert not np.any((z.grad != 0) & (np.abs(z.grad) < tiny))
+        assert z.grad[0, 0, 0, 0] < 0  # the missed positive pixel keeps its gradient
+
     def test_nonbinary_truth_rejected(self):
         with pytest.raises(ValueError, match="binary"):
             combined_loss_with_logits(*pair([0.5], [3.0]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fednet import ops
-from fednet.tensor import Tensor
+from fednet.tensor import Tape, Tensor, backward
 
 from oracles import (conv2d_reference, conv_transpose2d_reference, dense_reference,
                      global_avg_pool_reference, pixel_shuffle_reference,
@@ -149,6 +149,15 @@ class TestActivations:
         with np.errstate(over="raise"):
             out = ops.sigmoid(x).data
         assert np.all(out > 0.0) and np.all(out < 1.0)
+
+    def test_sigmoid_backward_flushes_subnormals(self):
+        x = Tensor(np.array([-95.0, -3.0, 0.0], dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            loss = (ops.sigmoid(x) * 0.5).sum()
+        backward(loss, tape)
+        # 0.5 * tiny * (1 - tiny) is subnormal: flushed to 0
+        assert x.grad[0] == 0.0
+        assert x.grad[1] > np.finfo(np.float32).tiny and x.grad[2] == np.float32(0.125)
 
     def test_activation_dispatch(self):
         x = t([-1.0, 1.0])

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from fednet import volume
 from fednet.volume import (MAGIC, BadMagic, DimOverflow, MVolError,
                            TruncatedPayload, Volume, read_mvol, write_mvol)
 
@@ -36,6 +37,22 @@ class TestRoundTrip:
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(MVolError, match="unsupported"):
             write_mvol(Volume(np.zeros((2, 2, 2), dtype=np.int64)), tmp_path / "x.mvol")
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "kept.mvol"
+        write_mvol(Volume(np.ones((2, 2, 2), dtype=np.uint8)), path)
+        before = path.read_bytes()
+
+        class FailingHeader:
+            def pack(self, *values):
+                raise OSError("disk full")
+
+        # the magic is written, then packing the header raises
+        monkeypatch.setattr(volume, "_HEADER", FailingHeader())
+        with pytest.raises(OSError, match="disk full"):
+            write_mvol(Volume(np.zeros((3, 3, 3), dtype=np.uint8)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.mvol"]
 
 
 class TestHandAssembledFile:
