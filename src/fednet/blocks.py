@@ -6,6 +6,10 @@ All blocks are assembled from the ops in :mod:`fednet.ops`; there is no batch
 normalization anywhere.  Parameters are named by their position in the block
 tree, so checkpoints of one flag configuration only ever load into a network
 built with the same flags.
+
+Every block builds float32 parameters.  :meth:`Block.astype` converts a built
+block (for example to float64 for gradient checks) and is the one place
+parameter precision is chosen.
 """
 
 from __future__ import annotations
@@ -57,10 +61,10 @@ class NetworkSpec:
                        enable_duc=False)
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, fan_out: int,
-                   dtype=np.float32) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int,
+                   fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 class Block:
@@ -71,7 +75,7 @@ class Block:
         self._children: dict[str, Block] = {}
 
     def _param(self, name: str, array: np.ndarray) -> Parameter:
-        p = Parameter(array, name=name)
+        p = Parameter(array.astype(np.float32), name=name)
         self._params[name] = p
         return p
 
@@ -90,15 +94,23 @@ class Block:
     def parameters(self) -> list[Parameter]:
         return list(self.named_parameters().values())
 
+    def astype(self, dtype) -> "Block":
+        """Convert every parameter's value and momentum buffer to ``dtype`` in
+        place, keeping the same :class:`Parameter` objects; returns ``self``."""
+        for p in self.parameters():
+            p.value.data = p.value.data.astype(dtype)
+            p.momentum = p.momentum.astype(dtype)
+        return self
+
 
 class Conv2d(Block):
     def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int = 0, dtype=np.float32):
+                 stride: int = 1, pad: int = 0):
         super().__init__()
         self.stride, self.pad = stride, pad
-        w = glorot_uniform(rng, (cout, cin, k, k), cin * k * k, cout * k * k, dtype)
+        w = glorot_uniform(rng, (cout, cin, k, k), cin * k * k, cout * k * k)
         self.w = self._param("w", w)
-        self.b = self._param("b", np.zeros(cout, dtype=dtype))
+        self.b = self._param("b", np.zeros(cout))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.w.value, self.b.value, self.stride, self.pad)
@@ -106,22 +118,22 @@ class Conv2d(Block):
 
 class ConvTranspose2d(Block):
     def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int = 0, dtype=np.float32):
+                 stride: int = 1, pad: int = 0):
         super().__init__()
         self.stride, self.pad = stride, pad
-        w = glorot_uniform(rng, (cin, cout, k, k), cin * k * k, cout * k * k, dtype)
+        w = glorot_uniform(rng, (cin, cout, k, k), cin * k * k, cout * k * k)
         self.w = self._param("w", w)
-        self.b = self._param("b", np.zeros(cout, dtype=dtype))
+        self.b = self._param("b", np.zeros(cout))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.conv_transpose2d(x, self.w.value, self.b.value, self.stride, self.pad)
 
 
 class Dense(Block):
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator):
         super().__init__()
-        self.w = self._param("w", glorot_uniform(rng, (cout, cin), cin, cout, dtype))
-        self.b = self._param("b", np.zeros(cout, dtype=dtype))
+        self.w = self._param("w", glorot_uniform(rng, (cout, cin), cin, cout))
+        self.b = self._param("b", np.zeros(cout))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.dense(x, self.w.value, self.b.value)
@@ -131,15 +143,14 @@ class SEBlock(Block):
     """Channel attention: squeeze (global average pool), excite (two dense
     layers), then a sigmoid gate rescaling every channel map."""
 
-    def __init__(self, channels: int, reduction: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, channels: int, reduction: int, rng: np.random.Generator):
         super().__init__()
         if channels % reduction != 0:
             raise ValueError(
                 f"SE block channels {channels} not divisible by reduction {reduction}")
         hidden = channels // reduction
-        self.fc1 = self._child("fc1", Dense(channels, hidden, rng, dtype))
-        self.fc2 = self._child("fc2", Dense(hidden, channels, rng, dtype))
+        self.fc1 = self._child("fc1", Dense(channels, hidden, rng))
+        self.fc2 = self._child("fc2", Dense(hidden, channels, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
         gate = sigmoid(self.fc2(relu(self.fc1(ops.global_avg_pool(x)))))
@@ -150,10 +161,10 @@ class RCB(Block):
     """Residual convolution block without normalization:
     y = relu(x + conv3x3(relu(conv3x3(x))))."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        self.conv1 = self._child("conv1", Conv2d(channels, channels, 3, rng, pad=1, dtype=dtype))
-        self.conv2 = self._child("conv2", Conv2d(channels, channels, 3, rng, pad=1, dtype=dtype))
+        self.conv1 = self._child("conv1", Conv2d(channels, channels, 3, rng, pad=1))
+        self.conv2 = self._child("conv2", Conv2d(channels, channels, 3, rng, pad=1))
 
     def __call__(self, x: Tensor) -> Tensor:
         return relu(x + self.conv2(relu(self.conv1(x))))
@@ -164,10 +175,10 @@ class _FuseTerm(Block):
     count, then (optionally) SE gating."""
 
     def __init__(self, cin: int, cout: int, se_reduction: int, enable_se: bool,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         super().__init__()
-        self.proj = self._child("proj", Conv2d(cin, cout, 1, rng, dtype=dtype))
-        self.se = self._child("se", SEBlock(cout, se_reduction, rng, dtype)) if enable_se else None
+        self.proj = self._child("proj", Conv2d(cin, cout, 1, rng))
+        self.se = self._child("se", SEBlock(cout, se_reduction, rng)) if enable_se else None
 
     def __call__(self, t: Tensor) -> Tensor:
         t = self.proj(t)
@@ -185,7 +196,7 @@ class FeatureFusion(Block):
     """
 
     def __init__(self, channels: Sequence[int], se_reduction: int, enable_se: bool,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         super().__init__()
         self.channels = tuple(channels)
         n = len(self.channels)
@@ -193,7 +204,7 @@ class FeatureFusion(Block):
         for l in range(n):
             for i in range(l, n):
                 term = _FuseTerm(self.channels[i], self.channels[l], se_reduction,
-                                 enable_se, rng, dtype)
+                                 enable_se, rng)
                 self.terms[(l, i)] = term
                 self._child(f"l{l + 1}.from{i + 1}", term)
 
@@ -237,11 +248,10 @@ class DUC(Block):
     then pixel shuffling to trade those channels for an r-fold resolution
     gain."""
 
-    def __init__(self, cin: int, cout: int, r: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, cin: int, cout: int, r: int, rng: np.random.Generator):
         super().__init__()
         self.r = r
-        self.conv = self._child("conv", Conv2d(cin, cout * r * r, 3, rng, pad=1, dtype=dtype))
+        self.conv = self._child("conv", Conv2d(cin, cout * r * r, 3, rng, pad=1))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.pixel_shuffle(self.conv(x), self.r)
@@ -250,11 +260,10 @@ class DUC(Block):
 class UpsampleConv(Block):
     """Replacement for DUC when it is disabled: nearest upsample then 3x3 conv."""
 
-    def __init__(self, cin: int, cout: int, r: int, rng: np.random.Generator,
-                 dtype=np.float32):
+    def __init__(self, cin: int, cout: int, r: int, rng: np.random.Generator):
         super().__init__()
         self.r = r
-        self.conv = self._child("conv", Conv2d(cin, cout, 3, rng, pad=1, dtype=dtype))
+        self.conv = self._child("conv", Conv2d(cin, cout, 3, rng, pad=1))
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.conv(ops.upsample_nearest(x, self.r))
@@ -264,14 +273,14 @@ class DecoderBlock(Block):
     """Bottlenecked doubling stage: 1x1 reduce to C/4, transposed conv
     (stride 2, kernel 2), then 1x1 restore to the requested channel count."""
 
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator):
         super().__init__()
         if cin < 4:
             raise ValueError(f"decoder block needs >= 4 input channels, got {cin}")
         mid = cin // 4
-        self.reduce = self._child("reduce", Conv2d(cin, mid, 1, rng, dtype=dtype))
-        self.up = self._child("up", ConvTranspose2d(mid, mid, 2, rng, stride=2, dtype=dtype))
-        self.restore = self._child("restore", Conv2d(mid, cout, 1, rng, dtype=dtype))
+        self.reduce = self._child("reduce", Conv2d(cin, mid, 1, rng))
+        self.up = self._child("up", ConvTranspose2d(mid, mid, 2, rng, stride=2))
+        self.restore = self._child("restore", Conv2d(mid, cout, 1, rng))
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.restore(relu(self.up(relu(self.reduce(x)))))
@@ -280,11 +289,11 @@ class DecoderBlock(Block):
 class _ResStage(Block):
     """Stride-2 residual stage: 3x3/s2 -> relu -> 3x3, plus a 1x1/s2 shortcut."""
 
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator):
         super().__init__()
-        self.main1 = self._child("main1", Conv2d(cin, cout, 3, rng, stride=2, pad=1, dtype=dtype))
-        self.main2 = self._child("main2", Conv2d(cout, cout, 3, rng, pad=1, dtype=dtype))
-        self.short = self._child("short", Conv2d(cin, cout, 1, rng, stride=2, dtype=dtype))
+        self.main1 = self._child("main1", Conv2d(cin, cout, 3, rng, stride=2, pad=1))
+        self.main2 = self._child("main2", Conv2d(cout, cout, 3, rng, pad=1))
+        self.short = self._child("short", Conv2d(cin, cout, 1, rng, stride=2))
 
     def __call__(self, x: Tensor) -> Tensor:
         return relu(self.main2(relu(self.main1(x))) + self.short(x))
@@ -295,18 +304,17 @@ class Encoder(Block):
     residual stages, optionally refined by an RCB after every block."""
 
     def __init__(self, in_channels: int, channels: Sequence[int], enable_rcb: bool,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         super().__init__()
         c1, c2, c3, c4 = channels
-        self.stem_a = self._child("stem_a", Conv2d(in_channels, c1, 3, rng, stride=2, pad=1,
-                                                   dtype=dtype))
-        self.stem_b = self._child("stem_b", Conv2d(c1, c1, 3, rng, stride=2, pad=1, dtype=dtype))
-        self.stage2 = self._child("stage2", _ResStage(c1, c2, rng, dtype))
-        self.stage3 = self._child("stage3", _ResStage(c2, c3, rng, dtype))
-        self.stage4 = self._child("stage4", _ResStage(c3, c4, rng, dtype))
+        self.stem_a = self._child("stem_a", Conv2d(in_channels, c1, 3, rng, stride=2, pad=1))
+        self.stem_b = self._child("stem_b", Conv2d(c1, c1, 3, rng, stride=2, pad=1))
+        self.stage2 = self._child("stage2", _ResStage(c1, c2, rng))
+        self.stage3 = self._child("stage3", _ResStage(c2, c3, rng))
+        self.stage4 = self._child("stage4", _ResStage(c3, c4, rng))
         self.rcbs = None
         if enable_rcb:
-            self.rcbs = [self._child(f"rcb{i + 1}", RCB(c, rng, dtype))
+            self.rcbs = [self._child(f"rcb{i + 1}", RCB(c, rng))
                          for i, c in enumerate((c1, c2, c3, c4))]
 
     def __call__(self, x: Tensor) -> list[Tensor]:
@@ -342,34 +350,32 @@ class FedNet(Block):
     with raw skip connections.
     """
 
-    def __init__(self, spec: NetworkSpec, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, spec: NetworkSpec, rng: np.random.Generator):
         super().__init__()
         spec.validate()
         self.spec = spec
-        self.dtype = dtype
         channels = spec.channels_per_level
         c1, c2, c3, c4 = channels
         # three input channels: slices z-1, z, z+1 (pipeline.stack_adjacent_slices)
-        self.encoder = self._child("encoder", Encoder(3, channels, spec.enable_rcb, rng,
-                                                      dtype))
+        self.encoder = self._child("encoder", Encoder(3, channels, spec.enable_rcb, rng))
         self.fuse = None
         if spec.enable_ff:
             self.fuse = self._child("fuse", FeatureFusion(channels, spec.se_reduction,
-                                                          spec.enable_se, rng, dtype))
+                                                          spec.enable_se, rng))
         head_ch = c1 // 2
         # the head upsamples by 4, undoing the stem's stride
         if spec.enable_duc:
-            self.up4 = self._child("duc4", DUC(c4, c3, 2, rng, dtype))
-            self.head_up = self._child("head_duc", DUC(c1, head_ch, 4, rng, dtype))
+            self.up4 = self._child("duc4", DUC(c4, c3, 2, rng))
+            self.head_up = self._child("head_duc", DUC(c1, head_ch, 4, rng))
         else:
-            self.up4 = self._child("upconv4", UpsampleConv(c4, c3, 2, rng, dtype))
-            self.head_up = self._child("head_upconv", UpsampleConv(c1, head_ch, 4, rng, dtype))
-        self.skip3 = self._child("skip3", Conv2d(c3, c3, 1, rng, dtype=dtype))
-        self.skip2 = self._child("skip2", Conv2d(c2, c2, 1, rng, dtype=dtype))
-        self.skip1 = self._child("skip1", Conv2d(c1, c1, 1, rng, dtype=dtype))
-        self.dec3 = self._child("dec3", DecoderBlock(c3, c2, rng, dtype))
-        self.dec2 = self._child("dec2", DecoderBlock(c2, c1, rng, dtype))
-        self.head_out = self._child("head_out", Conv2d(head_ch, 1, 1, rng, dtype=dtype))
+            self.up4 = self._child("upconv4", UpsampleConv(c4, c3, 2, rng))
+            self.head_up = self._child("head_upconv", UpsampleConv(c1, head_ch, 4, rng))
+        self.skip3 = self._child("skip3", Conv2d(c3, c3, 1, rng))
+        self.skip2 = self._child("skip2", Conv2d(c2, c2, 1, rng))
+        self.skip1 = self._child("skip1", Conv2d(c1, c1, 1, rng))
+        self.dec3 = self._child("dec3", DecoderBlock(c3, c2, rng))
+        self.dec2 = self._child("dec2", DecoderBlock(c2, c1, rng))
+        self.head_out = self._child("head_out", Conv2d(head_ch, 1, 1, rng))
         # start biased toward background: initial probabilities ~0.12 keep the
         # overlap-loss gradients bounded when foreground is rare
         self.head_out.b.value.data[...] = -2.0

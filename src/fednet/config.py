@@ -4,7 +4,8 @@ rejected, missing keys defaulted, everything validated with line numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 from .blocks import NetworkSpec
 from .losses import LossWeights
@@ -78,34 +79,19 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-# key -> (target, field, caster); target "cfg" / "net" / "loss"
-_SCHEMA = {
-    "stage": ("cfg", "stage", str),
-    "lr": ("cfg", "lr", float),
-    "momentum": ("cfg", "momentum", float),
-    "weight_decay": ("cfg", "weight_decay", float),
-    "batch_size": ("cfg", "batch_size", int),
-    "iterations": ("cfg", "iterations", int),
-    "seed": ("cfg", "seed", int),
-    "data_dir": ("cfg", "data_dir", str),
-    "checkpoint_out": ("cfg", "checkpoint_out", str),
-    "p_pos": ("cfg", "p_pos", float),
-    "p_neg": ("cfg", "p_neg", float),
-    "liver_threshold": ("cfg", "liver_threshold", float),
-    "lesion_threshold": ("cfg", "lesion_threshold", float),
-    "connectivity": ("cfg", "connectivity", int),
-    "jaccard_per_slice": ("cfg", "jaccard_per_slice", _parse_bool),
-    "grad_clip": ("cfg", "grad_clip", float),
-    "base_channels": ("net", "base_channels", int),
-    "se_reduction": ("net", "se_reduction", int),
-    "enable_rcb": ("net", "enable_rcb", _parse_bool),
-    "enable_ff": ("net", "enable_ff", _parse_bool),
-    "enable_se": ("net", "enable_se", _parse_bool),
-    "enable_duc": ("net", "enable_duc", _parse_bool),
-    "omega1": ("loss", "omega1", float),
-    "omega2": ("loss", "omega2", float),
-    "epsilon": ("loss", "epsilon", float),
-}
+_CASTERS = {str: str, int: int, float: float, bool: _parse_bool}
+
+
+def _scalar_keys(cls, target: str) -> dict:
+    """key -> (target, caster) for every field of ``cls`` with a scalar type."""
+    hints = get_type_hints(cls)
+    return {f.name: (target, _CASTERS[hints[f.name]]) for f in fields(cls)
+            if hints[f.name] in _CASTERS}
+
+
+# every scalar field of the three dataclasses is a key; target "cfg" / "net" / "loss"
+_SCHEMA = {**_scalar_keys(TrainConfig, "cfg"), **_scalar_keys(NetworkSpec, "net"),
+           **_scalar_keys(LossWeights, "loss")}
 
 
 def parse_config(path) -> TrainConfig:
@@ -125,9 +111,9 @@ def parse_config(path) -> TrainConfig:
         value = value.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        target, attr, caster = _SCHEMA[key]
+        target, caster = _SCHEMA[key]
         try:
-            buckets[target][attr] = caster(value)
+            buckets[target][key] = caster(value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(
                 f"{path}:{lineno}: cannot parse {key!r} from {value!r}: {exc}") from exc

@@ -140,14 +140,13 @@ def _sample_stream(volumes, cfg: TrainConfig, aug_rng: np.random.Generator) -> I
         epoch += 1
 
 
-def build_network(cfg: TrainConfig, stage: Optional[str] = None,
-                  dtype=np.float32) -> FedNet:
+def build_network(cfg: TrainConfig, stage: Optional[str] = None) -> FedNet:
     """Network for a stage: the liver stage uses the baseline (all ablation
     flags off), the lesion stage uses the configured flags."""
     stage = stage or cfg.stage
     spec = cfg.network.baseline() if stage == "liver" else cfg.network
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
-    return FedNet(spec, rng=init_rng, dtype=dtype)
+    return FedNet(spec, rng=init_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +418,19 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
 
     def se_check():
         rng = _suite_rng(12)
-        block = SEBlock(8, 4, rng, dtype=f64)
+        block = SEBlock(8, 4, rng).astype(f64)
         x = Tensor(rng.uniform(-1, 1, (2, 8, 4, 4)), requires_grad=True)
         return lambda t: block(t), x
 
     def rcb_check():
         rng = _suite_rng(13)
-        block = RCB(4, rng, dtype=f64)
+        block = RCB(4, rng).astype(f64)
         x = Tensor(rng.uniform(0.05, 1.0, (2, 4, 5, 5)), requires_grad=True)
         return lambda t: block(t), x
 
     def fuse_check():
         rng = _suite_rng(14)
-        block = FeatureFusion((4, 8), 4, True, rng, dtype=f64)
+        block = FeatureFusion((4, 8), 4, True, rng).astype(f64)
         hi = Tensor(rng.uniform(-1, 1, (1, 8, 2, 3)))
         x = Tensor(rng.uniform(-1, 1, (1, 4, 4, 6)), requires_grad=True)
 
@@ -445,19 +444,19 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
 
     def duc_check():
         rng = _suite_rng(15)
-        block = DUC(4, 3, 2, rng, dtype=f64)
+        block = DUC(4, 3, 2, rng).astype(f64)
         x = Tensor(rng.uniform(-1, 1, (2, 4, 3, 4)), requires_grad=True)
         return lambda t: block(t), x
 
     def decoder_check():
         rng = _suite_rng(16)
-        block = DecoderBlock(8, 4, rng, dtype=f64)
+        block = DecoderBlock(8, 4, rng).astype(f64)
         x = Tensor(rng.uniform(-1, 1, (2, 8, 3, 3)), requires_grad=True)
         return lambda t: block(t), x
 
     def encoder_check():
         rng = _suite_rng(17)
-        enc = Encoder(3, toy.channels_per_level, True, rng, dtype=f64)
+        enc = Encoder(3, toy.channels_per_level, True, rng).astype(f64)
         coeffs = (1.0, 0.7, 1.3, 0.9)
 
         def f(t):
@@ -473,7 +472,7 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
 
     def fednet_check():
         rng = _suite_rng(18)
-        net = FedNet(toy, rng=rng, dtype=f64)
+        net = FedNet(toy, rng=rng).astype(f64)
         x = Tensor(rng.uniform(-1, 1, (1, 3, 32, 32)), requires_grad=True)
         return lambda t: net(t), x
 

@@ -3,6 +3,8 @@
 Two precisions are supported: float32 for training and float64 for
 verification (finite-difference gradient checks are meaningless at float32).
 All tensors participating in one graph must share a dtype; ops raise on a mix.
+A tensor takes the precision of its data (other numeric data becomes float64);
+network parameters are float32 unless ``Block.astype`` converts them.
 
 Differentiable ops record onto a ``Tape`` (an execution-ordered list of
 operations) when one is active.  With no tape active, the same calls are plain
@@ -33,8 +35,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in SUPPORTED_DTYPES:
             if np.issubdtype(arr.dtype, np.number) or arr.dtype == np.bool_:
                 arr = arr.astype(np.float64)
@@ -105,8 +107,8 @@ class Tensor:
         return clamp(self, lo, hi)
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +419,7 @@ class GradCheckReport:
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4,
-               weight_seed: int = 2024, samplewise: bool = False) -> GradCheckReport:
+               samplewise: bool = False) -> GradCheckReport:
     """Compare reverse-mode gradients of ``f`` against central differences.
 
     ``f`` maps a float64 tensor to a tensor of any shape; internally the
@@ -457,13 +459,10 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4,
     x.requires_grad = True
     x.grad = None
 
-    probe = f(x)
-    rng = np.random.default_rng(weight_seed)
-    weights = rng.uniform(0.5, 1.5, size=probe.data.shape)
-    weights /= 100.0 * probe.data.size
-
     with Tape() as tape:
         y = f(x)
+        weights = np.random.default_rng(2024).uniform(0.5, 1.5, size=y.shape)
+        weights /= 100.0 * y.size
         s = (y * Tensor(weights)).sum()
     backward(s, tape)
     if x.grad is None:
@@ -492,10 +491,10 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4,
             masks = _KINK_LOG
         finally:
             _KINK_LOG = None
-        if out.shape != _stacked(probe.shape, k):
+        if out.shape != _stacked(y.shape, k):
             raise ValueError(f"f gave shape {out.shape} for {k} stacked copies of x; "
-                             f"expected {_stacked(probe.shape, k)}")
-        out = out.reshape((k,) + probe.shape)
+                             f"expected {_stacked(y.shape, k)}")
+        out = out.reshape((k,) + y.shape)
         for j in range(k):
             c = start + j
             values[c] = float(np.sum(out[j] * weights))

@@ -122,7 +122,7 @@ def test_criterion_3_oracle_equivalences():
 def test_criterion_4_fusion_reduction():
     rng = np.random.default_rng(404)
     channels = (3, 3, 3, 3)
-    fuse = FeatureFusion(channels, 1, False, rng, dtype=np.float64)
+    fuse = FeatureFusion(channels, 1, False, rng).astype(np.float64)
     for term in fuse.terms.values():
         c = term.proj.w.value.shape[0]
         term.proj.w.value.data[...] = np.eye(c).reshape(c, c, 1, 1)

@@ -25,12 +25,12 @@ def t(arr, **kw):
 
 class TestSEBlock:
     def test_zero_input_gives_zero_output(self):
-        block = SEBlock(4, 2, rng_for(1), dtype=F64)
+        block = SEBlock(4, 2, rng_for(1)).astype(F64)
         out = block(t(np.zeros((2, 4, 3, 3))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_identical_channels_and_rows_give_equal_gates(self):
-        block = SEBlock(4, 2, rng_for(2), dtype=F64)
+        block = SEBlock(4, 2, rng_for(2)).astype(F64)
         # make both dense layers row-symmetric so all channels see the same gate
         block.fc1.w.value.data[...] = 0.3
         block.fc1.b.value.data[...] = 0.1
@@ -43,7 +43,7 @@ class TestSEBlock:
 
     def test_scalar_hand_evaluation(self):
         # C=2, H=W=1: pool -> fc1 -> relu -> fc2 -> sigmoid -> scale, by hand
-        block = SEBlock(2, 2, rng_for(4), dtype=F64)
+        block = SEBlock(2, 2, rng_for(4)).astype(F64)
         block.fc1.w.value.data[...] = [[0.5, -0.25]]
         block.fc1.b.value.data[...] = [0.1]
         block.fc2.w.value.data[...] = [[2.0], [-1.0]]
@@ -57,19 +57,19 @@ class TestSEBlock:
         assert out[0, 1, 0, 0] == pytest.approx(g2 * x2, abs=1e-12)
 
     def test_gates_strictly_inside_unit_interval(self):
-        block = SEBlock(4, 2, rng_for(5), dtype=F64)
+        block = SEBlock(4, 2, rng_for(5)).astype(F64)
         x = t(rng_for(6).uniform(-2, 2, (2, 4, 3, 3)))
         gate = ops.sigmoid(block.fc2(ops.relu(block.fc1(ops.global_avg_pool(x)))))
         assert np.all(gate.data > 0) and np.all(gate.data < 1)
 
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ValueError, match="not divisible"):
-            SEBlock(6, 4, rng_for(7), dtype=F64)
+            SEBlock(6, 4, rng_for(7))
 
 
 class TestRCB:
     def test_zero_convs_reduce_to_relu(self):
-        block = RCB(3, rng_for(8), dtype=F64)
+        block = RCB(3, rng_for(8)).astype(F64)
         for p in block.parameters():
             p.value.data[...] = 0.0
         x = rng_for(9).uniform(-1, 1, (1, 3, 4, 4))
@@ -77,12 +77,12 @@ class TestRCB:
         np.testing.assert_array_equal(out.data, np.maximum(x, 0.0))
 
     def test_zero_input_zero_bias_gives_zero(self):
-        block = RCB(2, rng_for(10), dtype=F64)
+        block = RCB(2, rng_for(10)).astype(F64)
         out = block(t(np.zeros((1, 2, 3, 3))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_matches_composed_loop_oracles(self):
-        block = RCB(2, rng_for(11), dtype=F64)
+        block = RCB(2, rng_for(11)).astype(F64)
         x = rng_for(12).uniform(-1, 1, (1, 2, 4, 4))
         w1, b1 = block.conv1.w.value.data, block.conv1.b.value.data
         w2, b2 = block.conv2.w.value.data, block.conv2.b.value.data
@@ -91,13 +91,13 @@ class TestRCB:
         np.testing.assert_allclose(block(t(x)).data, expected, atol=1e-12, rtol=0)
 
     def test_shape_preserved(self):
-        block = RCB(5, rng_for(13), dtype=F64)
+        block = RCB(5, rng_for(13)).astype(F64)
         assert block(t(np.zeros((2, 5, 6, 7)))).shape == (2, 5, 6, 7)
 
 
 class TestFeatureFusion:
     def test_single_level_is_projection_only(self):
-        fuse = FeatureFusion((3,), 1, False, rng_for(14), dtype=F64)
+        fuse = FeatureFusion((3,), 1, False, rng_for(14)).astype(F64)
         proj = fuse.terms[(0, 0)].proj
         proj.w.value.data[...] = np.eye(3).reshape(3, 3, 1, 1)
         proj.b.value.data[...] = 0.0
@@ -106,7 +106,7 @@ class TestFeatureFusion:
         np.testing.assert_allclose(fused[0].data, x, atol=1e-15, rtol=0)
 
     def _identity_fusion(self, channels, rng):
-        fuse = FeatureFusion(channels, 1, False, rng, dtype=F64)
+        fuse = FeatureFusion(channels, 1, False, rng).astype(F64)
         for term in fuse.terms.values():
             c_out, c_in = term.proj.w.value.shape[:2]
             assert c_out == c_in
@@ -139,7 +139,7 @@ class TestFeatureFusion:
     def test_matches_independent_expression_oracle(self):
         # straight-line re-evaluation with numpy in reversed term order
         rng = rng_for(18)
-        fuse = FeatureFusion((2, 4), 2, True, rng, dtype=F64)
+        fuse = FeatureFusion((2, 4), 2, True, rng).astype(F64)
         levels = [rng.uniform(-1, 1, (1, 2, 6, 6)), rng.uniform(-1, 1, (1, 4, 3, 3))]
 
         def np_se(term, v):
@@ -162,7 +162,7 @@ class TestFeatureFusion:
         np.testing.assert_allclose(fused[1].data, expected1, atol=1e-12, rtol=0)
 
     def test_pyramid_inconsistency_rejected(self):
-        fuse = FeatureFusion((2, 4), 2, False, rng_for(19), dtype=F64)
+        fuse = FeatureFusion((2, 4), 2, False, rng_for(19)).astype(F64)
         good_hi = t(np.zeros((1, 4, 3, 3)))
         with pytest.raises(ValueError, match="channels"):
             fuse([t(np.zeros((1, 3, 6, 6))), good_hi])
@@ -176,17 +176,17 @@ class TestFeatureFusion:
 
 class TestDUC:
     def test_r1_reduces_to_conv(self):
-        block = DUC(3, 2, 1, rng_for(20), dtype=F64)
+        block = DUC(3, 2, 1, rng_for(20)).astype(F64)
         x = rng_for(21).uniform(-1, 1, (1, 3, 4, 4))
         expected = conv2d_reference(x, block.conv.w.value.data, block.conv.b.value.data, 1, 1)
         np.testing.assert_allclose(block(t(x)).data, expected, atol=1e-12, rtol=0)
 
     def test_output_shape(self):
-        block = DUC(4, 3, 2, rng_for(22), dtype=F64)
+        block = DUC(4, 3, 2, rng_for(22)).astype(F64)
         assert block(t(np.zeros((2, 4, 5, 6)))).shape == (2, 3, 10, 12)
 
     def test_matches_conv_then_shuffle_oracles(self):
-        block = DUC(2, 3, 2, rng_for(23), dtype=F64)
+        block = DUC(2, 3, 2, rng_for(23)).astype(F64)
         x = rng_for(24).uniform(-1, 1, (1, 2, 3, 3))
         convd = conv2d_reference(x, block.conv.w.value.data, block.conv.b.value.data, 1, 1)
         expected = pixel_shuffle_reference(convd, 2)
@@ -195,18 +195,18 @@ class TestDUC:
 
 class TestDecoderBlock:
     def test_output_shape_doubles(self):
-        block = DecoderBlock(16, 5, rng_for(25), dtype=F64)
+        block = DecoderBlock(16, 5, rng_for(25)).astype(F64)
         assert block(t(np.zeros((1, 16, 8, 8)))).shape == (1, 5, 16, 16)
 
     def test_zero_weights_zero_biases_give_zero(self):
-        block = DecoderBlock(8, 3, rng_for(26), dtype=F64)
+        block = DecoderBlock(8, 3, rng_for(26)).astype(F64)
         for p in block.parameters():
             p.value.data[...] = 0.0
         out = block(t(rng_for(27).uniform(-1, 1, (1, 8, 4, 4))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_matches_composed_loop_oracles(self):
-        block = DecoderBlock(4, 2, rng_for(28), dtype=F64)
+        block = DecoderBlock(4, 2, rng_for(28)).astype(F64)
         x = rng_for(29).uniform(-1, 1, (1, 4, 3, 3))
         stage1 = np.maximum(conv2d_reference(x, block.reduce.w.value.data,
                                              block.reduce.b.value.data, 1, 0), 0.0)
@@ -218,7 +218,7 @@ class TestDecoderBlock:
 
     def test_too_few_channels_rejected(self):
         with pytest.raises(ValueError, match=">= 4"):
-            DecoderBlock(3, 2, rng_for(30), dtype=F64)
+            DecoderBlock(3, 2, rng_for(30))
 
 
 class TestEncoder:
@@ -232,18 +232,18 @@ class TestEncoder:
         x = np.random.default_rng(0).uniform(-1, 1, (1, 3, 32, 32))
         outs = []
         for _ in range(2):
-            enc = Encoder(3, (4, 8, 16, 32), True, rng_for(32), dtype=F64)
+            enc = Encoder(3, (4, 8, 16, 32), True, rng_for(32)).astype(F64)
             outs.append(enc(t(x))[3].data.tobytes())
         assert outs[0] == outs[1]
 
     def test_indivisible_extent_rejected(self):
-        enc = Encoder(3, (4, 8, 16, 32), False, rng_for(33), dtype=F64)
+        enc = Encoder(3, (4, 8, 16, 32), False, rng_for(33)).astype(F64)
         with pytest.raises(ValueError, match="divisible by 32"):
             enc(t(np.zeros((1, 3, 48, 64))))
 
     def test_rcb_only_when_enabled(self):
-        with_rcb = Encoder(3, (4, 8, 16, 32), True, rng_for(34), dtype=F64)
-        without = Encoder(3, (4, 8, 16, 32), False, rng_for(34), dtype=F64)
+        with_rcb = Encoder(3, (4, 8, 16, 32), True, rng_for(34)).astype(F64)
+        without = Encoder(3, (4, 8, 16, 32), False, rng_for(34)).astype(F64)
         assert any("rcb" in n for n in with_rcb.named_parameters())
         assert not any("rcb" in n for n in without.named_parameters())
 
@@ -276,7 +276,7 @@ class TestFedNet:
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
     def test_nonsquare_input(self):
-        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(36), dtype=F64)
+        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(36)).astype(F64)
         assert net(t(np.zeros((1, 3, 32, 64)))).shape == (1, 1, 32, 64)
 
     def test_forward_is_sigmoid_of_logits(self):
@@ -290,7 +290,7 @@ class TestFedNet:
         base = NetworkSpec(base_channels=8, se_reduction=8)
         for label, flags in ABLATION_ROWS:
             spec = replace(base, **flags)
-            net = FedNet(spec, rng=rng_for(39), dtype=F64)
+            net = FedNet(spec, rng=rng_for(39)).astype(F64)
             names = set(net.named_parameters())
             assert any(n.startswith("fuse.") for n in names) == spec.enable_ff
             assert any(".se." in n for n in names) == (spec.enable_ff and spec.enable_se)
@@ -300,13 +300,54 @@ class TestFedNet:
                        for n in names) == (not spec.enable_duc)
 
     def test_head_starts_biased_toward_background(self):
-        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(40), dtype=F64)
+        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(40)).astype(F64)
         out = net(t(np.random.default_rng(3).uniform(0, 1, (1, 3, 32, 32))))
         assert out.data.mean() < 0.5
 
     def test_parameter_names_are_unique_and_stable(self):
-        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(41), dtype=F64)
+        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(41)).astype(F64)
         names = list(net.named_parameters())
         assert len(names) == len(set(names))
-        net2 = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(42), dtype=F64)
+        net2 = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(42)).astype(F64)
         assert names == list(net2.named_parameters())
+
+
+class TestAstype:
+    def test_round_trip_keeps_values_momentum_and_parameters(self):
+        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(43))
+        rng = rng_for(44)
+        for p in net.parameters():
+            p.momentum[...] = rng.standard_normal(p.momentum.shape)
+        before = net.named_parameters()
+        values = {n: p.value.data.tobytes() for n, p in before.items()}
+        momenta = {n: p.momentum.tobytes() for n, p in before.items()}
+
+        assert net.astype(F64) is net
+        assert all(p.value.dtype == F64 and p.momentum.dtype == F64
+                   for p in net.parameters())
+        net.astype(np.float32)
+
+        after = net.named_parameters()
+        assert list(after) == list(before)
+        for name, p in after.items():
+            assert p is before[name] and p.name == name
+            assert p.value.dtype == np.float32 and p.momentum.dtype == np.float32
+            assert p.value.data.tobytes() == values[name]
+            assert p.momentum.tobytes() == momenta[name]
+
+    @pytest.mark.parametrize("stage", ["liver", "lesion"])
+    def test_built_networks_are_float32(self, stage):
+        from fednet.config import TrainConfig
+        from fednet.harness import build_network
+        params = build_network(TrainConfig(), stage).parameters()
+        assert params
+        assert all(p.value.dtype == np.float32 and p.momentum.dtype == np.float32
+                   for p in params)
+
+    def test_float64_network_rejects_float32_batch(self):
+        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(45)).astype(F64)
+        x = np.random.default_rng(5).uniform(0, 1, (2, 3, 32, 32))
+        assert net(Tensor(x)).dtype == F64
+        with pytest.raises(TypeError, match="mixed precision"):
+            net(Tensor(x.astype(np.float32)))
+

@@ -1,13 +1,11 @@
 """Config parsing: defaults, typed values, line-numbered errors, validation."""
 
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from fednet.blocks import NetworkSpec
 from fednet.config import _SCHEMA, ConfigError, TrainConfig, parse_config
-from fednet.losses import LossWeights
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "lesion_example.cfg"
 
@@ -106,20 +104,53 @@ class TestValidateMethod:
         TrainConfig().validate()
 
 
+# every key with a valid non-default value: (key, text, nested dataclass field
+# holding it or None for TrainConfig itself, parsed value)
+NON_DEFAULT = [
+    ("stage", "liver", None, "liver"),
+    ("lr", "0.05", None, 0.05),
+    ("momentum", "0.5", None, 0.5),
+    ("weight_decay", "0.001", None, 0.001),
+    ("batch_size", "4", None, 4),
+    ("iterations", "7", None, 7),
+    ("seed", "11", None, 11),
+    ("data_dir", "elsewhere", None, "elsewhere"),
+    ("checkpoint_out", "other.fedckpt", None, "other.fedckpt"),
+    ("p_pos", "0.8", None, 0.8),
+    ("p_neg", "0.2", None, 0.2),
+    ("liver_threshold", "0.6", None, 0.6),
+    ("lesion_threshold", "0.4", None, 0.4),
+    ("connectivity", "26", None, 26),
+    ("jaccard_per_slice", "true", None, True),
+    ("grad_clip", "1.5", None, 1.5),
+    ("base_channels", "32", "network", 32),
+    ("se_reduction", "8", "network", 8),
+    ("enable_rcb", "false", "network", False),
+    ("enable_ff", "false", "network", False),
+    ("enable_se", "false", "network", False),
+    ("enable_duc", "false", "network", False),
+    ("omega1", "0.25", "loss", 0.25),
+    ("omega2", "2.0", "loss", 2.0),
+    ("epsilon", "1e-9", "loss", 1e-9),
+]
+
+
 class TestSchema:
-    def test_keys_are_the_dataclass_fields(self):
-        # a field without a key cannot be set from a file, and a key without a
-        # field makes the dataclass constructor raise TypeError, not ConfigError
-        expected = {
-            "cfg": {f.name for f in fields(TrainConfig)} - {"network", "loss"},
-            "net": {f.name for f in fields(NetworkSpec)},
-            "loss": {f.name for f in fields(LossWeights)},
-        }
-        routed = {target: set() for target in expected}
-        for key, (target, attr, _) in _SCHEMA.items():
-            assert attr == key
-            routed[target].add(key)
-        assert routed == expected
+    @pytest.mark.parametrize("key,text,part,value", NON_DEFAULT,
+                             ids=[row[0] for row in NON_DEFAULT])
+    def test_each_key_lands_on_its_field(self, tmp_path, key, text, part, value):
+        cfg = parse_config(write(tmp_path, f"{key} = {text}\n"))
+        default = TrainConfig()
+        if part is None:
+            expected = replace(default, **{key: value})
+        else:
+            expected = replace(default, **{part: replace(getattr(default, part), **{key: value})})
+        assert cfg == expected
+        holder = cfg if part is None else getattr(cfg, part)
+        assert type(getattr(holder, key)) is type(value)
+
+    def test_every_key_is_tested(self):
+        assert set(_SCHEMA) == {row[0] for row in NON_DEFAULT}
 
     def test_example_config_shows_the_defaults(self):
         cfg = parse_config(EXAMPLE_CONFIG)

@@ -102,21 +102,21 @@ def test_channel_scale_both_inputs(shape):
 @pytest.mark.parametrize("shape,red", [((1, 4, 3, 3), 2), ((2, 8, 2, 2), 4), ((1, 6, 4, 1), 3)])
 def test_se_block(shape, red):
     rng = rng_for(11, *shape)
-    block = SEBlock(shape[1], red, rng, dtype=F64)
+    block = SEBlock(shape[1], red, rng).astype(F64)
     run(lambda v: block(v), leaf(rng, shape))
 
 
 @pytest.mark.parametrize("shape", [(1, 3, 4, 4), (2, 2, 3, 5), (1, 5, 2, 2)])
 def test_rcb(shape):
     rng = rng_for(12, *shape)
-    block = RCB(shape[1], rng, dtype=F64)
+    block = RCB(shape[1], rng).astype(F64)
     run(lambda v: block(v), leaf(rng, shape, 0.05, 1.0))
 
 
 @pytest.mark.parametrize("channels,hw", [((4, 8), (4, 6)), ((2, 4), (6, 4)), ((6, 12), (2, 2))])
 def test_feature_fuse(channels, hw):
     rng = rng_for(13, *channels, *hw)
-    block = FeatureFusion(channels, 2, True, rng, dtype=F64)
+    block = FeatureFusion(channels, 2, True, rng).astype(F64)
     hi = Tensor(rng.uniform(-1, 1, (1, channels[1], hw[0] // 2, hw[1] // 2)))
 
     def f(v):
@@ -129,21 +129,21 @@ def test_feature_fuse(channels, hw):
 @pytest.mark.parametrize("shape,r", [((1, 4, 3, 3), 2), ((2, 2, 2, 4), 3), ((1, 3, 4, 2), 1)])
 def test_duc_block(shape, r):
     rng = rng_for(14, *shape)
-    block = DUC(shape[1], 2, r, rng, dtype=F64)
+    block = DUC(shape[1], 2, r, rng).astype(F64)
     run(lambda v: block(v), leaf(rng, shape))
 
 
 @pytest.mark.parametrize("shape", [(1, 4, 3, 3), (2, 8, 2, 2), (1, 12, 2, 3)])
 def test_decoder_block(shape):
     rng = rng_for(15, *shape)
-    block = DecoderBlock(shape[1], 3, rng, dtype=F64)
+    block = DecoderBlock(shape[1], 3, rng).astype(F64)
     run(lambda v: block(v), leaf(rng, shape))
 
 
 @pytest.mark.parametrize("hw", [(32, 32), (64, 32), (32, 64)])
 def test_encoder(hw):
     rng = rng_for(16, *hw)
-    enc = Encoder(3, (4, 8, 16, 32), True, rng, dtype=F64)
+    enc = Encoder(3, (4, 8, 16, 32), True, rng).astype(F64)
     coeffs = (1.0, 0.7, 1.3, 0.9)
 
     def f(v):
@@ -160,7 +160,7 @@ def test_encoder(hw):
 @pytest.mark.parametrize("hw", [(32, 32), (64, 32), (32, 64)])
 def test_fednet_forward(hw):
     rng = rng_for(17, *hw)
-    net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng, dtype=F64)
+    net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng).astype(F64)
     run(lambda v: net(v), leaf(rng, (1, 3, *hw)), samplewise=True)
 
 
