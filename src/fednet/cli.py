@@ -100,10 +100,12 @@ def cmd_gradcheck(args) -> int:
         state = "PASS" if check.passed else "FAIL"
         worst = "-" if check.worst_coord is None else ",".join(map(str, check.worst_coord))
         print(f"{check.name}\t{check.max_rel_err:.3e}\t{state}"
-              f"\tworst_coord={worst}\tkink_coords_skipped={check.kink_coords_skipped}")
+              f"\tworst_coord={worst}\tkink_coords_skipped={check.kink_coords_skipped}"
+              f"\tseconds={check.seconds:.3f}")
     failed = [c for c in results if not c.passed]
     print(f"checks\t{len(results)}")
     print(f"failed\t{len(failed)}")
+    print(f"total_seconds\t{sum(c.seconds for c in results):.3f}")
     return 0 if not failed else 2
 
 

@@ -335,6 +335,7 @@ class SuiteCheck:
     passed: bool
     worst_coord: Optional[tuple] = None
     kink_coords_skipped: int = 0
+    seconds: float = 0.0  # wall time to build and run the check
 
 
 def _suite_rng(tag: int) -> np.random.Generator:
@@ -510,8 +511,10 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
     for name, builder, samplewise in registry:
         if names is not None and name not in names:
             continue
+        started = time.perf_counter()
         f, x = builder()
         report = grad_check(f, x, tol, samplewise=samplewise)
         results.append(SuiteCheck(name, report.max_rel_err, report.passed,
-                                  report.worst_coord, report.kink_coords_skipped))
+                                  report.worst_coord, report.kink_coords_skipped,
+                                  time.perf_counter() - started))
     return results

@@ -8,7 +8,9 @@ Conventions fixed here, once, so every result is bit-reproducible:
 
 conv2d / conv_transpose2d are implemented via im2col / col2im so the heavy
 lifting is a single matmul; the transposed convolution is the exact adjoint
-of conv2d for matching geometry.
+of conv2d for matching geometry.  im2col is one strided view of the padded
+input plus one copy into the patch matrix (no copy for an unpadded 1x1
+stride-1 conv of a contiguous input).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor, log_kink_pattern, record
 
@@ -37,31 +40,39 @@ def _check_rank(op: str, t: Tensor, rank: int, role: str) -> None:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """[N,C,H,W] -> [N, C*kh*kw, OH*OW] patch matrix."""
+    """[N,C,H,W] -> [N, C*kh*kw, OH*OW] patch matrix.
+
+    The patches are a read-only strided view [N, C, kh, kw, OH, OW] of the
+    (zero-padded) input; the final reshape is the one copy, and none at all
+    for an unpadded 1x1 stride-1 conv of a contiguous input.
+    """
     n, c, h, w = x.shape
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad:pad + h, pad:pad + w] = x
+        x = padded
+    sn, sc, sh, sw = x.strides
+    patches = as_strided(x, (n, c, kh, kw, oh, ow),
+                         (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
+    return patches.reshape(n, c * kh * kw, oh * ow)
 
 
 def _col2im(cols: np.ndarray, out_shape: tuple, kh: int, kw: int, stride: int,
             pad: int, oh: int, ow: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add patches back into [N,C,H,W]."""
+    """Adjoint of :func:`_im2col`: scatter-add patches back into [N,C,H,W].
+
+    With padding the result is a view into the padded buffer, not a copy
+    (the backward pass copies every gradient it keeps).
+    """
     n, c, h, w = out_shape
     buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     cols6 = cols.reshape(n, c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
             buf[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols6[:, :, i, j]
-    if pad:
-        return buf[:, :, pad:pad + h, pad:pad + w].copy()
-    return buf
+    return buf[:, :, pad:pad + h, pad:pad + w] if pad else buf
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +249,9 @@ def sigmoid(x: Tensor) -> Tensor:
     smallest normal number, g * p * (1 - p) is subnormal for any |g| < 1.
     """
     z = x.data
-    out_data = np.empty_like(z)
-    pos = z >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out_data[~pos] = e / (1.0 + e)
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere
+    denom = 1.0 + e
+    out_data = np.where(z >= 0, 1.0 / denom, e / denom)
     info = np.finfo(z.dtype)
     np.clip(out_data, info.tiny, 1.0 - info.epsneg, out=out_data)
     out = Tensor(out_data)

@@ -385,10 +385,12 @@ _KINK_LOG: Optional[list] = None
 # Perturbed copies of the input that grad_check stacks into one call of a
 # samplewise ``f``.  Even, so the +h and -h copies of a coordinate share a
 # call.  Measured with benchmark/run.py on the gradient-check suite (2-vCPU
-# Xeon, one BLAS thread), against 27.0 s and 43.1 MB peak RSS at one copy
-# per call: 8 copies 5.5 s and +3.5% RSS, 10 copies 5.0 s and +4.5-4.9%,
-# 12 copies 4.5 s and +5.2%, 16 copies 4.0 s and +6.6-7.5%.  8 is the
-# largest count that keeps the RSS cost clearly under 5%.
+# Xeon, one BLAS thread, two runs each), against 15.5-16.9 s and 44.1-44.3 MB
+# peak RSS at one copy per call: 8 copies 3.3-3.5 s and +2.0-2.6% RSS,
+# 10 copies 2.9-3.0 s and +3.5-3.6%, 12 copies 2.8-2.9 s and +4.3-4.9%,
+# 16 copies 2.4-2.6 s and +6.4-7.0%.  The count must keep the RSS cost
+# clearly under 5%.  8 does; 10 does too, with bit-identical reports, and is
+# the next count to try.
 GRAD_CHECK_COPIES = 8
 
 
@@ -477,7 +479,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4,
     copies = GRAD_CHECK_COPIES if samplewise else 1
     values = np.empty(2 * n)
     valid = np.ones(n, dtype=bool)
-    up_masks: list = []
+    up_layout: tuple = ()
+    up_row = None
     for start in range(0, 2 * n, copies):
         k = min(copies, 2 * n - start)
         batch = np.repeat(x.data[None], k, axis=0)
@@ -495,14 +498,17 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4,
             raise ValueError(f"f gave shape {out.shape} for {k} stacked copies of x; "
                              f"expected {_stacked(y.shape, k)}")
         out = out.reshape((k,) + y.shape)
+        # Row j holds copy j's relu masks end to end; the layout (each mask's
+        # length, so also their count) tells rows of equal length apart.
+        layout = tuple(m.size // k for m in masks)
+        rows = np.concatenate([m.reshape(k, -1) for m in masks] or [np.empty((k, 0), bool)],
+                              axis=1)
         for j in range(k):
             c = start + j
             values[c] = float(np.sum(out[j] * weights))
-            copy_masks = [m.reshape(k, -1)[j] for m in masks]
             if c % 2 == 0:
-                up_masks = copy_masks
-            elif len(up_masks) != len(copy_masks) or not all(
-                    np.array_equal(u, d) for u, d in zip(up_masks, copy_masks)):
+                up_layout, up_row = layout, rows[j]
+            elif up_layout != layout or (up_row != rows[j]).any():
                 valid[c // 2] = False
     flat_n = (values[0::2] - values[1::2]) / (2.0 * steps)
 

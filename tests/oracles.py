@@ -29,6 +29,31 @@ def conv2d_reference(x, w, b=None, stride=1, pad=1):
     return out
 
 
+def conv2d_grad_reference(x, w, g, stride=1, pad=1):
+    """Gradients (dx, dw, db) of sum(g * conv2d(x, w, b)), by scattering each
+    output position's upstream gradient over its receptive field."""
+    n, cin, h, width = x.shape
+    cout, _, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dxp = np.zeros(xp.shape, dtype=np.float64)
+    dw = np.zeros(w.shape, dtype=np.float64)
+    db = np.zeros(cout, dtype=np.float64)
+    for nn in range(n):
+        for co in range(cout):
+            for i in range(oh):
+                for j in range(ow):
+                    gv = g[nn, co, i, j]
+                    db[co] += gv
+                    for ci in range(cin):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                r, c = i * stride + ki, j * stride + kj
+                                dxp[nn, ci, r, c] += gv * w[co, ci, ki, kj]
+                                dw[co, ci, ki, kj] += gv * xp[nn, ci, r, c]
+    return dxp[:, :, pad:pad + h, pad:pad + width], dw, db
+
+
 def conv_transpose2d_reference(x, w, b=None, stride=1, pad=0):
     """Direct scatter-add transposed convolution; w is [Cin, Cout, kh, kw]."""
     n, cin, h, width = x.shape
@@ -143,3 +168,15 @@ def sigmoid_scalar(v: float) -> float:
         return float(1.0 / (1.0 + np.exp(-v)))
     e = np.exp(v)
     return float(e / (1.0 + e))
+
+
+def sigmoid_branchwise_reference(z):
+    """Logistic by its two overflow-free branches, 1/(1+exp(-z)) where z >= 0
+    and exp(z)/(1+exp(z)) elsewhere, clipped to [tiny, 1 - epsneg] of z's dtype."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    info = np.finfo(z.dtype)
+    return np.clip(out, info.tiny, 1.0 - info.epsneg)

@@ -234,6 +234,23 @@ class TestGradCheck:
         assert serial.passed and serial.kink_coords_skipped > 0
         assert stacked == serial
 
+    def test_different_relu_count_marks_kink(self):
+        # +h on coordinate 0 makes three relu calls on x; -h makes one on x
+        # tiled twice and one on x.  All masks are true, so both sides give
+        # the same row of six entries; only the mask count tells them apart.
+        x0 = 0.5
+
+        def f(v):
+            if v.data[0] > x0:
+                ops.relu(v)
+                ops.relu(v)
+            else:
+                ops.relu(Tensor(np.tile(v.data, 2)))
+            return ops.relu(v)
+
+        report = grad_check(f, leaf([x0, 0.7]))
+        assert report.passed and report.kink_coords_skipped == 1
+
     def test_samplewise_stacks_copies_into_fewer_calls(self):
         shapes = []
 

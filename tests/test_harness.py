@@ -418,13 +418,16 @@ class TestCli:
         assert cli.main(["gradcheck"]) == 2
 
     def test_gradcheck_prints_worst_coord_and_kinks(self, monkeypatch, capsys):
-        checks = [harness.SuiteCheck("x", 1e-9, True, (0, 2, 1), 3),
-                  harness.SuiteCheck("y", 1e-9, True)]
+        checks = [harness.SuiteCheck("x", 1e-9, True, (0, 2, 1), 3, 1.25),
+                  harness.SuiteCheck("y", 1e-9, True, seconds=0.5)]
         monkeypatch.setattr(harness, "gradcheck_suite", lambda tol: checks)
         assert cli.main(["gradcheck"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "x\t1.000e-09\tPASS\tworst_coord=0,2,1\tkink_coords_skipped=3"
-        assert lines[1] == "y\t1.000e-09\tPASS\tworst_coord=-\tkink_coords_skipped=0"
+        assert lines[0] == ("x\t1.000e-09\tPASS\tworst_coord=0,2,1\tkink_coords_skipped=3"
+                            "\tseconds=1.250")
+        assert lines[1] == ("y\t1.000e-09\tPASS\tworst_coord=-\tkink_coords_skipped=0"
+                            "\tseconds=0.500")
+        assert lines[-1] == "total_seconds\t1.750"
 
     def test_ablate_cli(self, dataset, tmp_path, capsys):
         cfg_path = tmp_path / "ab.cfg"

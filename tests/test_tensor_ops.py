@@ -8,11 +8,20 @@ from hypothesis import strategies as st
 from fednet import ops
 from fednet.tensor import Tape, Tensor, backward
 
-from oracles import (conv2d_reference, conv_transpose2d_reference, dense_reference,
-                     global_avg_pool_reference, pixel_shuffle_reference,
-                     sigmoid_scalar, upsample_nearest_reference)
+from oracles import (conv2d_grad_reference, conv2d_reference, conv_transpose2d_reference,
+                     dense_reference, global_avg_pool_reference, pixel_shuffle_reference,
+                     sigmoid_branchwise_reference, sigmoid_scalar,
+                     upsample_nearest_reference)
 
 RNG = np.random.default_rng(20240811)
+
+# (xshape, wshape, stride, pad) checked against the loop oracles
+CONV_GEOMETRIES = [
+    ((1, 2, 4, 4), (3, 2, 3, 3), 1, 1),
+    ((2, 3, 7, 6), (4, 3, 3, 2), 2, 1),
+    ((1, 1, 5, 5), (2, 1, 2, 2), 2, 0),
+    ((2, 2, 6, 6), (1, 2, 3, 3), 3, 2),
+]
 
 
 def t(arr, **kw):
@@ -32,12 +41,7 @@ class TestConv2d:
         out = ops.conv2d(t(x), t(w), t(np.zeros(2)), 1, 1)
         assert not out.data.any()
 
-    @pytest.mark.parametrize("xshape,wshape,stride,pad", [
-        ((1, 2, 4, 4), (3, 2, 3, 3), 1, 1),
-        ((2, 3, 7, 6), (4, 3, 3, 2), 2, 1),
-        ((1, 1, 5, 5), (2, 1, 2, 2), 2, 0),
-        ((2, 2, 6, 6), (1, 2, 3, 3), 3, 2),
-    ])
+    @pytest.mark.parametrize("xshape,wshape,stride,pad", CONV_GEOMETRIES)
     def test_matches_loop_oracle(self, xshape, wshape, stride, pad):
         x = RNG.standard_normal(xshape)
         w = RNG.standard_normal(wshape)
@@ -45,6 +49,37 @@ class TestConv2d:
         out = ops.conv2d(t(x), t(w), t(b), stride, pad)
         ref = conv2d_reference(x, w, b, stride, pad)
         np.testing.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
+
+    # the 1x1 geometries: the stride-1 patch matrix is a view of the input
+    @pytest.mark.parametrize("xshape,wshape,stride,pad", CONV_GEOMETRIES + [
+        ((2, 3, 5, 4), (4, 3, 1, 1), 1, 0),
+        ((2, 3, 5, 4), (4, 3, 1, 1), 2, 0),
+    ])
+    @pytest.mark.parametrize("layout", ["contiguous", "flipped", "transposed"])
+    def test_backward_matches_loop_oracle(self, xshape, wshape, stride, pad, layout):
+        rng = np.random.default_rng(513)
+        n, c, h, width = xshape
+        if layout == "flipped":  # negative stride along H
+            x = rng.standard_normal(xshape)[:, :, ::-1]
+        elif layout == "transposed":
+            x = rng.standard_normal((n, c, width, h)).transpose(0, 1, 3, 2)
+        else:
+            x = rng.standard_normal(xshape)
+        w = rng.standard_normal(wshape)
+        xt, wt, bt = t(x, requires_grad=True), t(w, requires_grad=True), t(
+            rng.standard_normal(wshape[0]), requires_grad=True)
+        assert xt.data.flags.c_contiguous == (layout == "contiguous")
+        before = xt.data.copy()
+        with Tape() as tape:
+            out = ops.conv2d(xt, wt, bt, stride, pad)
+            g = rng.standard_normal(out.shape)
+            loss = (out * Tensor(g)).sum()
+        backward(loss, tape)
+        dx, dw, db = conv2d_grad_reference(x, w, g, stride, pad)
+        np.testing.assert_allclose(xt.grad, dx, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(wt.grad, dw, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(bt.grad, db, atol=1e-12, rtol=0)
+        np.testing.assert_array_equal(xt.data, before)
 
     def test_channel_mismatch_names_axis(self):
         with pytest.raises(ValueError, match="channel axis"):
@@ -142,6 +177,16 @@ class TestActivations:
         out = float(ops.sigmoid(t([v])).data[0])
         assert out == pytest.approx(sigmoid_scalar(v), abs=1e-12)
         assert 0.0 < out < 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bits_match_branchwise_reference(self, dtype):
+        edges = [0.0, -0.0, 88.0, -88.0, 745.0, -745.0, 800.0, -800.0, 1e-40, -1e-40]
+        z = np.concatenate([np.random.default_rng(88).standard_normal(2000) * 30, edges])
+        z = z.astype(dtype)
+        out = ops.sigmoid(Tensor(z)).data
+        ref = sigmoid_branchwise_reference(z)
+        assert out.dtype == ref.dtype == dtype
+        assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_no_overflow_far_out(self, dtype):
