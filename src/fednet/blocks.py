@@ -193,6 +193,12 @@ class FeatureFusion(Block):
     where each term T is a learned 1x1 projection to the level-l channel
     count followed by SE gating (identity when SE is disabled).  Terms are
     accumulated in ascending source-level order.
+
+    Both parts of T commute with nearest upsampling (a 1x1 conv acts per
+    pixel; the SE gate sees only the spatial mean, which replication leaves
+    unchanged), so each term is computed as upsample(T(x_i), 2**(i-l)): at
+    the source resolution, upsampling the level-l channel count instead of
+    the source's.
     """
 
     def __init__(self, channels: Sequence[int], se_reduction: int, enable_se: bool,
@@ -233,11 +239,9 @@ class FeatureFusion(Block):
         for l in range(len(levels)):
             acc = None
             for i in range(l, len(levels)):
-                t = levels[i]
-                f = 2 ** (i - l)
-                if f > 1:
-                    t = ops.upsample_nearest(t, f)
-                t = self.terms[(l, i)](t)
+                t = self.terms[(l, i)](levels[i])
+                if i > l:
+                    t = ops.upsample_nearest(t, 2 ** (i - l))
                 acc = t if acc is None else acc + t
             fused.append(acc)
         return fused
@@ -258,7 +262,22 @@ class DUC(Block):
 
 
 class UpsampleConv(Block):
-    """Replacement for DUC when it is disabled: nearest upsample then 3x3 conv."""
+    """Replacement for DUC when it is disabled: a 3x3 pad-1 conv of the
+    r-fold nearest upsample of x, conv3x3(upsample_nearest(x, r), w, b).
+
+    Where the output has fewer channels than x has pixels per sample it is
+    computed in the sub-pixel form (Shi et al., arXiv 1609.05158), without
+    convolving replicated pixels:
+
+        pixel_shuffle(conv3x3(x, subpixel_fold(w, r), subpixel_tile(b, r)), r)
+
+    Both forms read and multiply the same number of values per output pixel;
+    the sub-pixel form builds an r*r smaller patch matrix and reads an r*r
+    larger kernel, so it moves less data exactly when Cout < H*W.  The test
+    looks at one sample's shape only, so a sample's output does not depend
+    on its batch-mates.  The parameters are ``conv.w`` [Cout, Cin, 3, 3] and
+    ``conv.b`` in both forms.
+    """
 
     def __init__(self, cin: int, cout: int, r: int, rng: np.random.Generator):
         super().__init__()
@@ -266,7 +285,11 @@ class UpsampleConv(Block):
         self.conv = self._child("conv", Conv2d(cin, cout, 3, rng, pad=1))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.conv(ops.upsample_nearest(x, self.r))
+        w, b, r = self.conv.w.value, self.conv.b.value, self.r
+        if x.ndim == 4 and w.shape[0] < x.shape[2] * x.shape[3]:
+            y = ops.conv2d(x, ops.subpixel_fold(w, r), ops.subpixel_tile(b, r), 1, 1)
+            return ops.pixel_shuffle(y, r)
+        return self.conv(ops.upsample_nearest(x, r))
 
 
 class DecoderBlock(Block):

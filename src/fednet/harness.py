@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checkpoint, ops
 from .blocks import (DUC, RCB, DecoderBlock, Encoder, FeatureFusion, FedNet,
-                     NetworkSpec, SEBlock)
+                     NetworkSpec, SEBlock, UpsampleConv)
 from .config import TrainConfig
 from .losses import (LossWeights, combined_loss, combined_loss_with_logits, dice,
                      dice_global, dice_per_case)
@@ -417,6 +417,16 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         x = Tensor(rng.uniform(-1, 1, (2, 8, 3, 4)), requires_grad=True)
         return lambda t: ops.pixel_shuffle(t, 2), x
 
+    def fold_check():
+        rng = _suite_rng(20)
+        w = Tensor(rng.uniform(-1, 1, (2, 2, 3, 3)), requires_grad=True)
+        return lambda t: ops.subpixel_fold(t, 2), w
+
+    def tile_check():
+        rng = _suite_rng(21)
+        b = Tensor(rng.uniform(-1, 1, (3,)), requires_grad=True)
+        return lambda t: ops.subpixel_tile(t, 2), b
+
     def se_check():
         rng = _suite_rng(12)
         block = SEBlock(8, 4, rng).astype(f64)
@@ -447,6 +457,14 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         rng = _suite_rng(15)
         block = DUC(4, 3, 2, rng).astype(f64)
         x = Tensor(rng.uniform(-1, 1, (2, 4, 3, 4)), requires_grad=True)
+        return lambda t: block(t), x
+
+    def upconv_check():
+        rng = _suite_rng(22)
+        block = UpsampleConv(3, 2, 2, rng).astype(f64)
+        block.conv.b.value.data[...] = rng.uniform(-1, 1, 2)
+        # 2 output channels < 6 pixels: the sub-pixel form
+        x = Tensor(rng.uniform(-1, 1, (2, 3, 2, 3)), requires_grad=True)
         return lambda t: block(t), x
 
     def decoder_check():
@@ -498,10 +516,13 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         ("global_avg_pool", gap_check, True),
         ("upsample_nearest", upsample_check, True),
         ("pixel_shuffle", shuffle_check, True),
+        ("subpixel_fold/weight", fold_check, True),
+        ("subpixel_tile/bias", tile_check, True),
         ("se_block", se_check, True),
         ("rcb", rcb_check, True),
         ("feature_fuse", fuse_check, False),
         ("duc_block", duc_check, True),
+        ("upsample_conv_block", upconv_check, True),
         ("decoder_block", decoder_check, True),
         ("encoder", encoder_check, True),
         ("fednet_forward", fednet_check, True),

@@ -6,6 +6,18 @@ Conventions fixed here, once, so every result is bit-reproducible:
 * ``upsample_nearest`` replicates each pixel into an f x f block;
 * ``pixel_shuffle`` maps out[n, c, h*r+a, w*r+b] = x[n, c*r*r + a*r + b, h, w].
 
+Two identities let a layer that follows a nearest upsample run at the
+resolution of its source instead of on replicated pixels:
+
+* sub-pixel form (Shi et al., arXiv 1609.05158; Aitken et al., arXiv
+  1707.02937): a 3x3 pad-1 conv of an r-fold nearest upsample equals
+  ``pixel_shuffle(conv2d(x, subpixel_fold(w, r), subpixel_tile(b, r), 1, 1), r)``.
+  Output phase a of tap d reads low-resolution offset (a + d - 1) // r, and
+  the fold sums the taps that share an offset;
+* a 1x1 conv, and a channel gate computed from a global average pool,
+  commute with nearest upsampling: upsampling replicates every pixel r*r
+  times, which leaves a per-pixel map per-pixel and a spatial mean unchanged.
+
 conv2d / conv_transpose2d are implemented via im2col / col2im so the heavy
 lifting is a single matmul; the transposed convolution is the exact adjoint
 of conv2d for matching geometry.  im2col is one strided view of the padded
@@ -15,6 +27,7 @@ stride-1 conv of a contiguous input).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -54,8 +67,14 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
         padded[:, :, pad:pad + h, pad:pad + w] = x
         x = padded
     sn, sc, sh, sw = x.strides
-    patches = as_strided(x, (n, c, kh, kw, oh, ow),
-                         (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False)
+    shape = (n, c, kh, kw, oh, ow)
+    strides = (sn, sc, sh, sw, stride * sh, stride * sw)
+    if x.flags.c_contiguous:
+        # an ndarray over x's buffer skips as_strided's Python-level wrapper
+        patches = np.ndarray(shape, x.dtype, x, 0, strides)
+        patches.flags.writeable = False
+    else:
+        patches = as_strided(x, shape, strides, writeable=False)
     return patches.reshape(n, c * kh * kw, oh * ow)
 
 
@@ -202,7 +221,10 @@ def dense(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
             f"weight expects {w.shape[1]} (axis 1)")
     if b is not None and b.shape != (w.shape[0],):
         raise ValueError(f"dense: bias must have shape ({w.shape[0]},), got {tuple(b.shape)}")
-    out_data = x.data @ w.data.T
+    # one 1-row product per sample: a 2-D product would run a gemv for one
+    # row and a gemm for several, so a row's last bits would depend on its
+    # batch-mates
+    out_data = np.matmul(x.data[:, None, :], w.data.T)[:, 0]
     if b is not None:
         out_data = out_data + b.data[None, :]
     out = Tensor(out_data)
@@ -320,6 +342,58 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
                 .reshape(n, c_in, h, w),)
 
     return record(out, (x,), backward_fn)
+
+
+@lru_cache(maxsize=None)
+def _subpixel_fold_matrix(r: int, dtype: np.dtype) -> np.ndarray:
+    """[r*r, 9, 9] 0/1 matrix: entry [a*r + b, 3*d + g, 3*e + f] is 1 when tap
+    (d, g) of a 3x3 pad-1 kernel applied to an r-fold nearest upsample reads,
+    for output phase (a, b), the low-resolution offset (e - 1, f - 1)."""
+    one_axis = np.zeros((r, 3, 3), dtype=dtype)
+    for a in range(r):
+        for d in range(3):
+            one_axis[a, d, (a + d - 1) // r + 1] = 1
+    m = np.einsum("ade,bgf->abdgef", one_axis, one_axis).reshape(r * r, 9, 9)
+    m.flags.writeable = False
+    return m
+
+
+def subpixel_fold(w: Tensor, r: int) -> Tensor:
+    """Fold a 3x3 kernel w:[Cout,Cin,3,3] through an r-fold nearest upsample
+    into the [Cout*r*r, Cin, 3, 3] kernel of the sub-pixel form.
+
+    Output channel c*r*r + a*r + b holds the kernel of output phase (a, b),
+    matching :func:`pixel_shuffle`: its tap at low-resolution offset
+    (e, f) is the sum of w's taps (d, g) with (a + d - 1) // r == e and
+    (b + g - 1) // r == f.  A linear map; its backward is the transpose.
+    """
+    _check_rank("subpixel_fold", w, 4, "weight")
+    if w.shape[2:] != (3, 3):
+        raise ValueError(f"subpixel_fold: kernel must be 3x3, got {tuple(w.shape[2:])}")
+    if r < 1:
+        raise ValueError(f"subpixel_fold: r must be >= 1, got {r}")
+    cout, cin = w.shape[:2]
+    m = _subpixel_fold_matrix(r, w.data.dtype)
+    # [Cout, 1, Cin, 9] @ [r*r, 9, 9] -> [Cout, r*r, Cin, 9]
+    out = Tensor(np.matmul(w.data.reshape(cout, 1, cin, 9), m)
+                 .reshape(cout * r * r, cin, 3, 3))
+
+    def backward_fn(g):
+        g4 = g.reshape(cout, r * r, cin, 9)
+        return (np.matmul(g4, m.transpose(0, 2, 1)).sum(axis=1).reshape(w.shape),)
+
+    return record(out, (w,), backward_fn)
+
+
+def subpixel_tile(b: Tensor, r: int) -> Tensor:
+    """Repeat each entry of b:[C] r*r times, the bias of the sub-pixel form:
+    out[c*r*r + k] = b[c].  Its backward sums each group of r*r."""
+    _check_rank("subpixel_tile", b, 1, "bias")
+    if r < 1:
+        raise ValueError(f"subpixel_tile: r must be >= 1, got {r}")
+    c = b.shape[0]
+    out = Tensor(np.repeat(b.data, r * r))
+    return record(out, (b,), lambda g: (g.reshape(c, r * r).sum(axis=1),))
 
 
 def pixel_unshuffle(x: Tensor, r: int) -> Tensor:

@@ -446,12 +446,9 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4,
     ``GRAD_CHECK_COPIES`` perturbed copies of ``x`` go through one call of
     ``f``, and each copy's value and relu masks are read from its own slice,
     so the report is the one-copy-per-call report.  Bit for bit, that holds
-    where each sample's arithmetic does not depend on the batch size.  One
-    known exception is ``ops.dense``: numpy computes a batch of 1 as a BLAS
-    gemv and a larger batch as a gemm, whose results may differ in the last
-    bit.  A float64 FedNet output moved by up to 5.6e-17 between one sample
-    alone and the same sample among 8, with the SE gate on (its dense
-    layers), and not at all with the gate off.
+    where each sample's arithmetic does not depend on the batch size, as in
+    every forward op of :mod:`fednet.ops` (``ops.dense`` computes each row
+    as its own 1-row product for this reason).
     """
     global _KINK_LOG
     if x.data.dtype != np.float64:

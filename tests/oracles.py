@@ -130,6 +130,50 @@ def pixel_shuffle_reference(x, r):
     return out
 
 
+def subpixel_fold_reference(w, r):
+    """Kernel [Cout*r*r, Cin, 3, 3] of the sub-pixel form of a 3x3 pad-1 conv
+    after an r-fold nearest upsample, by adding each tap (d, g) of output
+    phase (a, b) into the low-resolution offset it reads."""
+    cout, cin = w.shape[:2]
+    out = np.zeros((cout * r * r, cin, 3, 3), dtype=np.float64)
+    for co in range(cout):
+        for a in range(r):
+            for b in range(r):
+                for d in range(3):
+                    for g in range(3):
+                        e, f = (a + d - 1) // r + 1, (b + g - 1) // r + 1
+                        out[co * r * r + a * r + b, :, e, f] += w[co, :, d, g]
+    return out
+
+
+def baseline_fednet_logits_reference(params, x):
+    """Logits of a baseline FedNet (every ablation flag off) from its named
+    parameter arrays, with every nearest upsample applied before the conv
+    that follows it, as the architecture is written."""
+    def conv(name, v, stride=1, pad=0):
+        return conv2d_reference(v, params[name + ".w"], params[name + ".b"], stride, pad)
+
+    def relu(v):
+        return np.maximum(v, 0.0)
+
+    def decoder(name, v):
+        v = relu(conv(name + ".reduce", v))
+        v = relu(conv_transpose2d_reference(v, params[name + ".up.w"],
+                                            params[name + ".up.b"], 2, 0))
+        return conv(name + ".restore", v)
+
+    levels = [relu(conv("encoder.stem_b", relu(conv("encoder.stem_a", x, 2, 1)), 2, 1))]
+    for stage in ("encoder.stage2.", "encoder.stage3.", "encoder.stage4."):
+        v = levels[-1]
+        main = conv(stage + "main2", relu(conv(stage + "main1", v, 2, 1)), 1, 1)
+        levels.append(relu(main + conv(stage + "short", v, 2, 0)))
+    d = conv("upconv4.conv", upsample_nearest_reference(levels[3], 2), 1, 1)
+    d = decoder("dec3", d + conv("skip3", levels[2]))
+    d = decoder("dec2", d + conv("skip2", levels[1]))
+    d = d + conv("skip1", levels[0])
+    return conv("head_out", conv("head_upconv.conv", upsample_nearest_reference(d, 4), 1, 1))
+
+
 def flood_fill_labels(mask, connectivity=6):
     """Recursive flood-fill component labeling, discovery order x-fastest."""
     import sys

@@ -7,10 +7,12 @@ import pytest
 
 from fednet import ops
 from fednet.blocks import (DUC, RCB, DecoderBlock, Encoder, FeatureFusion, FedNet,
-                           NetworkSpec, SEBlock)
-from fednet.tensor import Tensor
+                           NetworkSpec, SEBlock, UpsampleConv)
+from fednet.tensor import Tape, Tensor, backward
 
-from oracles import conv2d_reference, conv_transpose2d_reference, pixel_shuffle_reference
+from oracles import (baseline_fednet_logits_reference, conv2d_reference,
+                     conv_transpose2d_reference, pixel_shuffle_reference,
+                     upsample_nearest_reference)
 
 F64 = np.float64
 
@@ -193,6 +195,47 @@ class TestDUC:
         np.testing.assert_allclose(block(t(x)).data, expected, atol=1e-12, rtol=0)
 
 
+class TestUpsampleConv:
+    def _block(self, cin, cout, r, seed):
+        block = UpsampleConv(cin, cout, r, rng_for(seed)).astype(F64)
+        block.conv.b.value.data[...] = rng_for(seed, 1).uniform(-1, 1, cout)
+        return block
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("hw", [(2, 3), (3, 5), (4, 4), (1, 2)])
+    def test_matches_upsample_then_conv_oracle(self, r, hw):
+        # (1, 2) has fewer pixels than output channels: the direct form
+        block = self._block(3, 2, r, 50 + r)
+        x = rng_for(51, r).uniform(-1, 1, (2, 3) + hw)
+        expected = conv2d_reference(upsample_nearest_reference(x, r),
+                                    block.conv.w.value.data, block.conv.b.value.data, 1, 1)
+        np.testing.assert_allclose(block(t(x)).data, expected, atol=1e-12, rtol=0)
+
+    def test_gradients_match_upsample_then_conv(self):
+        block = self._block(3, 2, 4, 52)
+        w, b = block.conv.w.value, block.conv.b.value
+        g = rng_for(53).uniform(-1, 1, (2, 2, 12, 8))
+        grads = []
+        for direct in (False, True):
+            x = t(rng_for(54).uniform(-1, 1, (2, 3, 3, 2)), requires_grad=True)
+            w.grad = b.grad = None
+            with Tape() as tape:
+                if direct:
+                    y = ops.conv2d(ops.upsample_nearest(x, 4), w, b, 1, 1)
+                else:
+                    y = block(x)
+                s = (y * t(g)).sum()
+            backward(s, tape)
+            grads.append((x.grad, w.grad, b.grad))
+        for got, expected in zip(*grads):
+            np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+
+    def test_parameters_keep_the_conv_names_and_shapes(self):
+        block = UpsampleConv(16, 8, 4, rng_for(55))
+        shapes = {name: p.value.shape for name, p in block.named_parameters().items()}
+        assert shapes == {"conv.w": (8, 16, 3, 3), "conv.b": (8,)}
+
+
 class TestDecoderBlock:
     def test_output_shape_doubles(self):
         block = DecoderBlock(16, 5, rng_for(25)).astype(F64)
@@ -284,6 +327,17 @@ class TestFedNet:
         x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 32, 32)).astype(np.float32))
         np.testing.assert_array_equal(net.forward(x).data, ops.sigmoid(net.logits(x)).data)
 
+    def test_baseline_matches_upsample_first_oracle(self):
+        spec = NetworkSpec(base_channels=4, se_reduction=4).baseline()
+        net = FedNet(spec, rng=rng_for(43)).astype(F64)
+        for p in net.parameters():  # nonzero biases, so none of them can hide
+            p.value.data[...] += rng_for(44).uniform(-0.1, 0.1, p.value.shape)
+        x = rng_for(45).uniform(0, 1, (1, 3, 32, 64))
+        params = {name: p.value.data for name, p in net.named_parameters().items()}
+        np.testing.assert_allclose(net.logits(t(x)).data,
+                                   baseline_fednet_logits_reference(params, x),
+                                   atol=1e-12, rtol=0)
+
     def test_six_ablation_configs_constructible_with_disjoint_block_names(self):
         from fednet.harness import ABLATION_ROWS
         from dataclasses import replace
@@ -351,3 +405,48 @@ class TestAstype:
         with pytest.raises(TypeError, match="mixed precision"):
             net(Tensor(x.astype(np.float32)))
 
+
+
+class TestNoConvOfReplicatedPixels:
+    """Structure, not timing: which arrays the convolutions' im2col reads."""
+
+    def _forward(self, monkeypatch, spec, shape):
+        upsampled, convs = [], []
+        upsample, im2col = ops.upsample_nearest, ops._im2col
+
+        def recording_upsample(x, factor):
+            out = upsample(x, factor)
+            upsampled.append(out.data)
+            return out
+
+        def recording_im2col(x, kh, kw, stride, pad):
+            cols = im2col(x, kh, kw, stride, pad)
+            reads_upsampled = any(np.shares_memory(x, u) for u in upsampled)
+            convs.append((x.shape, cols.size, reads_upsampled))
+            return cols
+
+        monkeypatch.setattr(ops, "upsample_nearest", recording_upsample)
+        monkeypatch.setattr(ops, "_im2col", recording_im2col)
+        net = FedNet(spec, rng=rng_for(60))
+        net(Tensor(np.zeros(shape, dtype=np.float32)))
+        return convs
+
+    @pytest.mark.parametrize("baseline", [True, False])
+    def test_no_conv_reads_an_upsampled_map(self, monkeypatch, baseline):
+        # 160x160 puts 5x5 pixels under the stride-32 upsample-conv, more
+        # than its 16 output channels, so both upsample-convs go sub-pixel
+        spec = NetworkSpec(base_channels=4, se_reduction=4)
+        convs = self._forward(monkeypatch, spec.baseline() if baseline else spec,
+                              (1, 3, 160, 160))
+        assert convs
+        assert not [shape for shape, _, upsampled in convs if upsampled]
+
+    def test_baseline_patch_elements_per_slice_fell(self, monkeypatch):
+        # batch 8 of 3x64x64 through the default baseline network; convolving
+        # every upsample's output, as the architecture is written, takes
+        # 769,024 im2col elements per slice
+        convs = self._forward(monkeypatch, NetworkSpec().baseline(), (8, 3, 64, 64))
+        assert sum(size for _, size, _ in convs) // 8 < 769_024
+        # only the stride-32 upsample-conv stays direct: 64 output channels
+        # exceed its 2x2 source pixels, and then the direct form moves less data
+        assert [shape for shape, _, upsampled in convs if upsampled] == [(8, 128, 4, 4)]

@@ -11,7 +11,7 @@ from fednet.tensor import Tape, Tensor, backward
 from oracles import (conv2d_grad_reference, conv2d_reference, conv_transpose2d_reference,
                      dense_reference, global_avg_pool_reference, pixel_shuffle_reference,
                      sigmoid_branchwise_reference, sigmoid_scalar,
-                     upsample_nearest_reference)
+                     subpixel_fold_reference, upsample_nearest_reference)
 
 RNG = np.random.default_rng(20240811)
 
@@ -163,6 +163,17 @@ class TestDense:
         with pytest.raises(ValueError, match="inner axis"):
             ops.dense(t(np.zeros((2, 3))), t(np.zeros((4, 5))), None)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_bits_independent_of_batch_size(self, dtype):
+        # a 2-D product runs a BLAS gemv for one row and a gemm for several
+        x = Tensor(RNG.standard_normal((8, 128)).astype(dtype))
+        w = Tensor(RNG.standard_normal((8, 128)).astype(dtype))
+        b = Tensor(RNG.standard_normal(8).astype(dtype))
+        full = ops.dense(x, w, b).data
+        for i in range(8):
+            alone = ops.dense(Tensor(x.data[i:i + 1]), w, b).data[0]
+            assert alone.tobytes() == full[i].tobytes()
+
 
 class TestActivations:
     def test_relu_values(self):
@@ -273,6 +284,45 @@ class TestPixelShuffle:
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ValueError, match="not divisible"):
             ops.pixel_shuffle(t(np.zeros((1, 6, 2, 2))), 2)
+
+
+class TestSubpixelFold:
+    def test_fold_matches_tap_sum_oracle(self):
+        w = RNG.standard_normal((2, 3, 3, 3))
+        for r in (1, 2, 3, 4):
+            np.testing.assert_allclose(ops.subpixel_fold(t(w), r).data,
+                                       subpixel_fold_reference(w, r), atol=1e-15, rtol=0)
+
+    def test_tile_repeats_each_channel(self):
+        out = ops.subpixel_tile(t([1.0, 2.0]), 2).data
+        np.testing.assert_array_equal(out, [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("hw", [(2, 3), (3, 2), (4, 4)])
+    def test_sub_pixel_form_equals_upsample_then_conv(self, r, hw):
+        x = RNG.standard_normal((2, 3) + hw)
+        w, b = RNG.standard_normal((2, 3, 3, 3)), RNG.standard_normal(2)
+        sub = ops.pixel_shuffle(
+            ops.conv2d(t(x), ops.subpixel_fold(t(w), r), ops.subpixel_tile(t(b), r), 1, 1), r)
+        expected = conv2d_reference(upsample_nearest_reference(x, r), w, b, 1, 1)
+        np.testing.assert_allclose(sub.data, expected, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("op, shape", [(ops.subpixel_fold, (2, 3, 3, 3)),
+                                           (ops.subpixel_tile, (3,))])
+    def test_backward_is_the_transpose(self, op, shape):
+        # <op(v), g> == <v, op^T(g)> for the linear map and its backward
+        v = t(RNG.standard_normal(shape), requires_grad=True)
+        with Tape() as tape:
+            out = op(v, 3)
+            g = RNG.standard_normal(out.shape)
+            s = (out * t(g)).sum()
+        backward(s, tape)
+        np.testing.assert_allclose(np.sum(out.data * g), np.sum(v.data * v.grad),
+                                   atol=1e-12, rtol=0)
+
+    def test_kernel_must_be_3x3(self):
+        with pytest.raises(ValueError, match="3x3"):
+            ops.subpixel_fold(t(np.zeros((2, 3, 2, 2))), 2)
 
 
 class TestPixelUnshuffle:
