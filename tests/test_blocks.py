@@ -330,8 +330,9 @@ class TestFedNet:
     def test_baseline_matches_upsample_first_oracle(self):
         spec = NetworkSpec(base_channels=4, se_reduction=4).baseline()
         net = FedNet(spec, rng=rng_for(43)).astype(F64)
+        jitter = rng_for(44)
         for p in net.parameters():  # nonzero biases, so none of them can hide
-            p.value.data[...] += rng_for(44).uniform(-0.1, 0.1, p.value.shape)
+            p.value.data[...] += jitter.uniform(-0.1, 0.1, p.value.shape)
         x = rng_for(45).uniform(0, 1, (1, 3, 32, 64))
         params = {name: p.value.data for name, p in net.named_parameters().items()}
         np.testing.assert_allclose(net.logits(t(x)).data,
@@ -404,7 +405,6 @@ class TestAstype:
         assert net(Tensor(x)).dtype == F64
         with pytest.raises(TypeError, match="mixed precision"):
             net(Tensor(x.astype(np.float32)))
-
 
 
 class TestNoConvOfReplicatedPixels:

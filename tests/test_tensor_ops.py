@@ -297,16 +297,6 @@ class TestSubpixelFold:
         out = ops.subpixel_tile(t([1.0, 2.0]), 2).data
         np.testing.assert_array_equal(out, [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
 
-    @pytest.mark.parametrize("r", [2, 3, 4])
-    @pytest.mark.parametrize("hw", [(2, 3), (3, 2), (4, 4)])
-    def test_sub_pixel_form_equals_upsample_then_conv(self, r, hw):
-        x = RNG.standard_normal((2, 3) + hw)
-        w, b = RNG.standard_normal((2, 3, 3, 3)), RNG.standard_normal(2)
-        sub = ops.pixel_shuffle(
-            ops.conv2d(t(x), ops.subpixel_fold(t(w), r), ops.subpixel_tile(t(b), r), 1, 1), r)
-        expected = conv2d_reference(upsample_nearest_reference(x, r), w, b, 1, 1)
-        np.testing.assert_allclose(sub.data, expected, atol=1e-12, rtol=0)
-
     @pytest.mark.parametrize("op, shape", [(ops.subpixel_fold, (2, 3, 3, 3)),
                                            (ops.subpixel_tile, (3,))])
     def test_backward_is_the_transpose(self, op, shape):
