@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor, log_kink_pattern, record
 
@@ -56,8 +55,9 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     """[N,C,H,W] -> [N, C*kh*kw, OH*OW] patch matrix.
 
     The patches are a read-only strided view [N, C, kh, kw, OH, OW] of the
-    (zero-padded) input; the final reshape is the one copy, and none at all
-    for an unpadded 1x1 stride-1 conv of a contiguous input.
+    (zero-padded, or else made contiguous) input; the final reshape is the
+    one copy, and none at all for an unpadded 1x1 stride-1 conv of a
+    contiguous input.
     """
     n, c, h, w = x.shape
     oh = (h + 2 * pad - kh) // stride + 1
@@ -66,15 +66,13 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
         padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
         padded[:, :, pad:pad + h, pad:pad + w] = x
         x = padded
-    sn, sc, sh, sw = x.strides
-    shape = (n, c, kh, kw, oh, ow)
-    strides = (sn, sc, sh, sw, stride * sh, stride * sw)
-    if x.flags.c_contiguous:
-        # an ndarray over x's buffer skips as_strided's Python-level wrapper
-        patches = np.ndarray(shape, x.dtype, x, 0, strides)
-        patches.flags.writeable = False
     else:
-        patches = as_strided(x, shape, strides, writeable=False)
+        x = np.ascontiguousarray(x)
+    sn, sc, sh, sw = x.strides
+    # an ndarray over x's buffer skips as_strided's Python-level wrapper
+    patches = np.ndarray((n, c, kh, kw, oh, ow), x.dtype, x, 0,
+                         (sn, sc, sh, sw, stride * sh, stride * sw))
+    patches.flags.writeable = False
     return patches.reshape(n, c * kh * kw, oh * ow)
 
 
