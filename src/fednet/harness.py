@@ -37,6 +37,10 @@ SEG_SUFFIX = "_seg.mvol"
 # dead and further iterations only burn time.
 DEAD_GRADIENT_ITERATIONS = 10
 
+# Slices per forward pass in predict_volume.  Every op computes each sample
+# on its own, so the chunk bounds memory and does not change any result.
+PREDICT_BATCH = 8
+
 
 class TrainingDiverged(RuntimeError):
     pass
@@ -111,19 +115,14 @@ def stage_targets(seg: np.ndarray, stage: str):
     return target, eligible
 
 
-def _sample_stream(volumes, cfg: TrainConfig, aug_rng: np.random.Generator) -> Iterator:
-    """Endless deterministic stream of augmented samples.
+def _sample_stream(prepared, cfg: TrainConfig, aug_rng: np.random.Generator) -> Iterator:
+    """Endless deterministic stream of augmented samples from (normalized CT,
+    target, eligible) triples.
 
     Each epoch re-runs the per-volume Bernoulli sampling with a seed derived
     from (config seed, epoch, volume index); within an epoch the order is
     volumes sorted by name, slices ascending.
     """
-    prepared = []
-    for name, ct, seg in volumes:
-        norm = hu_window_normalize(ct.voxels)
-        target, eligible = stage_targets(seg.voxels, cfg.stage)
-        prepared.append((norm, target, eligible))
-
     epoch = 0
     empty_epochs = 0
     while True:
@@ -171,10 +170,13 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     shapes = {ct.voxels.shape for _, ct, _ in volumes}
     if len(shapes) > 1:
         raise DatasetError(f"training batches need uniform volume dims, got {sorted(shapes)}")
+    # (normalized CT, stage target, eligible slices) per volume
+    prepared = [(hu_window_normalize(ct.voxels), *stage_targets(seg.voxels, cfg.stage))
+                for _, ct, seg in volumes]
     net = build_network(cfg)
     params = list(net.named_parameters().values())
     aug_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA0]))
-    stream = _sample_stream(volumes, cfg, aug_rng)
+    stream = _sample_stream(prepared, cfg, aug_rng)
 
     curve: list[tuple[int, float]] = []
     zero_norm_run = 0
@@ -203,18 +205,17 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     if save:
         checkpoint.save_checkpoint(cfg.checkpoint_out, arrays)
 
-    per_case, global_ = training_set_dice(net, volumes, cfg)
+    per_case, global_ = training_set_dice(net, prepared, cfg)
     report = MetricsReport(per_case, global_, curve, time.perf_counter() - started)
     return arrays, report
 
 
-def predict_volume(net: FedNet, norm: np.ndarray, z_indices: Sequence[int],
-                   batch_size: int = 8) -> np.ndarray:
+def predict_volume(net: FedNet, norm: np.ndarray, z_indices: Sequence[int]) -> np.ndarray:
     """Per-slice probabilities over the listed z indices; other slices are 0."""
     probs = np.zeros(norm.shape, dtype=np.float32)
     z_indices = list(z_indices)
-    for start in range(0, len(z_indices), batch_size):
-        chunk = z_indices[start:start + batch_size]
+    for start in range(0, len(z_indices), PREDICT_BATCH):
+        chunk = z_indices[start:start + PREDICT_BATCH]
         xb = Tensor(np.stack([stack_adjacent_slices(norm, z) for z in chunk]))
         out = net(xb).data[:, 0]
         for z, sl in zip(chunk, out):
@@ -222,8 +223,9 @@ def predict_volume(net: FedNet, norm: np.ndarray, z_indices: Sequence[int],
     return probs
 
 
-def training_set_dice(net: FedNet, volumes, cfg: TrainConfig) -> tuple[float, float]:
-    """Stage-appropriate Dice of the network against its training targets.
+def training_set_dice(net: FedNet, prepared, cfg: TrainConfig) -> tuple[float, float]:
+    """Stage-appropriate Dice of the network against its training targets,
+    from the training set's (normalized CT, target, eligible) triples.
 
     Lesion stage: predictions on ground-truth liver slices thresholded at the
     lesion threshold versus the lesion labels.  Liver stage: predictions on
@@ -231,9 +233,7 @@ def training_set_dice(net: FedNet, volumes, cfg: TrainConfig) -> tuple[float, fl
     """
     threshold = cfg.liver_threshold if cfg.stage == "liver" else cfg.lesion_threshold
     cases = []
-    for _, ct, seg in volumes:
-        norm = hu_window_normalize(ct.voxels)
-        target, eligible = stage_targets(seg.voxels, cfg.stage)
+    for norm, target, eligible in prepared:
         probs = predict_volume(net, norm, np.nonzero(eligible)[0])
         cases.append((threshold_mask(probs, threshold), target))
     return dice_per_case(cases), dice_global(cases)
@@ -258,15 +258,13 @@ def infer(cfg: TrainConfig, liver_ckpt, lesion_ckpt, volume: Volume) -> Volume:
     checkpoint.load_parameters(lesion_net, checkpoint.load_checkpoint(lesion_ckpt))
 
     norm = hu_window_normalize(volume.voxels)
-    liver_prob = predict_volume(liver_net, norm, range(norm.shape[0]),
-                                batch_size=max(cfg.batch_size, 8))
+    liver_prob = predict_volume(liver_net, norm, range(norm.shape[0]))
     liver_mask = largest_component(threshold_mask(liver_prob, cfg.liver_threshold),
                                    cfg.connectivity)
     lesion_prob = np.zeros(norm.shape, dtype=np.float32)
     liver_z = np.nonzero(liver_mask.any(axis=(1, 2)))[0]
     if liver_z.size:
-        lesion_prob = predict_volume(lesion_net, norm, liver_z,
-                                     batch_size=max(cfg.batch_size, 8))
+        lesion_prob = predict_volume(lesion_net, norm, liver_z)
     final = hierarchical_postprocess(liver_mask, lesion_prob, cfg.lesion_threshold)
     return Volume(final, volume.spacing)
 

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ops import flush_subnormals, sigmoid
-from .tensor import Tensor, as_tensor, record
+from .ops import flush_subnormals, sigmoid, stable_logistic
+from .tensor import Tensor, as_tensor, check_dtypes, record
 
 # Bounds probabilities away from 0 and 1 before the probability-form cross
 # entropy takes logs.  It guards against log(0) and is not part of the loss:
@@ -77,8 +77,13 @@ def soft_jaccard(y, y_hat, epsilon: float = 1e-15) -> Tensor:
     and 1 when both sides are empty."""
     y, y_hat = as_tensor(y), as_tensor(y_hat)
     _validate_pair(y, y_hat, "soft_jaccard")
-    inter = (y * y_hat).sum()
-    union = y.sum() + y_hat.sum() - inter
+    return _jaccard(y, y_hat, epsilon, None)
+
+
+def _jaccard(y: Tensor, y_hat: Tensor, epsilon: float, axis) -> Tensor:
+    """Soft-Jaccard ratio of a validated pair, summed over ``axis`` (None: all)."""
+    inter = (y * y_hat).sum(axis)
+    union = y.sum(axis) + y_hat.sum(axis) - inter
     return (inter + epsilon) / (union + epsilon)
 
 
@@ -94,14 +99,12 @@ def weighted_bce_with_logits(y, z, w: LossWeights = LossWeights()) -> Tensor:
     """
     y, z = as_tensor(y), as_tensor(z)
     _validate_pair(y, z, "weighted_bce_with_logits", probabilities=False)
-    if y.dtype != z.dtype:
-        raise TypeError(f"weighted_bce_with_logits: mixed precision {y.dtype} vs {z.dtype}")
+    check_dtypes("weighted_bce_with_logits", y, z)
     zd, yd = z.data, y.data
-    e = np.exp(-np.abs(zd))
+    e, prob = stable_logistic(zd)
     tail = np.log1p(e)
     neg_log_p = np.maximum(-zd, 0.0) + tail       # softplus(-z) = -log(sigmoid(z))
     neg_log_1mp = np.maximum(zd, 0.0) + tail      # softplus(z) = -log(1 - sigmoid(z))
-    prob = np.where(zd >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     pos_w, neg_w = 1.0 - w.omega1, w.omega1
     terms = pos_w * yd * neg_log_p + neg_w * (1.0 - yd) * neg_log_1mp
     out = Tensor(terms.mean(dtype=zd.dtype))
@@ -120,12 +123,8 @@ def weighted_bce_with_logits(y, z, w: LossWeights = LossWeights()) -> Tensor:
 def _log_jaccard(y: Tensor, y_hat: Tensor, epsilon: float, per_slice: bool) -> Tensor:
     """log(soft_jaccard), averaged over the batch for 4-d per-slice pairs."""
     if per_slice and y.ndim == 4:
-        axes = (1, 2, 3)
-        inter = (y * y_hat).sum(axes)
-        union = y.sum(axes) + y_hat.sum(axes) - inter
-        jac = (inter + epsilon) / (union + epsilon)
-        return jac.log().mean()
-    return soft_jaccard(y, y_hat, epsilon).log()
+        return _jaccard(y, y_hat, epsilon, (1, 2, 3)).log().mean()
+    return _jaccard(y, y_hat, epsilon, None).log()
 
 
 def combined_loss(y, y_hat, w: LossWeights = LossWeights(), per_slice: bool = True) -> Tensor:
@@ -136,9 +135,9 @@ def combined_loss(y, y_hat, w: LossWeights = LossWeights(), per_slice: bool = Tr
     is treated as one slice.  Differentiable in the predictions and
     non-negative for omega1 in (0, 1), omega2 >= 0.  This is the reference
     form on probabilities; training uses :func:`combined_loss_with_logits`.
+    Its inputs are checked, and errors named, by :func:`weighted_bce`.
     """
     y, y_hat = as_tensor(y), as_tensor(y_hat)
-    _validate_pair(y, y_hat, "combined_loss")
     bce = weighted_bce(y, y_hat, w)
     return bce - _log_jaccard(y, y_hat, w.epsilon, per_slice) * w.omega2
 
@@ -152,9 +151,9 @@ def combined_loss_with_logits(y, z, w: LossWeights = LossWeights(),
     ``combined_loss(y, sigmoid(z), w, per_slice)`` wherever every probability
     lies in [CLAMP_DELTA, 1 - CLAMP_DELTA]; outside that range it keeps the
     cross-entropy gradient that the clamp of the probability form cuts off.
+    Its inputs are checked, and errors named, by :func:`weighted_bce_with_logits`.
     """
     y, z = as_tensor(y), as_tensor(z)
-    _validate_pair(y, z, "combined_loss_with_logits", probabilities=False)
     bce = weighted_bce_with_logits(y, z, w)
     return bce - _log_jaccard(y, sigmoid(z), w.epsilon, per_slice) * w.omega2
 

@@ -27,23 +27,16 @@ stride-1 conv of a contiguous input).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, log_kink_pattern, record
+from .tensor import Tensor, check_dtypes, log_kink_pattern, record
 
 
-def _check_dtypes(op: str, *tensors: Optional[Tensor]) -> None:
-    dtypes = {t.data.dtype for t in tensors if t is not None}
-    if len(dtypes) > 1:
-        raise TypeError(f"{op}: mixed precision {sorted(str(d) for d in dtypes)}")
-
-
-def _check_rank(op: str, t: Tensor, rank: int, role: str) -> None:
-    if t.ndim != rank:
-        raise ValueError(f"{op}: {role} must be {rank}-d, got shape {tuple(t.shape)}")
+def _check_rank(op: str, shape: tuple, rank: int, role: str) -> None:
+    if len(shape) != rank:
+        raise ValueError(f"{op}: {role} must be {rank}-d, got shape {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -97,31 +90,42 @@ def _col2im(cols: np.ndarray, out_shape: tuple, kh: int, kw: int, stride: int,
 # ---------------------------------------------------------------------------
 
 
+def _check_conv(op: str, x: Tensor, w: Tensor, b: Optional[Tensor], stride: int,
+                pad: int, cin_axis: int) -> tuple[tuple, tuple]:
+    """Operand checks shared by both convolutions: ranks, dtypes, stride,
+    pad, the input channels against weight axis ``cin_axis``, and the bias
+    against the other leading weight axis.  Returns (x.shape, w.shape)."""
+    xs, ws = x.data.shape, w.data.shape
+    _check_rank(op, xs, 4, "input")
+    _check_rank(op, ws, 4, "weight")
+    check_dtypes(op, x, w, b)
+    if stride < 1:
+        raise ValueError(f"{op}: stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise ValueError(f"{op}: pad must be >= 0, got {pad}")
+    if xs[1] != ws[cin_axis]:
+        raise ValueError(
+            f"{op}: channel axis mismatch: input has {xs[1]} channels (axis 1), "
+            f"weight expects {ws[cin_axis]} (axis {cin_axis})")
+    cout = ws[1 - cin_axis]
+    if b is not None and b.data.shape != (cout,):
+        raise ValueError(f"{op}: bias must have shape ({cout},), got {b.data.shape}")
+    return xs, ws
+
+
 def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
            pad: int = 0) -> Tensor:
     """Cross-correlation of x:[N,Cin,H,W] with w:[Cout,Cin,kh,kw].
 
     Output spatial extents: floor((H + 2*pad - kh) / stride) + 1, same for W.
     """
-    _check_rank("conv2d", x, 4, "input")
-    _check_rank("conv2d", w, 4, "weight")
-    _check_dtypes("conv2d", x, w, b)
-    if stride < 1:
-        raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ValueError(f"conv2d: pad must be >= 0, got {pad}")
-    n, cin, h, width = x.shape
-    cout, wcin, kh, kw = w.shape
-    if cin != wcin:
-        raise ValueError(
-            f"conv2d: channel axis mismatch: input has {cin} channels (axis 1), "
-            f"weight expects {wcin} (axis 1)")
+    xs, ws = _check_conv("conv2d", x, w, b, stride, pad, 1)
+    n, cin, h, width = xs
+    cout, _, kh, kw = ws
     if h + 2 * pad < kh:
         raise ValueError(f"conv2d: height axis too small: H+2*pad={h + 2 * pad} < kh={kh}")
     if width + 2 * pad < kw:
         raise ValueError(f"conv2d: width axis too small: W+2*pad={width + 2 * pad} < kw={kw}")
-    if b is not None and b.shape != (cout,):
-        raise ValueError(f"conv2d: bias must have shape ({cout},), got {tuple(b.shape)}")
 
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (width + 2 * pad - kw) // stride + 1
@@ -137,9 +141,9 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
         dx = dw = db = None
         if x.requires_grad:
             dcols = np.matmul(w2.T, g2)
-            dx = _col2im(dcols, x.shape, kh, kw, stride, pad, oh, ow)
+            dx = _col2im(dcols, xs, kh, kw, stride, pad, oh, ow)
         if w.requires_grad:
-            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(ws)
         if b is not None and b.requires_grad:
             db = g.sum(axis=(0, 2, 3))
         return (dx, dw) if b is None else (dx, dw, db)
@@ -156,27 +160,15 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
     matching geometry this is the exact adjoint of :func:`conv2d`:
     dot(conv2d(x, w), y) == dot(x, conv_transpose2d(y, w)).
     """
-    _check_rank("conv_transpose2d", x, 4, "input")
-    _check_rank("conv_transpose2d", w, 4, "weight")
-    _check_dtypes("conv_transpose2d", x, w, b)
-    if stride < 1:
-        raise ValueError(f"conv_transpose2d: stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ValueError(f"conv_transpose2d: pad must be >= 0, got {pad}")
-    n, cin, h, width = x.shape
-    wcin, cout, kh, kw = w.shape
-    if cin != wcin:
-        raise ValueError(
-            f"conv_transpose2d: channel axis mismatch: input has {cin} channels (axis 1), "
-            f"weight expects {wcin} (axis 0)")
+    xs, ws = _check_conv("conv_transpose2d", x, w, b, stride, pad, 0)
+    n, cin, h, width = xs
+    _, cout, kh, kw = ws
     hp = (h - 1) * stride - 2 * pad + kh
     wp = (width - 1) * stride - 2 * pad + kw
     if hp < 1:
         raise ValueError(f"conv_transpose2d: height axis collapses to {hp}")
     if wp < 1:
         raise ValueError(f"conv_transpose2d: width axis collapses to {wp}")
-    if b is not None and b.shape != (cout,):
-        raise ValueError(f"conv_transpose2d: bias must have shape ({cout},), got {tuple(b.shape)}")
 
     w2 = w.data.reshape(cin, cout * kh * kw)
     cols = np.matmul(w2.T, x.data.reshape(n, cin, h * width))
@@ -191,10 +183,10 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         if x.requires_grad or w.requires_grad:
             gcols = _im2col(g, kh, kw, stride, pad)
         if x.requires_grad:
-            dx = np.matmul(w2, gcols).reshape(x.shape)
+            dx = np.matmul(w2, gcols).reshape(xs)
         if w.requires_grad:
             dw = np.matmul(x.data.reshape(n, cin, h * width),
-                           gcols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+                           gcols.transpose(0, 2, 1)).sum(axis=0).reshape(ws)
         if b is not None and b.requires_grad:
             db = g.sum(axis=(0, 2, 3))
         return (dx, dw) if b is None else (dx, dw, db)
@@ -210,9 +202,9 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
 def dense(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """Fully connected layer: y = x @ w.T + b for x:[N,Cin], w:[Cout,Cin]."""
-    _check_rank("dense", x, 2, "input")
-    _check_rank("dense", w, 2, "weight")
-    _check_dtypes("dense", x, w, b)
+    _check_rank("dense", x.shape, 2, "input")
+    _check_rank("dense", w.shape, 2, "weight")
+    check_dtypes("dense", x, w, b)
     if x.shape[1] != w.shape[1]:
         raise ValueError(
             f"dense: inner axis mismatch: input has {x.shape[1]} features (axis 1), "
@@ -262,6 +254,14 @@ def flush_subnormals(d) -> np.ndarray:
     return d
 
 
+def stable_logistic(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(-|z|), sigmoid(z)) of the array z without overflow: exp(-|z|) is
+    exp(-z) where z >= 0 and exp(z) elsewhere, so it never exceeds 1."""
+    e = np.exp(-np.abs(z))
+    denom = 1.0 + e
+    return e, np.where(z >= 0, 1.0 / denom, e / denom)
+
+
 def sigmoid(x: Tensor) -> Tensor:
     """Numerically stable logistic; output clipped strictly inside (0, 1).
 
@@ -269,9 +269,7 @@ def sigmoid(x: Tensor) -> Tensor:
     smallest normal number, g * p * (1 - p) is subnormal for any |g| < 1.
     """
     z = x.data
-    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere
-    denom = 1.0 + e
-    out_data = np.where(z >= 0, 1.0 / denom, e / denom)
+    _, out_data = stable_logistic(z)
     info = np.finfo(z.dtype)
     np.clip(out_data, info.tiny, 1.0 - info.epsneg, out=out_data)
     out = Tensor(out_data)
@@ -288,7 +286,7 @@ def activation(x: Tensor, kind: str) -> Tensor:
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Mean over the spatial axes: [N,C,H,W] -> [N,C]."""
-    _check_rank("global_avg_pool", x, 4, "input")
+    _check_rank("global_avg_pool", x.shape, 4, "input")
     n, c, h, w = x.shape
     out = Tensor(x.data.mean(axis=(2, 3), dtype=x.data.dtype))
     scale = 1.0 / (h * w)
@@ -306,7 +304,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     """Replicate each pixel into a factor x factor block (no interpolation)."""
-    _check_rank("upsample_nearest", x, 4, "input")
+    _check_rank("upsample_nearest", x.shape, 4, "input")
     if factor < 1:
         raise ValueError(f"upsample_nearest: factor must be >= 1, got {factor}")
     n, c, h, w = x.shape
@@ -323,7 +321,7 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     """[N, C*r*r, H, W] -> [N, C, H*r, W*r] by periodic channel-to-space rearrangement."""
-    _check_rank("pixel_shuffle", x, 4, "input")
+    _check_rank("pixel_shuffle", x.shape, 4, "input")
     if r < 1:
         raise ValueError(f"pixel_shuffle: r must be >= 1, got {r}")
     n, c_in, h, w = x.shape
@@ -342,7 +340,6 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     return record(out, (x,), backward_fn)
 
 
-@lru_cache(maxsize=None)
 def _subpixel_fold_matrix(r: int, dtype: np.dtype) -> np.ndarray:
     """[r*r, 9, 9] 0/1 matrix: entry [a*r + b, 3*d + g, 3*e + f] is 1 when tap
     (d, g) of a 3x3 pad-1 kernel applied to an r-fold nearest upsample reads,
@@ -351,9 +348,7 @@ def _subpixel_fold_matrix(r: int, dtype: np.dtype) -> np.ndarray:
     for a in range(r):
         for d in range(3):
             one_axis[a, d, (a + d - 1) // r + 1] = 1
-    m = np.einsum("ade,bgf->abdgef", one_axis, one_axis).reshape(r * r, 9, 9)
-    m.flags.writeable = False
-    return m
+    return np.einsum("ade,bgf->abdgef", one_axis, one_axis).reshape(r * r, 9, 9)
 
 
 def subpixel_fold(w: Tensor, r: int) -> Tensor:
@@ -365,7 +360,7 @@ def subpixel_fold(w: Tensor, r: int) -> Tensor:
     (e, f) is the sum of w's taps (d, g) with (a + d - 1) // r == e and
     (b + g - 1) // r == f.  A linear map; its backward is the transpose.
     """
-    _check_rank("subpixel_fold", w, 4, "weight")
+    _check_rank("subpixel_fold", w.shape, 4, "weight")
     if w.shape[2:] != (3, 3):
         raise ValueError(f"subpixel_fold: kernel must be 3x3, got {tuple(w.shape[2:])}")
     if r < 1:
@@ -386,7 +381,7 @@ def subpixel_fold(w: Tensor, r: int) -> Tensor:
 def subpixel_tile(b: Tensor, r: int) -> Tensor:
     """Repeat each entry of b:[C] r*r times, the bias of the sub-pixel form:
     out[c*r*r + k] = b[c].  Its backward sums each group of r*r."""
-    _check_rank("subpixel_tile", b, 1, "bias")
+    _check_rank("subpixel_tile", b.shape, 1, "bias")
     if r < 1:
         raise ValueError(f"subpixel_tile: r must be >= 1, got {r}")
     c = b.shape[0]
@@ -396,7 +391,7 @@ def subpixel_tile(b: Tensor, r: int) -> Tensor:
 
 def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     """Exact inverse of :func:`pixel_shuffle`: [N,C,H*r,W*r] -> [N,C*r*r,H,W]."""
-    _check_rank("pixel_unshuffle", x, 4, "input")
+    _check_rank("pixel_unshuffle", x.shape, 4, "input")
     if r < 1:
         raise ValueError(f"pixel_unshuffle: r must be >= 1, got {r}")
     n, c, hr, wr = x.shape
@@ -419,9 +414,9 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
 
 def channel_scale(x: Tensor, gate: Tensor) -> Tensor:
     """Scale each channel map of x:[N,C,H,W] by gate:[N,C]."""
-    _check_rank("channel_scale", x, 4, "input")
-    _check_rank("channel_scale", gate, 2, "gate")
-    _check_dtypes("channel_scale", x, gate)
+    _check_rank("channel_scale", x.shape, 4, "input")
+    _check_rank("channel_scale", gate.shape, 2, "gate")
+    check_dtypes("channel_scale", x, gate)
     if x.shape[:2] != gate.shape:
         raise ValueError(
             f"channel_scale: gate shape {tuple(gate.shape)} must match input batch/channel "

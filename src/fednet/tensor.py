@@ -22,9 +22,6 @@ import numpy as np
 
 SUPPORTED_DTYPES = (np.float32, np.float64)
 
-# When True, every op asserts its output is finite (debugging aid; slow).
-FINITE_CHECKS = False
-
 
 class Tensor:
     """N-dimensional array with optional participation in gradient recording.
@@ -165,8 +162,6 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tens
     before accumulating.
     """
     out.requires_grad = any(t.requires_grad for t in inputs)
-    if FINITE_CHECKS:
-        assert np.all(np.isfinite(out.data)), "non-finite value produced by forward op"
     tape = active_tape()
     if tape is not None and out.requires_grad:
         tape.entries.append(TapeEntry(out, inputs, backward_fn))
@@ -215,9 +210,16 @@ def backward(root: Tensor, tape: Tape) -> None:
 # ---------------------------------------------------------------------------
 
 
+def check_dtypes(op: str, *tensors: Optional[Tensor]) -> None:
+    """TypeError naming ``op`` unless each tensor (None: skipped) has the first's dtype."""
+    dtype = tensors[0].data.dtype
+    for t in tensors[1:]:
+        if t is not None and t.data.dtype != dtype:
+            raise TypeError(f"{op}: mixed precision {dtype} vs {t.data.dtype}")
+
+
 def _check_binary(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.dtype != b.data.dtype:
-        raise TypeError(f"{op}: mixed precision {a.data.dtype} vs {b.data.dtype}")
+    check_dtypes(op, a, b)
     if a.shape != b.shape:
         for axis, (ea, eb) in enumerate(zip(a.shape, b.shape)):
             if ea != eb:

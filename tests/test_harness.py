@@ -190,13 +190,14 @@ class TestPredictVolume:
     @pytest.mark.parametrize("baseline", [False, True])
     def test_lone_last_chunk_matches_full_batch(self, dataset, baseline):
         # slice 8 is predicted alone as the last chunk of 0..8 and as the last
-        # of a full batch of 8 in 1..8; its probabilities must not move
+        # of a full chunk of PREDICT_BATCH = 8 in 1..8; its probabilities must
+        # not move
         spec = NetworkSpec()
         net = FedNet(spec.baseline() if baseline else spec, rng=np.random.default_rng(3))
         _, ct, _ = harness.load_dataset(dataset)[0]
         norm = pipeline.hu_window_normalize(ct.voxels)
-        alone = harness.predict_volume(net, norm, range(9), batch_size=8)
-        batched = harness.predict_volume(net, norm, range(1, 9), batch_size=8)
+        alone = harness.predict_volume(net, norm, range(9))
+        batched = harness.predict_volume(net, norm, range(1, 9))
         assert alone[8].tobytes() == batched[8].tobytes()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fednet import ops
+from fednet import losses, ops, tensor
 from fednet.tensor import Tape, Tensor, backward
 
 from oracles import (conv2d_grad_reference, conv2d_reference, conv_transpose2d_reference,
@@ -26,6 +26,30 @@ CONV_GEOMETRIES = [
 
 def t(arr, **kw):
     return Tensor(np.asarray(arr, dtype=np.float64), **kw)
+
+
+# every op with two or more tensor operands: (function, operand shapes)
+MULTI_OPERAND_OPS = {
+    "add": (tensor.add, [(2, 3), (2, 3)]),
+    "sub": (tensor.sub, [(2, 3), (2, 3)]),
+    "mul": (tensor.mul, [(2, 3), (2, 3)]),
+    "div": (tensor.div, [(2, 3), (2, 3)]),
+    "conv2d": (ops.conv2d, [(1, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    "conv_transpose2d": (ops.conv_transpose2d, [(1, 2, 2, 2), (2, 3, 3, 3), (3,)]),
+    "dense": (ops.dense, [(2, 3), (4, 3), (4,)]),
+    "channel_scale": (ops.channel_scale, [(1, 2, 3, 3), (1, 2)]),
+    "weighted_bce_with_logits": (losses.weighted_bce_with_logits, [(1, 1, 2, 2), (1, 1, 2, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_OPERAND_OPS))
+def test_mixed_precision_rejected(name):
+    # float64 operands and a float32 last one (the bias, where there is one)
+    fn, shapes = MULTI_OPERAND_OPS[name]
+    operands = [t(np.zeros(shape)) for shape in shapes[:-1]]
+    operands.append(Tensor(np.zeros(shapes[-1], dtype=np.float32)))
+    with pytest.raises(TypeError, match=f"{name}: mixed precision"):
+        fn(*operands)
 
 
 class TestConv2d:
@@ -95,12 +119,6 @@ class TestConv2d:
         a = ops.conv2d(t(x), t(w), None, 1, 1).data
         b = ops.conv2d(t(x), t(w), None, 1, 1).data
         assert a.tobytes() == b.tobytes()
-
-    def test_mixed_precision_rejected(self):
-        x32 = Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
-        w64 = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float64))
-        with pytest.raises(TypeError, match="mixed precision"):
-            ops.conv2d(x32, w64, None, 1, 1)
 
 
 class TestConvTranspose2d:
