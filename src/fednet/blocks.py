@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,8 +61,12 @@ class NetworkSpec:
                        enable_duc=False)
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple, fan_in: int,
+def glorot_uniform(rng: Optional[np.random.Generator], shape: tuple, fan_in: int,
                    fan_out: int) -> np.ndarray:
+    """Glorot-uniform draw from ``rng``; zeros when ``rng`` is None, for a
+    network whose values are loaded next."""
+    if rng is None:
+        return np.zeros(shape, dtype=np.float32)
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
@@ -75,7 +79,9 @@ class Block:
         self._children: dict[str, Block] = {}
 
     def _param(self, name: str, array: np.ndarray) -> Parameter:
-        p = Parameter(array.astype(np.float32), name=name)
+        """Register a fresh ``array`` as a parameter; it is kept, not
+        copied, when it is already float32."""
+        p = Parameter(np.asarray(array, dtype=np.float32), name=name)
         self._params[name] = p
         return p
 
@@ -110,7 +116,7 @@ class Conv2d(Block):
         self.stride, self.pad = stride, pad
         w = glorot_uniform(rng, (cout, cin, k, k), cin * k * k, cout * k * k)
         self.w = self._param("w", w)
-        self.b = self._param("b", np.zeros(cout))
+        self.b = self._param("b", np.zeros(cout, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.w.value, self.b.value, self.stride, self.pad)
@@ -123,7 +129,7 @@ class ConvTranspose2d(Block):
         self.stride, self.pad = stride, pad
         w = glorot_uniform(rng, (cin, cout, k, k), cin * k * k, cout * k * k)
         self.w = self._param("w", w)
-        self.b = self._param("b", np.zeros(cout))
+        self.b = self._param("b", np.zeros(cout, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.conv_transpose2d(x, self.w.value, self.b.value, self.stride, self.pad)
@@ -133,7 +139,7 @@ class Dense(Block):
     def __init__(self, cin: int, cout: int, rng: np.random.Generator):
         super().__init__()
         self.w = self._param("w", glorot_uniform(rng, (cout, cin), cin, cout))
-        self.b = self._param("b", np.zeros(cout))
+        self.b = self._param("b", np.zeros(cout, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.dense(x, self.w.value, self.b.value)
@@ -376,10 +382,12 @@ class FedNet(Block):
     ``sigmoid(logits(x))``, the probabilities inference thresholds.
 
     With every enable flag off this is the plain baseline encoder-decoder
-    with raw skip connections.
+    with raw skip connections.  Built with ``rng=None``, every weight starts
+    at zero instead of a Glorot draw, for a network whose values are loaded
+    from a checkpoint next.
     """
 
-    def __init__(self, spec: NetworkSpec, rng: np.random.Generator):
+    def __init__(self, spec: NetworkSpec, rng: Optional[np.random.Generator] = None):
         super().__init__()
         spec.validate()
         self.spec = spec

@@ -72,12 +72,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if len(args.out) != len(args.volume):
+        raise ValueError(f"infer got {len(args.volume)} volumes but {len(args.out)} "
+                         f"--out paths; give one --out per volume, in order")
     cfg = _load_config(args)
-    volume = read_mvol(args.volume)
-    mask = harness.infer(cfg, args.liver_ckpt, args.lesion_ckpt, volume)
-    write_mvol(mask, args.out)
-    print(f"out\t{args.out}")
-    print(f"lesion_voxels\t{int(mask.voxels.sum())}")
+    nets = harness.load_two_stage(cfg, args.liver_ckpt, args.lesion_ckpt)
+    for volume_path, out in zip(args.volume, args.out):
+        mask = harness.segment(cfg, *nets, read_mvol(volume_path))
+        write_mvol(mask, out)
+        print(f"out\t{out}")
+        print(f"lesion_voxels\t{int(mask.voxels.sum())}")
     return 0
 
 
@@ -133,12 +137,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="override checkpoint_out")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("infer", help="two-stage segmentation of one volume")
-    p.add_argument("volume")
+    p = sub.add_parser("infer", help="two-stage segmentation of one or more volumes")
+    p.add_argument("volume", nargs="+")
     p.add_argument("--config", required=True)
     p.add_argument("--liver-ckpt", required=True)
     p.add_argument("--lesion-ckpt", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, action="append",
+                   help="output mask path, once per volume, in the same order")
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("evaluate", help="per-case and global Dice over mask directories")

@@ -139,12 +139,16 @@ def _sample_stream(prepared, cfg: TrainConfig, aug_rng: np.random.Generator) -> 
         epoch += 1
 
 
-def build_network(cfg: TrainConfig, stage: Optional[str] = None) -> FedNet:
+def build_network(cfg: TrainConfig, stage: Optional[str] = None,
+                  init: bool = True) -> FedNet:
     """Network for a stage: the liver stage uses the baseline (all ablation
-    flags off), the lesion stage uses the configured flags."""
+    flags off), the lesion stage uses the configured flags.  Weights are drawn
+    from the config seed's init stream, or are zero with ``init=False``, for
+    a network whose values are loaded next."""
     stage = stage or cfg.stage
     spec = cfg.network.baseline() if stage == "liver" else cfg.network
-    init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
+    init_rng = (np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
+                if init else None)
     return FedNet(spec, rng=init_rng)
 
 
@@ -244,19 +248,27 @@ def training_set_dice(net: FedNet, prepared, cfg: TrainConfig) -> tuple[float, f
 # ---------------------------------------------------------------------------
 
 
-def infer(cfg: TrainConfig, liver_ckpt, lesion_ckpt, volume: Volume) -> Volume:
-    """Two-stage segmentation of one CT volume.
+def load_two_stage(cfg: TrainConfig, liver_ckpt, lesion_ckpt) -> tuple[FedNet, FedNet]:
+    """The (liver, lesion) networks of the cascade, each built without an
+    initial draw and loaded from its FEDCKPT1 file; load once, then
+    :func:`segment` any number of volumes."""
+    nets = []
+    for stage, path in (("liver", liver_ckpt), ("lesion", lesion_ckpt)):
+        net = build_network(cfg, stage=stage, init=False)
+        checkpoint.load_parameters(net, path)
+        nets.append(net)
+    return nets[0], nets[1]
+
+
+def segment(cfg: TrainConfig, liver_net: FedNet, lesion_net: FedNet,
+            volume: Volume) -> Volume:
+    """Two-stage segmentation of one CT volume with loaded networks.
 
     Stage 1 runs the baseline liver network on every slice; the thresholded
     largest component selects the slices the lesion network sees.  The final
     mask is the lesion mask restricted to that component's bounding box; an
     empty liver yields an empty mask.
     """
-    liver_net = build_network(cfg, stage="liver")
-    checkpoint.load_parameters(liver_net, checkpoint.load_checkpoint(liver_ckpt))
-    lesion_net = build_network(cfg, stage="lesion")
-    checkpoint.load_parameters(lesion_net, checkpoint.load_checkpoint(lesion_ckpt))
-
     norm = hu_window_normalize(volume.voxels)
     liver_prob = predict_volume(liver_net, norm, range(norm.shape[0]))
     liver_mask = largest_component(threshold_mask(liver_prob, cfg.liver_threshold),
@@ -267,6 +279,13 @@ def infer(cfg: TrainConfig, liver_ckpt, lesion_ckpt, volume: Volume) -> Volume:
         lesion_prob = predict_volume(lesion_net, norm, liver_z)
     final = hierarchical_postprocess(liver_mask, lesion_prob, cfg.lesion_threshold)
     return Volume(final, volume.spacing)
+
+
+def infer(cfg: TrainConfig, liver_ckpt, lesion_ckpt, volume: Volume) -> Volume:
+    """Two-stage segmentation of one CT volume from the two checkpoint paths:
+    :func:`load_two_stage` then :func:`segment`.  Over several volumes, load
+    once and call :func:`segment` for each."""
+    return segment(cfg, *load_two_stage(cfg, liver_ckpt, lesion_ckpt), volume)
 
 
 def evaluate(pred_dir, gt_dir, gt_label: Optional[int] = None) -> MetricsReport:

@@ -65,6 +65,7 @@ def weighted_bce(y, y_hat, w: LossWeights = LossWeights()) -> Tensor:
     with p the prediction clamped to [CLAMP_DELTA, 1 - CLAMP_DELTA]."""
     y, y_hat = as_tensor(y), as_tensor(y_hat)
     _validate_pair(y, y_hat, "weighted_bce")
+    check_dtypes("weighted_bce", y, y_hat)
     p = y_hat.clamp(CLAMP_DELTA, 1.0 - CLAMP_DELTA)
     pos = y * p.log() * (w.omega1 - 1.0)
     negm = (1.0 - y) * (1.0 - p).log() * w.omega1
@@ -77,6 +78,7 @@ def soft_jaccard(y, y_hat, epsilon: float = 1e-15) -> Tensor:
     and 1 when both sides are empty."""
     y, y_hat = as_tensor(y), as_tensor(y_hat)
     _validate_pair(y, y_hat, "soft_jaccard")
+    check_dtypes("soft_jaccard", y, y_hat)
     return _jaccard(y, y_hat, epsilon, None)
 
 

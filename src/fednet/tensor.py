@@ -330,7 +330,9 @@ class Parameter:
     def __init__(self, array: np.ndarray, name: str = ""):
         self.name = name
         self.value = Tensor(array, requires_grad=True)
-        self.momentum = np.zeros_like(self.value.data)
+        # np.zeros takes untouched zero pages, so a momentum buffer that a
+        # checkpoint overwrites next is written once (zeros_like writes it twice)
+        self.momentum = np.zeros(self.value.data.shape, self.value.data.dtype)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={tuple(self.value.shape)})"

@@ -249,8 +249,8 @@ def test_criterion_9_end_to_end(tmp_path):
     gt.mkdir()
     cfg = TrainConfig(data_dir=str(data))
     liver_net = harness.build_network(cfg, stage="liver")
-    from fednet.checkpoint import load_checkpoint, load_parameters
-    load_parameters(liver_net, load_checkpoint(work / "liver.fedckpt"))
+    from fednet.checkpoint import load_parameters
+    load_parameters(liver_net, work / "liver.fedckpt")
 
     for ct_path in sorted(data.glob("*_ct.mvol")):
         name = ct_path.name[:-len("_ct.mvol")]

@@ -70,12 +70,38 @@ class TestFormat:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["kept.fedckpt"]
 
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.fedckpt"
+        path.write_bytes(b"FEDCKPT1" + struct.pack("<I", 2) + entry_bytes("w", np.ones(2))
+                         + entry_bytes("w", np.zeros(2)))
+        with pytest.raises(CheckpointError, match="duplicate parameter name 'w'"):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "extra.fedckpt"
         save_checkpoint(path, {"w": np.zeros(2, np.float32)})
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+
+def entry_bytes(name, arr):
+    """One FEDCKPT1 entry, written by hand."""
+    arr = np.asarray(arr, dtype="<f4")
+    encoded = name.encode("utf-8")
+    return (struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", arr.ndim)
+            + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes())
+
+
+def values_of(net):
+    return {name: (p.value.data.copy(), p.momentum.copy())
+            for name, p in net.named_parameters().items()}
+
+
+def assert_unchanged(net, before):
+    for name, p in net.named_parameters().items():
+        np.testing.assert_array_equal(p.value.data, before[name][0])
+        np.testing.assert_array_equal(p.momentum, before[name][1])
 
 
 class TestNetworkState:
@@ -88,10 +114,52 @@ class TestNetworkState:
         save_checkpoint(path, state_arrays(net))
 
         other = small_net(seed=2)
-        load_parameters(other, load_checkpoint(path))
+        load_parameters(other, path)
         for name, p in other.named_parameters().items():
             np.testing.assert_array_equal(p.value.data, params[name].value.data)
             np.testing.assert_array_equal(p.momentum, params[name].momentum)
+
+    def test_loads_into_the_existing_arrays(self, tmp_path):
+        path = tmp_path / "net.fedckpt"
+        save_checkpoint(path, state_arrays(small_net(seed=1)))
+        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4))
+        arrays = {name: (p.value.data, p.momentum)
+                  for name, p in net.named_parameters().items()}
+        load_parameters(net, path)
+        for name, p in net.named_parameters().items():
+            assert p.value.data is arrays[name][0] and p.momentum is arrays[name][1]
+
+    def test_float64_network_loads_the_float32_values(self, tmp_path):
+        net = small_net(seed=1)
+        path = tmp_path / "net.fedckpt"
+        save_checkpoint(path, state_arrays(net))
+        wide = small_net(seed=2).astype(np.float64)
+        load_parameters(wide, path)
+        narrow = net.named_parameters()
+        for name, p in wide.named_parameters().items():
+            assert p.value.data.dtype == np.float64
+            np.testing.assert_array_equal(p.value.data, narrow[name].value.data)
+
+    def test_value_only_checkpoint_keeps_momentum(self, tmp_path):
+        net = small_net(seed=1)
+        values = {name: p.value.data for name, p in net.named_parameters().items()}
+        path = tmp_path / "values.fedckpt"
+        save_checkpoint(path, values)
+        other = small_net(seed=2)
+        for p in other.parameters():
+            p.momentum[...] = 1.5
+        load_parameters(other, path)
+        assert all((p.momentum == 1.5).all() for p in other.parameters())
+
+    def test_load_checkpoint_returns_writable_copies(self, tmp_path):
+        path = tmp_path / "net.fedckpt"
+        arrays = state_arrays(small_net(seed=1))
+        save_checkpoint(path, arrays)
+        loaded = load_checkpoint(path)
+        assert list(loaded) == sorted(arrays)
+        for name, arr in loaded.items():
+            assert arr.flags.writeable and arr.flags.owndata
+            np.testing.assert_array_equal(arr, arrays[name])
 
     def test_momentum_suffix_entries_present(self, tmp_path):
         net = small_net()
@@ -100,20 +168,24 @@ class TestNetworkState:
         plain = {n for n in names if not n.endswith(".m")}
         assert plain and all(f"{n}.m" in names for n in plain)
 
-    def test_missing_parameter_rejected(self):
+    def test_missing_parameter_rejected(self, tmp_path):
         net = small_net()
         arrays = state_arrays(net)
         victim = next(k for k in arrays if not k.endswith(".m"))
         del arrays[victim]
+        path = tmp_path / "missing.fedckpt"
+        save_checkpoint(path, arrays)
         with pytest.raises(CheckpointMismatch, match="missing from checkpoint"):
-            load_parameters(net, arrays)
+            load_parameters(net, path)
 
-    def test_extra_parameter_rejected(self):
+    def test_extra_parameter_rejected(self, tmp_path):
         net = small_net()
         arrays = state_arrays(net)
         arrays["rogue.w"] = np.zeros(3, np.float32)
+        path = tmp_path / "extra.fedckpt"
+        save_checkpoint(path, arrays)
         with pytest.raises(CheckpointMismatch, match="unexpected in checkpoint"):
-            load_parameters(net, arrays)
+            load_parameters(net, path)
 
     def test_cross_configuration_load_rejected(self, tmp_path):
         duc_net = small_net(seed=3, enable_duc=True)
@@ -121,12 +193,95 @@ class TestNetworkState:
         save_checkpoint(path, state_arrays(duc_net))
         plain_net = small_net(seed=3, enable_duc=False)
         with pytest.raises(CheckpointMismatch):
-            load_parameters(plain_net, load_checkpoint(path))
+            load_parameters(plain_net, path)
 
-    def test_shape_mismatch_rejected(self):
+    def test_shape_mismatch_rejected(self, tmp_path):
         net = small_net()
         arrays = state_arrays(net)
         victim = next(k for k in arrays if not k.endswith(".m"))
         arrays[victim] = np.zeros((1, 1), np.float32)
+        path = tmp_path / "shape.fedckpt"
+        save_checkpoint(path, arrays)
         with pytest.raises(CheckpointMismatch, match="shape"):
-            load_parameters(net, arrays)
+            load_parameters(net, path)
+
+    def test_momentum_shape_mismatch_rejected(self, tmp_path):
+        net = small_net()
+        arrays = state_arrays(net)
+        victim = next(k for k in arrays if k.endswith(".m"))
+        arrays[victim] = np.zeros((1, 1), np.float32)
+        path = tmp_path / "mshape.fedckpt"
+        save_checkpoint(path, arrays)
+        with pytest.raises(CheckpointMismatch, match=f"{victim!r}: checkpoint shape"):
+            load_parameters(net, path)
+
+    def test_mismatch_message_is_one_line_with_counts(self, tmp_path):
+        net = small_net()
+        arrays = {f"rogue{i}": np.zeros(1, np.float32) for i in range(5)}
+        path = tmp_path / "rogue.fedckpt"
+        save_checkpoint(path, arrays)
+        with pytest.raises(CheckpointMismatch) as info:
+            load_parameters(net, path)
+        message = str(info.value)
+        n_params = len(net.named_parameters())
+        assert "\n" not in message
+        assert f"{n_params} missing from checkpoint" in message
+        assert "5 unexpected in checkpoint ['rogue0', 'rogue1', 'rogue2', ...]" in message
+        assert "rogue3" not in message
+
+
+class TestLoadParametersFile:
+    """File-level faults seen by load_parameters; each leaves the net as it was."""
+
+    @pytest.fixture
+    def net_and_blob(self, tmp_path):
+        net = small_net(seed=4)
+        path = tmp_path / "good.fedckpt"
+        save_checkpoint(path, state_arrays(small_net(seed=5)))
+        return net, path.read_bytes()
+
+    def rejected(self, tmp_path, net, blob, match):
+        path = tmp_path / "bad.fedckpt"
+        path.write_bytes(blob)
+        before = values_of(net)
+        with pytest.raises(CheckpointError, match=match):
+            load_parameters(net, path)
+        assert_unchanged(net, before)
+
+    def test_bad_magic(self, tmp_path, net_and_blob):
+        net, blob = net_and_blob
+        self.rejected(tmp_path, net, b"FEDCKPT0" + blob[8:], "not a FEDCKPT1 file")
+
+    def test_truncated_mid_payload(self, tmp_path, net_and_blob):
+        net, blob = net_and_blob
+        self.rejected(tmp_path, net, blob[:len(blob) // 2], "truncated at byte")
+
+    def test_truncated_mid_header(self, tmp_path, net_and_blob):
+        net, blob = net_and_blob
+        self.rejected(tmp_path, net, blob[:13], "truncated at byte 12")
+
+    def test_trailing_bytes(self, tmp_path, net_and_blob):
+        net, blob = net_and_blob
+        self.rejected(tmp_path, net, blob + b"\x00" * 3, "3 trailing bytes")
+
+    def test_duplicate_name(self, tmp_path, net_and_blob):
+        net, _ = net_and_blob
+        blob = (b"FEDCKPT1" + struct.pack("<I", 2) + entry_bytes("w", np.ones(2))
+                + entry_bytes("w", np.zeros(2)))
+        self.rejected(tmp_path, net, blob, "duplicate parameter name 'w'")
+
+    def test_name_mismatch(self, tmp_path, net_and_blob):
+        net, _ = net_and_blob
+        arrays = state_arrays(small_net(seed=5, enable_duc=False))
+        path = tmp_path / "other.fedckpt"
+        save_checkpoint(path, arrays)
+        self.rejected(tmp_path, net, path.read_bytes(), "missing from checkpoint")
+
+    def test_late_shape_mismatch(self, tmp_path, net_and_blob):
+        net, _ = net_and_blob
+        arrays = state_arrays(small_net(seed=5))
+        last = sorted(k for k in arrays if not k.endswith(".m"))[-1]
+        arrays[last] = np.zeros((2, 2), np.float32)
+        path = tmp_path / "late.fedckpt"
+        save_checkpoint(path, arrays)
+        self.rejected(tmp_path, net, path.read_bytes(), "shape")

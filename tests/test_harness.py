@@ -248,8 +248,18 @@ class TestInfer:
         ckpt = tmp_path / "wrong.fedckpt"
         save_checkpoint(ckpt, state_arrays(lesion_net))
         _, ct, _ = harness.load_dataset(dataset)[0]
-        with pytest.raises(CheckpointMismatch):
+        with pytest.raises(CheckpointMismatch) as info:
             harness.infer(cfg, ckpt, ckpt, ct)  # lesion ckpt offered as liver
+        assert "\n" not in str(info.value)
+
+    def test_uninitialized_build_is_zero(self, dataset, tmp_path):
+        cfg = micro_config(dataset, tmp_path / "unused4.fedckpt")
+        blank = harness.build_network(cfg, stage="lesion", init=False)
+        seeded = harness.build_network(cfg, stage="lesion")
+        assert list(blank.named_parameters()) == list(seeded.named_parameters())
+        for name, p in blank.named_parameters().items():
+            assert p.value.data.dtype == np.float32
+            assert name == "head_out.b" or not p.value.data.any()
 
 
 class TestEvaluate:
@@ -403,6 +413,56 @@ class TestCli:
             "--out", str(tmp_path / "mask.mvol")]) == 0
         mask = read_mvol(tmp_path / "mask.mvol")
         assert mask.voxels.dtype == np.uint8
+
+    def test_infer_cli_loads_once_for_many_volumes(self, dataset, tmp_path, monkeypatch,
+                                                   capsys):
+        cfg_path = tmp_path / "many.cfg"
+        cfg_path.write_text(f"data_dir = {dataset}\nbase_channels = 4\nse_reduction = 4\n"
+                            f"checkpoint_out = {tmp_path / 'unused.fedckpt'}\n")
+        cfg = parse_config(str(cfg_path))
+        ckpts = {}
+        for stage in ("liver", "lesion"):
+            net = harness.build_network(cfg, stage=stage)
+            # head biases +2 and 0: every slice is liver, and lesion
+            # probabilities near 0.5 clear the 0.3 threshold, so masks are not empty
+            net.head_out.b.value.data[...] = 2.0 if stage == "liver" else 0.0
+            ckpts[stage] = tmp_path / f"{stage}.fedckpt"
+            save_checkpoint(ckpts[stage], state_arrays(net))
+        common = ["--config", str(cfg_path), "--liver-ckpt", str(ckpts["liver"]),
+                  "--lesion-ckpt", str(ckpts["lesion"])]
+        volumes = [str(dataset / "case000_ct.mvol"), str(dataset / "case001_ct.mvol")]
+        singles = [tmp_path / "single0.mvol", tmp_path / "single1.mvol"]
+        for volume, out in zip(volumes, singles):
+            assert cli.main(["infer", volume, *common, "--out", str(out)]) == 0
+
+        loads = []
+        loader = harness.checkpoint.load_parameters
+
+        def counting(net, path):
+            loads.append(str(path))
+            return loader(net, path)
+
+        monkeypatch.setattr(harness.checkpoint, "load_parameters", counting)
+        capsys.readouterr()
+        many = [tmp_path / "many0.mvol", tmp_path / "many1.mvol"]
+        assert cli.main(["infer", *volumes, *common,
+                         "--out", str(many[0]), "--out", str(many[1])]) == 0
+        assert loads == [str(ckpts["liver"]), str(ckpts["lesion"])]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("out\t")] == [
+            f"out\t{many[0]}", f"out\t{many[1]}"]
+        for single, multi in zip(singles, many):
+            assert read_mvol(multi).voxels.any()
+            assert single.read_bytes() == multi.read_bytes()
+
+    def test_infer_cli_out_count_mismatch_exits_one(self, dataset, tmp_path, capsys):
+        missing = str(tmp_path / "never_read.fedckpt")
+        assert cli.main(["infer", str(dataset / "case000_ct.mvol"),
+                         str(dataset / "case001_ct.mvol"), "--config", "never_read.cfg",
+                         "--liver-ckpt", missing, "--lesion-ckpt", missing,
+                         "--out", str(tmp_path / "only.mvol")]) == 1
+        assert "2 volumes but 1 --out" in capsys.readouterr().err
+        assert not (tmp_path / "only.mvol").exists()
 
     def test_validation_errors_exit_one(self, tmp_path, capsys):
         bad_cfg = tmp_path / "bad.cfg"

@@ -39,6 +39,8 @@ MULTI_OPERAND_OPS = {
     "dense": (ops.dense, [(2, 3), (4, 3), (4,)]),
     "channel_scale": (ops.channel_scale, [(1, 2, 3, 3), (1, 2)]),
     "weighted_bce_with_logits": (losses.weighted_bce_with_logits, [(1, 1, 2, 2), (1, 1, 2, 2)]),
+    "weighted_bce": (losses.weighted_bce, [(1, 1, 2, 2), (1, 1, 2, 2)]),
+    "soft_jaccard": (losses.soft_jaccard, [(1, 1, 2, 2), (1, 1, 2, 2)]),
 }
 
 
