@@ -122,6 +122,19 @@ class Conv2d(Block):
         return ops.conv2d(x, self.w.value, self.b.value, self.stride, self.pad)
 
 
+def _conv_then(conv: Conv2d, then: Optional[Conv2d], phases: int
+               ) -> tuple[Tensor, Tensor]:
+    """Weight and bias of ``conv``, with the 1x1 stride-1 conv ``then``
+    folded in (:func:`ops.fold_1x1`) when one is given."""
+    if then is None:
+        return conv.w.value, conv.b.value
+    if then.stride != 1 or then.pad != 0:
+        raise ValueError(
+            f"only an unpadded stride-1 1x1 conv folds into the conv before it, "
+            f"got stride {then.stride}, pad {then.pad}")
+    return ops.fold_1x1(conv.w.value, conv.b.value, then.w.value, then.b.value, phases)
+
+
 class ConvTranspose2d(Block):
     def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator,
                  stride: int = 1, pad: int = 0):
@@ -256,20 +269,32 @@ class FeatureFusion(Block):
 class DUC(Block):
     """Dense upsampling convolution: a 3x3 conv expanding channels by r*r,
     then pixel shuffling to trade those channels for an r-fold resolution
-    gain."""
+    gain.
+
+    ``then``, a 1x1 stride-1 conv applied to the output, is folded into the
+    3x3 conv (:func:`ops.fold_1x1`): the conv computes r*r times then's output
+    channels, not r*r times its own, and the one shuffle yields then's
+    output directly.
+    """
 
     def __init__(self, cin: int, cout: int, r: int, rng: np.random.Generator):
         super().__init__()
         self.r = r
         self.conv = self._child("conv", Conv2d(cin, cout * r * r, 3, rng, pad=1))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ops.pixel_shuffle(self.conv(x), self.r)
+    def __call__(self, x: Tensor, then: Optional[Conv2d] = None) -> Tensor:
+        w, b = _conv_then(self.conv, then, self.r * self.r)
+        return ops.pixel_shuffle(ops.conv2d(x, w, b, 1, 1), self.r)
 
 
 class UpsampleConv(Block):
     """Replacement for DUC when it is disabled: a 3x3 pad-1 conv of the
     r-fold nearest upsample of x, conv3x3(upsample_nearest(x, r), w, b).
+
+    ``then``, a 1x1 stride-1 conv applied to the output, is folded into the
+    3x3 conv first (:func:`ops.fold_1x1` with one phase), so only then's output
+    channels are computed.  Write (w, b) for that folded pair, or for the
+    conv's own when there is no ``then``.
 
     Where the output has fewer channels than x has pixels per sample it is
     computed in the sub-pixel form (Shi et al., arXiv 1609.05158), without
@@ -281,14 +306,15 @@ class UpsampleConv(Block):
     the sub-pixel form builds an r*r smaller patch matrix and reads an r*r
     larger kernel, so by that count it moves less data when Cout < H*W, the
     test used here.  Timed at batch 8, float32, one BLAS thread, for slices
-    of 64x64 to 512x512: wherever the test picks the sub-pixel form it is
-    faster (upconv4 at 16x16, 16 vs 39 ms forward; the head at 64x64, 49 vs
-    333 ms), and the direct form is faster only for the smallest maps
-    (upconv4 at 2x2, 0.75 vs 1.25 ms).  Between H*W = Cout/4 and Cout the
-    sub-pixel form already ties or wins, so the test errs toward the direct
-    form there.  The test looks at one sample's shape only, so a sample's
-    output does not depend on its batch-mates.  The parameters are
-    ``conv.w`` [Cout, Cin, 3, 3] and ``conv.b`` in both forms.
+    of 64x64 to 512x512, with the head's 1x1 conv not yet folded in:
+    wherever the test picks the sub-pixel form it is faster (upconv4 at
+    16x16, 16 vs 39 ms forward; the 8-channel head at 64x64, 49 vs 333 ms),
+    and the direct form is faster only for the smallest maps (upconv4 at
+    2x2, 0.75 vs 1.25 ms).  Between H*W = Cout/4 and Cout the sub-pixel form
+    already ties or wins, so the test errs toward the direct form there.
+    The test looks at one sample's shape only, so a sample's output does not
+    depend on its batch-mates.  The parameters are ``conv.w`` [Cout, Cin, 3,
+    3] and ``conv.b`` in both forms.
     """
 
     def __init__(self, cin: int, cout: int, r: int, rng: np.random.Generator):
@@ -296,12 +322,13 @@ class UpsampleConv(Block):
         self.r = r
         self.conv = self._child("conv", Conv2d(cin, cout, 3, rng, pad=1))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        w, b, r = self.conv.w.value, self.conv.b.value, self.r
+    def __call__(self, x: Tensor, then: Optional[Conv2d] = None) -> Tensor:
+        w, b = _conv_then(self.conv, then, 1)
+        r = self.r
         if x.ndim == 4 and w.shape[0] < x.shape[2] * x.shape[3]:
             y = ops.conv2d(x, ops.subpixel_fold(w, r), ops.subpixel_tile(b, r), 1, 1)
             return ops.pixel_shuffle(y, r)
-        return self.conv(ops.upsample_nearest(x, r))
+        return ops.conv2d(ops.upsample_nearest(x, r), w, b, 1, 1)
 
 
 class DecoderBlock(Block):
@@ -375,7 +402,12 @@ class FedNet(Block):
     deepest level is upsampled stride 32 -> 16 (DUC or upsample+conv), then
     three stages each add a channel-matched skip and the first two double the
     resolution, reaching stride 4; the head upsamples by 4 to full resolution
-    and a 1x1 conv yields one logit channel.
+    and a 1x1 conv (``head_out``) yields one logit channel.  Nothing lies
+    between the head's upsampling conv and ``head_out``, so the head block
+    runs the two as one conv (``then=``, :func:`ops.fold_1x1`): a 3x3 conv
+    with 16 output channels, one per output phase, then one pixel shuffle to
+    [N, 1, H, W].  Training and inference both take this path; the
+    parameters keep their names and shapes.
 
     :meth:`logits` returns those pre-sigmoid logits, which training feeds to
     the loss; :meth:`forward` (and calling the network) returns
@@ -420,7 +452,8 @@ class FedNet(Block):
             p.name = name
 
     def logits(self, x: Tensor) -> Tensor:
-        """Pre-sigmoid output [N, 1, H, W] of the head's 1x1 conv."""
+        """Pre-sigmoid output [N, 1, H, W] of the head's 1x1 conv, folded
+        into the head's upsampling conv."""
         levels = self.encoder(x)
         skips = self.fuse(levels) if self.fuse is not None else levels
         d = self.up4(skips[3])
@@ -429,7 +462,7 @@ class FedNet(Block):
         d = d + self.skip2(skips[1])
         d = self.dec2(d)
         d = d + self.skip1(skips[0])
-        return self.head_out(self.head_up(d))
+        return self.head_up(d, then=self.head_out)
 
     def forward(self, x: Tensor) -> Tensor:
         """Foreground probabilities: ``sigmoid(logits(x))``."""

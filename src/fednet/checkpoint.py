@@ -135,17 +135,18 @@ def load_parameters(net, path) -> None:
     by name, each payload straight into the parameter's array.
 
     The file's value names must be exactly the network's parameter names,
-    with the same shapes; otherwise :class:`CheckpointMismatch` says, on one
-    line, how many names are missing and unexpected and quotes the first
-    few.  Every check runs before any value is read, so a rejected file
-    leaves ``net`` as it was.
+    with the same shapes, and each momentum entry must belong to one of
+    them; otherwise :class:`CheckpointMismatch` says, on one line, how many
+    names are missing and unexpected (an orphan momentum entry counts as
+    unexpected) and quotes the first few.  Every check runs before any
+    value is read, so a rejected file leaves ``net`` as it was.
     """
     params = net.named_parameters()
     with open(path, "rb") as fh:
         index = _index(fh, path)
         values = {k for k in index if not k.endswith(MOMENTUM_SUFFIX)}
         missing = sorted(set(params) - values)
-        extra = sorted(values - set(params))
+        extra = sorted(k for k in index if k.removesuffix(MOMENTUM_SUFFIX) not in params)
         if missing or extra:
             raise CheckpointMismatch(
                 f"{path}: parameter name mismatch: "

@@ -444,6 +444,25 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         b = Tensor(rng.uniform(-1, 1, (3,)), requires_grad=True)
         return lambda t: ops.subpixel_tile(t, 2), b
 
+    def fold_1x1_weight():
+        rng = _suite_rng(23)
+        b, v, c = _rand(rng, (8,)), _rand(rng, (2, 2, 1, 1)), _rand(rng, (2,))
+        w = Tensor(rng.uniform(-1, 1, (8, 2, 3, 3)), requires_grad=True)
+        return lambda t: ops.fold_1x1(t, b, v, c, 4)[0], w
+
+    def fold_1x1_second_weight():
+        rng = _suite_rng(24)
+        w, b, c = _rand(rng, (8, 2, 3, 3)), _rand(rng, (8,)), _rand(rng, (2,))
+        v = Tensor(rng.uniform(-1, 1, (2, 2, 1, 1)), requires_grad=True)
+
+        def f(t):
+            # v reaches both outputs: per output channel, the response to an
+            # all-ones patch
+            w_out, b_out = ops.fold_1x1(w, b, t, c, 4)
+            return w_out.sum(axis=(1, 2, 3)) + b_out
+
+        return f, v
+
     def se_check():
         rng = _suite_rng(12)
         block = SEBlock(8, 4, rng).astype(f64)
@@ -535,6 +554,8 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         ("pixel_shuffle", shuffle_check, True),
         ("subpixel_fold/weight", fold_check, True),
         ("subpixel_tile/bias", tile_check, True),
+        ("fold_1x1/weight", fold_1x1_weight, False),
+        ("fold_1x1/1x1_weight", fold_1x1_second_weight, False),
         ("se_block", se_check, True),
         ("rcb", rcb_check, True),
         ("feature_fuse", fuse_check, False),

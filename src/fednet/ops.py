@@ -18,6 +18,10 @@ resolution of its source instead of on replicated pixels:
   commute with nearest upsampling: upsampling replicates every pixel r*r
   times, which leaves a per-pixel map per-pixel and a spatial mean unchanged.
 
+A 1x1 conv that follows a conv, with at most a pixel shuffle between them,
+composes with it into one conv (``fold_1x1``), which computes only the 1x1
+conv's output channels.
+
 conv2d / conv_transpose2d are implemented via im2col / col2im so the heavy
 lifting is a single matmul; the transposed convolution is the exact adjoint
 of conv2d for matching geometry.  im2col is one strided view of the padded
@@ -387,6 +391,60 @@ def subpixel_tile(b: Tensor, r: int) -> Tensor:
     c = b.shape[0]
     out = Tensor(np.repeat(b.data, r * r))
     return record(out, (b,), lambda g: (g.reshape(c, r * r).sum(axis=1),))
+
+
+def fold_1x1(w: Tensor, b: Tensor, v: Tensor, c: Tensor, phases: int
+             ) -> tuple[Tensor, Tensor]:
+    """Weight and bias of one conv equal to the conv w:[C*phases, Cin, kh, kw],
+    b:[C*phases] followed by the 1x1 conv v:[Co, C, 1, 1], c:[Co], where
+    channel m*phases + p of the first conv is phase p of channel m, as
+    :func:`pixel_shuffle` reads it (phases = r*r; 1 for no shuffle):
+
+        W'[o*phases + p] = sum over m of v[o, m] * w[m*phases + p]
+        b'[o*phases + p] = sum over m of v[o, m] * b[m*phases + p] + c[o]
+
+    So ``pixel_shuffle(conv2d(x, W', b'), r)`` is the 1x1 conv of
+    ``pixel_shuffle(conv2d(x, w, b), r)``, with Co instead of C channels
+    computed.  W' is bilinear in (v, w) and b' is affine in each of v, b
+    and c; the backward reaches all four inputs.
+    """
+    _check_rank("fold_1x1", w.shape, 4, "weight")
+    _check_rank("fold_1x1", b.shape, 1, "bias")
+    _check_rank("fold_1x1", v.shape, 4, "1x1 weight")
+    _check_rank("fold_1x1", c.shape, 1, "1x1 bias")
+    check_dtypes("fold_1x1", w, b, v, c)
+    co, cm = v.shape[:2]
+    if v.shape[2:] != (1, 1):
+        raise ValueError(f"fold_1x1: second kernel must be 1x1, got {tuple(v.shape[2:])}")
+    if phases < 1 or w.shape[0] != cm * phases:
+        raise ValueError(
+            f"fold_1x1: weight has {w.shape[0]} output channels, expected "
+            f"{cm} channels x {phases} phases")
+    if b.shape != (w.shape[0],):
+        raise ValueError(f"fold_1x1: bias must have shape ({w.shape[0]},), got {tuple(b.shape)}")
+    if c.shape != (co,):
+        raise ValueError(f"fold_1x1: 1x1 bias must have shape ({co},), got {tuple(c.shape)}")
+    v2 = v.data.reshape(co, cm)
+    # row m of each grouped operand holds every phase of channel m
+    wg = w.data.reshape(cm, -1)
+    bg = b.data.reshape(cm, phases)
+    w_out = Tensor((v2 @ wg).reshape((co * phases,) + w.shape[1:]))
+    b_out = Tensor((v2 @ bg + c.data[:, None]).reshape(co * phases))
+
+    def weight_backward(g):
+        g2 = g.reshape(co, -1)
+        dw = (v2.T @ g2).reshape(w.shape) if w.requires_grad else None
+        dv = (g2 @ wg.T).reshape(v.shape) if v.requires_grad else None
+        return dw, dv
+
+    def bias_backward(g):
+        g2 = g.reshape(co, phases)
+        db = (v2.T @ g2).reshape(b.shape) if b.requires_grad else None
+        dv = (g2 @ bg.T).reshape(v.shape) if v.requires_grad else None
+        return db, dv, g2.sum(axis=1)
+
+    return (record(w_out, (w, v), weight_backward),
+            record(b_out, (b, v, c), bias_backward))
 
 
 def pixel_unshuffle(x: Tensor, r: int) -> Tensor:

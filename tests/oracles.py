@@ -146,6 +146,22 @@ def subpixel_fold_reference(w, r):
     return out
 
 
+def fold_1x1_reference(w, b, v, c, phases):
+    """Weight and bias of a conv (w, b) followed by the 1x1 conv (v, c), where
+    channel m*phases + p of the first is phase p of channel m, summed one
+    term at a time."""
+    co, cm = v.shape[:2]
+    w_out = np.zeros((co * phases,) + w.shape[1:], dtype=np.float64)
+    b_out = np.zeros(co * phases, dtype=np.float64)
+    for o in range(co):
+        for p in range(phases):
+            b_out[o * phases + p] = c[o]
+            for m in range(cm):
+                w_out[o * phases + p] += v[o, m, 0, 0] * w[m * phases + p]
+                b_out[o * phases + p] += v[o, m, 0, 0] * b[m * phases + p]
+    return w_out, b_out
+
+
 def baseline_fednet_logits_reference(params, x):
     """Logits of a baseline FedNet (every ablation flag off) from its named
     parameter arrays, with every nearest upsample applied before the conv

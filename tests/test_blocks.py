@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fednet import ops
-from fednet.blocks import (DUC, RCB, DecoderBlock, Encoder, FeatureFusion, FedNet,
+from fednet.blocks import (DUC, RCB, Conv2d, DecoderBlock, Encoder, FeatureFusion, FedNet,
                            NetworkSpec, SEBlock, UpsampleConv)
 from fednet.tensor import Tape, Tensor, backward
 
@@ -236,6 +236,55 @@ class TestUpsampleConv:
         assert shapes == {"conv.w": (8, 16, 3, 3), "conv.b": (8,)}
 
 
+class TestFoldedHead:
+    """``head_up(x, then=head_out)`` against ``head_out(head_up(x))``."""
+
+    def _blocks(self, kind, r, seed):
+        head = kind(3, 2, r, rng_for(seed)).astype(F64)
+        out = Conv2d(2, 1, 1, rng_for(seed, 1)).astype(F64)
+        jitter = rng_for(seed, 2)
+        for p in head.parameters() + out.parameters():  # every bias nonzero
+            p.value.data[...] += jitter.uniform(-0.5, 0.5, p.value.shape)
+        return head, out
+
+    @pytest.mark.parametrize("kind", [DUC, UpsampleConv])
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    # (1, 1) has no more pixels than the folded conv's one output channel:
+    # UpsampleConv's direct form
+    @pytest.mark.parametrize("hw", [(3, 2), (1, 1)])
+    def test_values_and_gradients_match_the_unfused_head(self, kind, r, hw):
+        head, out = self._blocks(kind, r, 70 + r)
+        x0 = rng_for(71, r).uniform(-1, 1, (2, 3) + hw)
+        params = head.parameters() + out.parameters()
+        results = []
+        for fused in (True, False):
+            x = t(x0, requires_grad=True)
+            for p in params:
+                p.value.grad = None
+            with Tape() as tape:
+                y = head(x, then=out) if fused else out(head(x))
+                g = t(rng_for(72, r).uniform(-1, 1, y.shape))
+                s = (y * g).sum()
+            backward(s, tape)
+            results.append([y.data, x.grad] + [p.value.grad for p in params])
+        for got, expected in zip(*results):
+            np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
+        # the values against the loop oracles, as the unfused head is written
+        w, b = head.conv.w.value.data, head.conv.b.value.data
+        if kind is DUC:
+            up = pixel_shuffle_reference(conv2d_reference(x0, w, b, 1, 1), r)
+        else:
+            up = conv2d_reference(upsample_nearest_reference(x0, r), w, b, 1, 1)
+        expected = conv2d_reference(up, out.w.value.data, out.b.value.data, 1, 0)
+        np.testing.assert_allclose(results[0][0], expected, atol=1e-12, rtol=0)
+
+    def test_only_an_unpadded_stride1_conv_folds(self):
+        head = DUC(3, 2, 2, rng_for(73)).astype(F64)
+        strided = Conv2d(2, 1, 1, rng_for(74), stride=2).astype(F64)
+        with pytest.raises(ValueError, match="stride-1 1x1"):
+            head(t(np.zeros((1, 3, 2, 2))), then=strided)
+
+
 class TestDecoderBlock:
     def test_output_shape_doubles(self):
         block = DecoderBlock(16, 5, rng_for(25)).astype(F64)
@@ -338,6 +387,21 @@ class TestFedNet:
         np.testing.assert_allclose(net.logits(t(x)).data,
                                    baseline_fednet_logits_reference(params, x),
                                    atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_matches_unfused_evaluation_of_its_blocks(self, baseline):
+        spec = NetworkSpec(base_channels=4, se_reduction=4)
+        net = FedNet(spec.baseline() if baseline else spec, rng=rng_for(46)).astype(F64)
+        jitter = rng_for(47)
+        for p in net.parameters():
+            p.value.data[...] += jitter.uniform(-0.1, 0.1, p.value.shape)
+        x = t(rng_for(48).uniform(0, 1, (2, 3, 32, 64)))
+        levels = net.encoder(x)
+        skips = net.fuse(levels) if net.fuse is not None else levels
+        d = net.dec3(net.up4(skips[3]) + net.skip3(skips[2]))
+        d = net.dec2(d + net.skip2(skips[1]))
+        unfused = net.head_out(net.head_up(d + net.skip1(skips[0])))
+        np.testing.assert_allclose(net.logits(x).data, unfused.data, atol=1e-12, rtol=0)
 
     def test_six_ablation_configs_constructible_with_disjoint_block_names(self):
         from fednet.harness import ABLATION_ROWS
@@ -450,3 +514,28 @@ class TestNoConvOfReplicatedPixels:
         # only the stride-32 upsample-conv stays direct: 64 output channels
         # exceed its 2x2 source pixels, and then the direct form moves less data
         assert [shape for shape, _, upsampled in convs if upsampled] == [(8, 128, 4, 4)]
+
+
+class TestFoldedHeadConv:
+    """Structure, not timing: the shapes ``ops.conv2d`` sees in one forward
+    pass of the default networks at batch 8 of 3x64x64."""
+
+    @pytest.mark.parametrize("baseline", [True, False])
+    def test_head_is_one_16_channel_conv(self, monkeypatch, baseline):
+        calls = []
+        conv2d = ops.conv2d
+
+        def recording_conv2d(x, w, *args, **kwargs):
+            calls.append((x.shape, w.shape))
+            return conv2d(x, w, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "conv2d", recording_conv2d)
+        spec = NetworkSpec()
+        net = FedNet(spec.baseline() if baseline else spec, rng=rng_for(61))
+        net(Tensor(np.zeros((8, 3, 64, 64), dtype=np.float32)))
+        # the head: the 1x1 output conv folded into the x4 upsampling conv,
+        # r*r = 16 output phases of one logit channel
+        assert calls[-1] == ((8, 16, 16, 16), (16, 16, 3, 3))
+        # no 8 channels x 16 phases at 16x16, and no 1x1 conv over 64x64 maps
+        assert not [c for c in calls if c[1][0] == 128 and c[0][2:] == (16, 16)]
+        assert not [c for c in calls if c[0][1:] == (8, 64, 64)]

@@ -187,6 +187,20 @@ class TestNetworkState:
         with pytest.raises(CheckpointMismatch, match="unexpected in checkpoint"):
             load_parameters(net, path)
 
+    def test_orphan_momentum_rejected(self, tmp_path):
+        net = small_net()
+        before = values_of(net)
+        arrays = state_arrays(net)
+        arrays["encoder.nonexistent.w.m"] = np.zeros(3, np.float32)
+        path = tmp_path / "orphan.fedckpt"
+        save_checkpoint(path, arrays)
+        with pytest.raises(CheckpointMismatch) as info:
+            load_parameters(net, path)
+        message = str(info.value)
+        assert "0 missing from checkpoint" in message
+        assert "1 unexpected in checkpoint ['encoder.nonexistent.w.m']" in message
+        assert_unchanged(net, before)
+
     def test_cross_configuration_load_rejected(self, tmp_path):
         duc_net = small_net(seed=3, enable_duc=True)
         path = tmp_path / "duc.fedckpt"

@@ -9,7 +9,8 @@ from fednet import losses, ops, tensor
 from fednet.tensor import Tape, Tensor, backward
 
 from oracles import (conv2d_grad_reference, conv2d_reference, conv_transpose2d_reference,
-                     dense_reference, global_avg_pool_reference, pixel_shuffle_reference,
+                     dense_reference, fold_1x1_reference, global_avg_pool_reference,
+                     pixel_shuffle_reference,
                      sigmoid_branchwise_reference, sigmoid_scalar,
                      subpixel_fold_reference, upsample_nearest_reference)
 
@@ -333,6 +334,47 @@ class TestSubpixelFold:
     def test_kernel_must_be_3x3(self):
         with pytest.raises(ValueError, match="3x3"):
             ops.subpixel_fold(t(np.zeros((2, 3, 2, 2))), 2)
+
+
+class TestFold1x1:
+    @pytest.mark.parametrize("phases", [1, 4, 9])
+    def test_matches_term_sum_oracle(self, phases):
+        w = RNG.standard_normal((3 * phases, 2, 3, 3))
+        b = RNG.standard_normal(3 * phases)
+        v = RNG.standard_normal((2, 3, 1, 1))
+        c = RNG.standard_normal(2)
+        w_out, b_out = ops.fold_1x1(t(w), t(b), t(v), t(c), phases)
+        w_ref, b_ref = fold_1x1_reference(w, b, v, c, phases)
+        np.testing.assert_allclose(w_out.data, w_ref, atol=1e-13, rtol=0)
+        np.testing.assert_allclose(b_out.data, b_ref, atol=1e-13, rtol=0)
+
+    def test_backward_is_the_transpose_in_each_input(self):
+        # the outputs are linear in (w, b, c) for fixed v and linear in v for
+        # fixed (w, b): <out(u), g> == <u, d out/du^T g> for each input u
+        # (c enters once, as the constant term of the bias)
+        ins = [t(RNG.standard_normal(s), requires_grad=True)
+               for s in ((8, 3, 3, 3), (8,), (2, 2, 1, 1), (2,))]
+        with Tape() as tape:
+            w_out, b_out = ops.fold_1x1(*ins, 4)
+            gw, gb = RNG.standard_normal(w_out.shape), RNG.standard_normal(b_out.shape)
+            s = (w_out * t(gw)).sum() + (b_out * t(gb)).sum()
+        backward(s, tape)
+        w, b, v, c = ins
+        total = np.sum(w_out.data * gw) + np.sum(b_out.data * gb)
+        np.testing.assert_allclose(np.sum(w.data * w.grad) + np.sum(b.data * b.grad)
+                                   + np.sum(c.data * c.grad), total, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(np.sum(v.data * v.grad) + np.sum(c.data * c.grad),
+                                   total, atol=1e-12, rtol=0)
+
+    def test_second_kernel_must_be_1x1(self):
+        with pytest.raises(ValueError, match="1x1"):
+            ops.fold_1x1(t(np.zeros((4, 2, 3, 3))), t(np.zeros(4)),
+                         t(np.zeros((1, 4, 3, 3))), t(np.zeros(1)), 1)
+
+    def test_channels_must_match_phases(self):
+        with pytest.raises(ValueError, match="2 channels x 4 phases"):
+            ops.fold_1x1(t(np.zeros((4, 2, 3, 3))), t(np.zeros(4)),
+                         t(np.zeros((1, 2, 1, 1))), t(np.zeros(1)), 4)
 
 
 class TestPixelUnshuffle:
