@@ -56,7 +56,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    vol = read_mvol(args.volume)
+    vol = harness.check_ct(read_mvol(args.volume), args.volume)
     norm = Volume(hu_window_normalize(vol.voxels), vol.spacing)
     write_mvol(norm, args.out)
     print(f"out\t{args.out}")
@@ -78,7 +78,8 @@ def cmd_infer(args) -> int:
     cfg = _load_config(args)
     nets = harness.load_two_stage(cfg, args.liver_ckpt, args.lesion_ckpt)
     for volume_path, out in zip(args.volume, args.out):
-        mask = harness.segment(cfg, *nets, read_mvol(volume_path))
+        ct = harness.check_ct(read_mvol(volume_path), volume_path)
+        mask = harness.segment(cfg, *nets, ct)
         write_mvol(mask, out)
         print(f"out\t{out}")
         print(f"lesion_voxels\t{int(mask.voxels.sum())}")

@@ -33,10 +33,6 @@ class TrainConfig:
     liver_threshold: float = 0.5
     lesion_threshold: float = 0.3
     connectivity: int = 6
-    # pooled over the batch by default: per-slice overlap trains to a lower
-    # Dice with larger loss spikes, since an empty-target slice's Jaccard
-    # gradient grows as its predictions shrink
-    jaccard_per_slice: bool = False
     grad_clip: float = 3.0                 # global grad-norm cap; 0 disables
 
     def validate(self) -> None:

@@ -75,6 +75,18 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 
 
+def check_ct(volume: Volume, source) -> Volume:
+    """``volume`` itself if it holds int16 HU, the only input that HU
+    windowing accepts; otherwise a one-line :class:`DatasetError` naming
+    ``source`` and the dtype.  A float volume is most likely windowed already
+    (``fednet preprocess`` output): windowing it again would squeeze every
+    voxel into [0.4444, 0.4460]."""
+    if volume.voxels.dtype != np.int16:
+        raise DatasetError(f"{source}: a CT volume must hold int16 HU, got "
+                           f"{volume.voxels.dtype}; a windowed volume cannot be windowed again")
+    return volume
+
+
 def load_dataset(data_dir) -> list[tuple[str, Volume, Volume]]:
     """Load (name, ct, seg) triples from ``data_dir``; pairs are
     ``<name>_ct.mvol`` / ``<name>_seg.mvol``, returned in sorted name order."""
@@ -87,7 +99,7 @@ def load_dataset(data_dir) -> list[tuple[str, Volume, Volume]]:
         seg_path = root / f"{name}{SEG_SUFFIX}"
         if not seg_path.exists():
             raise DatasetError(f"missing segmentation for {ct_path.name}")
-        ct = read_mvol(ct_path)
+        ct = check_ct(read_mvol(ct_path), ct_path)
         seg = read_mvol(seg_path)
         if ct.voxels.shape != seg.voxels.shape:
             raise DatasetError(f"{name}: ct and seg dims differ")
@@ -116,12 +128,13 @@ def stage_targets(seg: np.ndarray, stage: str):
 
 
 def _sample_stream(prepared, cfg: TrainConfig, aug_rng: np.random.Generator) -> Iterator:
-    """Endless deterministic stream of augmented samples from (normalized CT,
-    target, eligible) triples.
+    """Endless deterministic stream of augmented (image [3,H,W], target
+    [1,H,W]) samples from (normalized CT, target, eligible) triples.
 
     Each epoch re-runs the per-volume Bernoulli sampling with a seed derived
     from (config seed, epoch, volume index); within an epoch the order is
-    volumes sorted by name, slices ascending.
+    volumes sorted by name, slices ascending.  A sample is built only when it
+    is drawn.
     """
     epoch = 0
     empty_epochs = 0
@@ -129,10 +142,9 @@ def _sample_stream(prepared, cfg: TrainConfig, aug_rng: np.random.Generator) -> 
         produced = 0
         for vol_idx, (norm, target, eligible) in enumerate(prepared):
             seed = np.random.SeedSequence([cfg.seed, epoch, vol_idx])
-            for sample in sample_slices(norm, target, seed, cfg.p_pos, cfg.p_neg, eligible):
-                sample = flip_augment(sample, aug_rng)
+            for z in sample_slices(target, seed, cfg.p_pos, cfg.p_neg, eligible):
                 produced += 1
-                yield sample
+                yield flip_augment(stack_adjacent_slices(norm, z), target[z][None], aug_rng)
         empty_epochs = empty_epochs + 1 if produced == 0 else 0
         if empty_epochs >= 8:
             raise DatasetError("sampling produced no slices for 8 consecutive epochs")
@@ -186,12 +198,10 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     zero_norm_run = 0
     for it in range(cfg.iterations):
         batch = [next(stream) for _ in range(cfg.batch_size)]
-        xb = Tensor(np.stack([s.image for s in batch]))
-        yb = Tensor(np.stack([s.target for s in batch]))
+        xb = Tensor(np.stack([image for image, _ in batch]))
+        yb = Tensor(np.stack([target for _, target in batch], dtype=np.float32))
         with Tape() as tape:
-            logits = net.logits(xb)
-            loss = combined_loss_with_logits(yb, logits, cfg.loss,
-                                             per_slice=cfg.jaccard_per_slice)
+            loss = combined_loss_with_logits(yb, net.logits(xb), cfg.loss)
         value = loss.item()
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite loss at iteration {it}")
@@ -267,9 +277,10 @@ def segment(cfg: TrainConfig, liver_net: FedNet, lesion_net: FedNet,
     Stage 1 runs the baseline liver network on every slice; the thresholded
     largest component selects the slices the lesion network sees.  The final
     mask is the lesion mask restricted to that component's bounding box; an
-    empty liver yields an empty mask.
+    empty liver yields an empty mask.  The CT must hold int16 HU
+    (:func:`check_ct`).
     """
-    norm = hu_window_normalize(volume.voxels)
+    norm = hu_window_normalize(check_ct(volume, "segment").voxels)
     liver_prob = predict_volume(liver_net, norm, range(norm.shape[0]))
     liver_mask = largest_component(threshold_mask(liver_prob, cfg.liver_threshold),
                                    cfg.connectivity)
@@ -538,6 +549,13 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         x = Tensor(rng.uniform(0.05, 0.95, (2, 1, 5, 5)), requires_grad=True)
         return lambda t: combined_loss(y, t, w), x
 
+    def logits_loss_check():
+        # the form training minimizes
+        rng = _suite_rng(25)
+        y = Tensor(rng.integers(0, 2, (2, 1, 5, 5)).astype(f64))
+        x = Tensor(rng.uniform(-4, 4, (2, 1, 5, 5)), requires_grad=True)
+        return lambda t: combined_loss_with_logits(y, t, LossWeights()), x
+
     # (name, builder, samplewise): samplewise where x has the batch axis and
     # f does not reduce across it, so grad_check may stack perturbed copies
     registry = [
@@ -565,6 +583,7 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         ("encoder", encoder_check, True),
         ("fednet_forward", fednet_check, True),
         ("combined_loss", loss_check, False),
+        ("combined_loss_with_logits", logits_loss_check, False),
     ]
     results = []
     for name, builder, samplewise in registry:

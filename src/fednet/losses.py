@@ -79,13 +79,13 @@ def soft_jaccard(y, y_hat, epsilon: float = 1e-15) -> Tensor:
     y, y_hat = as_tensor(y), as_tensor(y_hat)
     _validate_pair(y, y_hat, "soft_jaccard")
     check_dtypes("soft_jaccard", y, y_hat)
-    return _jaccard(y, y_hat, epsilon, None)
+    return _jaccard(y, y_hat, epsilon)
 
 
-def _jaccard(y: Tensor, y_hat: Tensor, epsilon: float, axis) -> Tensor:
-    """Soft-Jaccard ratio of a validated pair, summed over ``axis`` (None: all)."""
-    inter = (y * y_hat).sum(axis)
-    union = y.sum(axis) + y_hat.sum(axis) - inter
+def _jaccard(y: Tensor, y_hat: Tensor, epsilon: float) -> Tensor:
+    """Soft-Jaccard ratio of a validated pair, summed over every element."""
+    inter = (y * y_hat).sum()
+    union = y.sum() + y_hat.sum() - inter
     return (inter + epsilon) / (union + epsilon)
 
 
@@ -122,42 +122,33 @@ def weighted_bce_with_logits(y, z, w: LossWeights = LossWeights()) -> Tensor:
     return record(out, (y, z), backward_fn)
 
 
-def _log_jaccard(y: Tensor, y_hat: Tensor, epsilon: float, per_slice: bool) -> Tensor:
-    """log(soft_jaccard), averaged over the batch for 4-d per-slice pairs."""
-    if per_slice and y.ndim == 4:
-        return _jaccard(y, y_hat, epsilon, (1, 2, 3)).log().mean()
-    return _jaccard(y, y_hat, epsilon, None).log()
+def combined_loss(y, y_hat, w: LossWeights = LossWeights()) -> Tensor:
+    """weighted_bce - omega2 * log(soft_jaccard), the Jaccard overlap pooled
+    over the whole batch.
 
-
-def combined_loss(y, y_hat, w: LossWeights = LossWeights(), per_slice: bool = True) -> Tensor:
-    """weighted_bce - omega2 * log(soft_jaccard).
-
-    For 4-d batches with ``per_slice`` set, the Jaccard term is computed per
-    batch element, its log averaged over the batch; otherwise the whole pair
-    is treated as one slice.  Differentiable in the predictions and
-    non-negative for omega1 in (0, 1), omega2 >= 0.  This is the reference
-    form on probabilities; training uses :func:`combined_loss_with_logits`.
-    Its inputs are checked, and errors named, by :func:`weighted_bce`.
+    Differentiable in the predictions and non-negative for omega1 in (0, 1),
+    omega2 >= 0.  This is the reference form on probabilities; training uses
+    :func:`combined_loss_with_logits`.  Its inputs are checked, and errors
+    named, by :func:`weighted_bce`.
     """
     y, y_hat = as_tensor(y), as_tensor(y_hat)
     bce = weighted_bce(y, y_hat, w)
-    return bce - _log_jaccard(y, y_hat, w.epsilon, per_slice) * w.omega2
+    return bce - _jaccard(y, y_hat, w.epsilon).log() * w.omega2
 
 
-def combined_loss_with_logits(y, z, w: LossWeights = LossWeights(),
-                              per_slice: bool = True) -> Tensor:
+def combined_loss_with_logits(y, z, w: LossWeights = LossWeights()) -> Tensor:
     """:func:`combined_loss` of ``sigmoid(z)``, computed from the logits z.
 
     The cross entropy is :func:`weighted_bce_with_logits`; the Jaccard term
     takes ``sigmoid(z)`` from the same logits.  Equal to
-    ``combined_loss(y, sigmoid(z), w, per_slice)`` wherever every probability
-    lies in [CLAMP_DELTA, 1 - CLAMP_DELTA]; outside that range it keeps the
+    ``combined_loss(y, sigmoid(z), w)`` wherever every probability lies in
+    [CLAMP_DELTA, 1 - CLAMP_DELTA]; outside that range it keeps the
     cross-entropy gradient that the clamp of the probability form cuts off.
     Its inputs are checked, and errors named, by :func:`weighted_bce_with_logits`.
     """
     y, z = as_tensor(y), as_tensor(z)
     bce = weighted_bce_with_logits(y, z, w)
-    return bce - _log_jaccard(y, sigmoid(z), w.epsilon, per_slice) * w.omega2
+    return bce - _jaccard(y, sigmoid(z), w.epsilon).log() * w.omega2
 
 
 # ---------------------------------------------------------------------------

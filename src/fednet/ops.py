@@ -31,8 +31,6 @@ stride-1 conv of a contiguous input).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .tensor import Tensor, check_dtypes, log_kink_pattern, record
@@ -94,7 +92,7 @@ def _col2im(cols: np.ndarray, out_shape: tuple, kh: int, kw: int, stride: int,
 # ---------------------------------------------------------------------------
 
 
-def _check_conv(op: str, x: Tensor, w: Tensor, b: Optional[Tensor], stride: int,
+def _check_conv(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int,
                 pad: int, cin_axis: int) -> tuple[tuple, tuple]:
     """Operand checks shared by both convolutions: ranks, dtypes, stride,
     pad, the input channels against weight axis ``cin_axis``, and the bias
@@ -112,13 +110,12 @@ def _check_conv(op: str, x: Tensor, w: Tensor, b: Optional[Tensor], stride: int,
             f"{op}: channel axis mismatch: input has {xs[1]} channels (axis 1), "
             f"weight expects {ws[cin_axis]} (axis {cin_axis})")
     cout = ws[1 - cin_axis]
-    if b is not None and b.data.shape != (cout,):
+    if b.data.shape != (cout,):
         raise ValueError(f"{op}: bias must have shape ({cout},), got {b.data.shape}")
     return xs, ws
 
 
-def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
-           pad: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of x:[N,Cin,H,W] with w:[Cout,Cin,kh,kw].
 
     Output spatial extents: floor((H + 2*pad - kh) / stride) + 1, same for W.
@@ -135,10 +132,7 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
     ow = (width + 2 * pad - kw) // stride + 1
     cols = _im2col(x.data, kh, kw, stride, pad)
     w2 = w.data.reshape(cout, cin * kh * kw)
-    out_data = np.matmul(w2, cols).reshape(n, cout, oh, ow)
-    if b is not None:
-        out_data = out_data + b.data[None, :, None, None]
-    out = Tensor(out_data)
+    out = Tensor(np.matmul(w2, cols).reshape(n, cout, oh, ow) + b.data[None, :, None, None])
 
     def backward_fn(g):
         g2 = g.reshape(n, cout, oh * ow)
@@ -148,21 +142,20 @@ def conv2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None, stride: int = 1,
             dx = _col2im(dcols, xs, kh, kw, stride, pad, oh, ow)
         if w.requires_grad:
             dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(ws)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             db = g.sum(axis=(0, 2, 3))
-        return (dx, dw) if b is None else (dx, dw, db)
+        return dx, dw, db
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return record(out, inputs, backward_fn)
+    return record(out, (x, w, b), backward_fn)
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
-                     stride: int = 1, pad: int = 0) -> Tensor:
+def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
+                     pad: int = 0) -> Tensor:
     """Transposed convolution of x:[N,Cin,H,W] with w:[Cin,Cout,kh,kw].
 
     Output spatial extents: (H - 1)*stride - 2*pad + kh, same for W.  For
-    matching geometry this is the exact adjoint of :func:`conv2d`:
-    dot(conv2d(x, w), y) == dot(x, conv_transpose2d(y, w)).
+    matching geometry and zero biases this is the exact adjoint of
+    :func:`conv2d`: dot(conv2d(x, w, 0), y) == dot(x, conv_transpose2d(y, w, 0)).
     """
     xs, ws = _check_conv("conv_transpose2d", x, w, b, stride, pad, 0)
     n, cin, h, width = xs
@@ -176,10 +169,8 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 
     w2 = w.data.reshape(cin, cout * kh * kw)
     cols = np.matmul(w2.T, x.data.reshape(n, cin, h * width))
-    out_data = _col2im(cols, (n, cout, hp, wp), kh, kw, stride, pad, h, width)
-    if b is not None:
-        out_data = out_data + b.data[None, :, None, None]
-    out = Tensor(out_data)
+    out = Tensor(_col2im(cols, (n, cout, hp, wp), kh, kw, stride, pad, h, width)
+                 + b.data[None, :, None, None])
 
     def backward_fn(g):
         dx = dw = db = None
@@ -191,12 +182,11 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
         if w.requires_grad:
             dw = np.matmul(x.data.reshape(n, cin, h * width),
                            gcols.transpose(0, 2, 1)).sum(axis=0).reshape(ws)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             db = g.sum(axis=(0, 2, 3))
-        return (dx, dw) if b is None else (dx, dw, db)
+        return dx, dw, db
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return record(out, inputs, backward_fn)
+    return record(out, (x, w, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +194,7 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Optional[Tensor] = None,
 # ---------------------------------------------------------------------------
 
 
-def dense(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fully connected layer: y = x @ w.T + b for x:[N,Cin], w:[Cout,Cin]."""
     _check_rank("dense", x.shape, 2, "input")
     _check_rank("dense", w.shape, 2, "weight")
@@ -213,26 +203,20 @@ def dense(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise ValueError(
             f"dense: inner axis mismatch: input has {x.shape[1]} features (axis 1), "
             f"weight expects {w.shape[1]} (axis 1)")
-    if b is not None and b.shape != (w.shape[0],):
+    if b.shape != (w.shape[0],):
         raise ValueError(f"dense: bias must have shape ({w.shape[0]},), got {tuple(b.shape)}")
     # one 1-row product per sample: a 2-D product would run a gemv for one
     # row and a gemm for several, so a row's last bits would depend on its
     # batch-mates
-    out_data = np.matmul(x.data[:, None, :], w.data.T)[:, 0]
-    if b is not None:
-        out_data = out_data + b.data[None, :]
-    out = Tensor(out_data)
+    out = Tensor(np.matmul(x.data[:, None, :], w.data.T)[:, 0] + b.data[None, :])
 
     def backward_fn(g):
         dx = g @ w.data if x.requires_grad else None
         dw = g.T @ x.data if w.requires_grad else None
-        if b is None:
-            return dx, dw
         db = g.sum(axis=0) if b.requires_grad else None
         return dx, dw, db
 
-    inputs = (x, w) if b is None else (x, w, b)
-    return record(out, inputs, backward_fn)
+    return record(out, (x, w, b), backward_fn)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -42,62 +42,31 @@ def stack_adjacent_slices(volume: np.ndarray, z: int) -> np.ndarray:
     return np.stack([volume[lo], volume[z], volume[hi]])
 
 
-@dataclass
-class SliceSample:
-    """One training sample: a 3-channel normalized image, its binary target,
-    the source slice index, and whether the target contains any foreground."""
-
-    image: np.ndarray      # [3, H, W] float32 in [0, 1]
-    target: np.ndarray     # [1, H, W] float32 in {0, 1}
-    z_index: int
-    is_positive: bool
-
-
-def sample_slices(image_volume: np.ndarray, target_volume: np.ndarray, seed,
-                  p_pos: float = 0.9, p_neg: float = 0.1,
-                  eligible: np.ndarray | None = None) -> list[SliceSample]:
-    """Keep each slice independently with probability p_pos if its target
-    contains foreground, else p_neg; deterministic for a given seed.
+def sample_slices(target_volume: np.ndarray, seed, p_pos: float = 0.9, p_neg: float = 0.1,
+                  eligible: np.ndarray | None = None) -> np.ndarray:
+    """Ascending z indices of the slices kept: each slice independently with
+    probability p_pos if its target contains foreground, else p_neg;
+    deterministic for a given seed.
 
     One uniform draw is consumed per slice in ascending z, whether or not the
     slice is eligible, so the kept pattern does not depend on the eligibility
-    mask.  The returned list is in ascending z order.
+    mask.
     """
-    if image_volume.shape != target_volume.shape:
-        raise ValueError(
-            f"volume dims mismatch: image {image_volume.shape} vs target {target_volume.shape}")
-    rng = np.random.default_rng(seed)
-    out = []
-    for z in range(image_volume.shape[0]):
-        u = rng.random()
-        if eligible is not None and not eligible[z]:
-            continue
-        positive = bool(target_volume[z].any())
-        if u < (p_pos if positive else p_neg):
-            out.append(SliceSample(
-                image=stack_adjacent_slices(image_volume, z).astype(np.float32),
-                target=target_volume[z][None].astype(np.float32),
-                z_index=z,
-                is_positive=positive,
-            ))
-    return out
+    positive = target_volume.any(axis=(1, 2))
+    keep = np.random.default_rng(seed).random(positive.size) < np.where(positive, p_pos, p_neg)
+    if eligible is not None:
+        keep &= eligible
+    return np.nonzero(keep)[0]
 
 
-def flip_augment(sample: SliceSample, rng: np.random.Generator) -> SliceSample:
-    """Independently with probability 0.5 each, flip image and target along
-    the width and/or height axes; the two always flip together."""
+def flip_augment(image: np.ndarray, target: np.ndarray, rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Independently with probability 0.5 each, flip a [C,H,W] image and its
+    target along the width and/or height axes; the two always flip together."""
     flip_w = rng.random() < 0.5
     flip_h = rng.random() < 0.5
-    image, target = sample.image, sample.target
-    axes = []
-    if flip_h:
-        axes.append(1)
-    if flip_w:
-        axes.append(2)
-    if axes:
-        image = np.flip(image, axis=axes).copy()
-        target = np.flip(target, axis=axes).copy()
-    return SliceSample(image, target, sample.z_index, sample.is_positive)
+    axes = [axis for axis, flip in ((1, flip_h), (2, flip_w)) if flip]
+    return np.flip(image, axis=axes), np.flip(target, axis=axes)
 
 
 def threshold_mask(prob: np.ndarray, t: float) -> np.ndarray:

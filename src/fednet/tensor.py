@@ -210,11 +210,11 @@ def backward(root: Tensor, tape: Tape) -> None:
 # ---------------------------------------------------------------------------
 
 
-def check_dtypes(op: str, *tensors: Optional[Tensor]) -> None:
-    """TypeError naming ``op`` unless each tensor (None: skipped) has the first's dtype."""
+def check_dtypes(op: str, *tensors: Tensor) -> None:
+    """TypeError naming ``op`` unless each tensor has the first's dtype."""
     dtype = tensors[0].data.dtype
     for t in tensors[1:]:
-        if t is not None and t.data.dtype != dtype:
+        if t.data.dtype != dtype:
             raise TypeError(f"{op}: mixed precision {dtype} vs {t.data.dtype}")
 
 

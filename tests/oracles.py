@@ -7,7 +7,7 @@ and never calls into the package's vectorized code paths.
 import numpy as np
 
 
-def conv2d_reference(x, w, b=None, stride=1, pad=1):
+def conv2d_reference(x, w, b, stride=1, pad=1):
     """Direct 6-nested-loop cross-correlation."""
     n, cin, h, width = x.shape
     cout, _, kh, kw = w.shape
@@ -25,7 +25,7 @@ def conv2d_reference(x, w, b=None, stride=1, pad=1):
                             for kj in range(kw):
                                 acc += xp[nn, ci, i * stride + ki, j * stride + kj] \
                                     * w[co, ci, ki, kj]
-                    out[nn, co, i, j] = acc + (b[co] if b is not None else 0.0)
+                    out[nn, co, i, j] = acc + b[co]
     return out
 
 
@@ -54,7 +54,7 @@ def conv2d_grad_reference(x, w, g, stride=1, pad=1):
     return dxp[:, :, pad:pad + h, pad:pad + width], dw, db
 
 
-def conv_transpose2d_reference(x, w, b=None, stride=1, pad=0):
+def conv_transpose2d_reference(x, w, b, stride=1, pad=0):
     """Direct scatter-add transposed convolution; w is [Cin, Cout, kh, kw]."""
     n, cin, h, width = x.shape
     _, cout, kh, kw = w.shape
@@ -73,12 +73,10 @@ def conv_transpose2d_reference(x, w, b=None, stride=1, pad=0):
                                 oj = j * stride + kj - pad
                                 if 0 <= oi < oh and 0 <= oj < ow:
                                     out[nn, co, oi, oj] += v * w[ci, co, ki, kj]
-    if b is not None:
-        out += b[None, :, None, None]
-    return out
+    return out + b[None, :, None, None]
 
 
-def dense_reference(x, w, b=None):
+def dense_reference(x, w, b):
     n, cin = x.shape
     cout = w.shape[0]
     out = np.zeros((n, cout), dtype=np.float64)
@@ -87,7 +85,7 @@ def dense_reference(x, w, b=None):
             acc = 0.0
             for ci in range(cin):
                 acc += x[nn, ci] * w[co, ci]
-            out[nn, co] = acc + (b[co] if b is not None else 0.0)
+            out[nn, co] = acc + b[co]
     return out
 
 

@@ -63,7 +63,7 @@ def test_criterion_2_gradient_suite():
     for required in ["conv2d/input", "conv_transpose2d/input", "dense/input", "relu",
                      "sigmoid", "global_avg_pool", "upsample_nearest", "pixel_shuffle",
                      "se_block", "rcb", "feature_fuse", "duc_block", "decoder_block",
-                     "fednet_forward", "combined_loss"]:
+                     "fednet_forward", "combined_loss", "combined_loss_with_logits"]:
         assert required in names
     assert elapsed < 300.0, f"suite took {elapsed:.0f}s, budget is 300s"
     worst = max(c.max_rel_err for c in results)
@@ -82,8 +82,9 @@ def test_criterion_3_oracle_equivalences():
     assert np.abs(got - conv2d_reference(x, w, b, 2, 1)).max() <= 1e-12
     y = rng.standard_normal((2, 3, 4, 4))
     wt = rng.standard_normal((3, 2, 3, 3))
-    got_t = ops.conv_transpose2d(Tensor(y), Tensor(wt), None, 2, 1).data
-    assert np.abs(got_t - conv_transpose2d_reference(y, wt, None, 2, 1)).max() <= 1e-12
+    bt = np.zeros(2)
+    got_t = ops.conv_transpose2d(Tensor(y), Tensor(wt), Tensor(bt), 2, 1).data
+    assert np.abs(got_t - conv_transpose2d_reference(y, wt, bt, 2, 1)).max() <= 1e-12
 
     # losses against scalar evaluation
     yv = (rng.uniform(size=16) > 0.6).astype(float)

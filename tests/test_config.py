@@ -121,7 +121,6 @@ NON_DEFAULT = [
     ("liver_threshold", "0.6", None, 0.6),
     ("lesion_threshold", "0.4", None, 0.4),
     ("connectivity", "26", None, 26),
-    ("jaccard_per_slice", "true", None, True),
     ("grad_clip", "1.5", None, 1.5),
     ("base_channels", "32", "network", 32),
     ("se_reduction", "8", "network", 8),

@@ -165,22 +165,20 @@ def test_fednet_forward(hw):
 
 
 LOSS_SHAPES = [(1, 1, 4, 4), (2, 1, 3, 5), (3, 1, 2, 2)]
-# the per-slice Jaccard (the default) and the pooled one that training minimizes
-LOSS_CASES = ([pytest.param(s, True, id=f"shape{i}") for i, s in enumerate(LOSS_SHAPES)]
-              + [pytest.param(s, False, id=f"pooled-shape{i}") for i, s in enumerate(LOSS_SHAPES)])
+# the Jaccard term is pooled over the batch, the only form the loss has
+LOSS_IDS = [f"pooled-shape{i}" for i in range(len(LOSS_SHAPES))]
 
 
-@pytest.mark.parametrize("shape,per_slice", LOSS_CASES)
-def test_combined_loss(shape, per_slice):
+@pytest.mark.parametrize("shape", LOSS_SHAPES, ids=LOSS_IDS)
+def test_combined_loss(shape):
     rng = rng_for(18, *shape)
     y = Tensor(rng.integers(0, 2, shape).astype(F64))
-    run(lambda v: combined_loss(y, v, LossWeights(), per_slice),
-        leaf(rng, shape, 0.05, 0.95))
+    run(lambda v: combined_loss(y, v, LossWeights()), leaf(rng, shape, 0.05, 0.95))
 
 
-@pytest.mark.parametrize("shape,per_slice", LOSS_CASES)
-def test_combined_loss_with_logits(shape, per_slice):
+@pytest.mark.parametrize("shape", LOSS_SHAPES, ids=LOSS_IDS)
+def test_combined_loss_with_logits(shape):
     rng = rng_for(19, *shape)
     y = Tensor(rng.integers(0, 2, shape).astype(F64))
-    run(lambda v: combined_loss_with_logits(y, v, LossWeights(), per_slice),
+    run(lambda v: combined_loss_with_logits(y, v, LossWeights()),
         leaf(rng, shape, -4.0, 4.0))

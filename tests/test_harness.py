@@ -62,6 +62,13 @@ class TestLoadDataset:
         names = [name for name, _, _ in harness.load_dataset(dataset)]
         assert names == sorted(names)
 
+    def test_ct_and_seg_dims_differ(self, tmp_path):
+        make_dataset(tmp_path / "d", n=1)
+        seg = read_mvol(tmp_path / "d" / "case000_seg.mvol")
+        write_mvol(Volume(seg.voxels[:-1], seg.spacing), tmp_path / "d" / "case000_seg.mvol")
+        with pytest.raises(harness.DatasetError, match="case000: ct and seg dims differ"):
+            harness.load_dataset(tmp_path / "d")
+
 
 class TestStageTargets:
     def test_liver_stage(self):
@@ -111,7 +118,7 @@ class TestTrain:
         assert (tmp_path / "a2.fedckpt").read_bytes() != (tmp_path / "b2.fedckpt").read_bytes()
 
     @pytest.mark.parametrize("line", [
-        "omega1 = 0.3", "omega2 = 0.5", "epsilon = 1e-6", "jaccard_per_slice = true",
+        "omega1 = 0.3", "omega2 = 0.5", "epsilon = 1e-6",
     ])
     def test_loss_key_changes_checkpoint(self, dataset, tmp_path, line):
         def train_with(extra, name):
@@ -154,7 +161,7 @@ class TestTrain:
     def test_nonfinite_loss_aborts_with_iteration(self, dataset, tmp_path, monkeypatch):
         calls = []
 
-        def poisoned_loss(y, p, w, per_slice=True):
+        def poisoned_loss(y, p, w):
             calls.append(1)
             value = float("nan") if len(calls) > 2 else 1.0
             return p.sum() * 0.0 + value  # stays on the tape
@@ -463,6 +470,42 @@ class TestCli:
                          "--out", str(tmp_path / "only.mvol")]) == 1
         assert "2 volumes but 1 --out" in capsys.readouterr().err
         assert not (tmp_path / "only.mvol").exists()
+
+    def test_windowed_ct_exits_one_naming_file_and_dtype(self, dataset, tmp_path, capsys):
+        # a `fednet preprocess` output is windowed already: infer, train and
+        # preprocess each refuse it instead of windowing it a second time
+        norm = tmp_path / "norm.mvol"
+        assert cli.main(["preprocess", str(dataset / "case000_ct.mvol"),
+                         "--out", str(norm)]) == 0
+        cfg_path = tmp_path / "w.cfg"
+        cfg_path.write_text(f"data_dir = {tmp_path / 'windowed'}\nbase_channels = 4\n"
+                            f"se_reduction = 4\niterations = 1\nbatch_size = 2\n"
+                            f"checkpoint_out = {tmp_path / 'w.fedckpt'}\n")
+        cfg = parse_config(str(cfg_path))
+        for stage in ("liver", "lesion"):
+            save_checkpoint(tmp_path / f"{stage}.fedckpt",
+                            state_arrays(harness.build_network(cfg, stage=stage)))
+        (tmp_path / "windowed").mkdir()
+        (tmp_path / "windowed" / "case000_ct.mvol").write_bytes(norm.read_bytes())
+        (tmp_path / "windowed" / "case000_seg.mvol").write_bytes(
+            (dataset / "case000_seg.mvol").read_bytes())
+        capsys.readouterr()
+        commands = [
+            (["infer", str(norm), "--config", str(cfg_path),
+              "--liver-ckpt", str(tmp_path / "liver.fedckpt"),
+              "--lesion-ckpt", str(tmp_path / "lesion.fedckpt"),
+              "--out", str(tmp_path / "mask.mvol")], "norm.mvol"),
+            (["train", "--config", str(cfg_path)], "case000_ct.mvol"),
+            (["preprocess", str(norm), "--out", str(tmp_path / "twice.mvol")], "norm.mvol"),
+        ]
+        for argv, name in commands:
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert name in err and "float32" in err and "int16" in err
+        assert not (tmp_path / "mask.mvol").exists()
+        assert not (tmp_path / "w.fedckpt").exists()
+        assert not (tmp_path / "twice.mvol").exists()
 
     def test_validation_errors_exit_one(self, tmp_path, capsys):
         bad_cfg = tmp_path / "bad.cfg"

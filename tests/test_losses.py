@@ -134,14 +134,6 @@ class TestCombinedLoss:
         p = Tensor(RNG.uniform(0.05, 0.95, size=(2, 1, 3, 3)), requires_grad=True)
         assert grad_check(lambda v: combined_loss(y, v), p, tol=1e-4).passed
 
-    def test_per_slice_flag_changes_batch_semantics(self):
-        y = np.zeros((2, 1, 2, 2))
-        y[0] = 1.0
-        p = np.full((2, 1, 2, 2), 0.5)
-        per_slice = combined_loss(*pair(y, p), per_slice=True).item()
-        pooled = combined_loss(*pair(y, p), per_slice=False).item()
-        assert per_slice != pytest.approx(pooled, abs=1e-9)
-
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 31), st.floats(0.05, 0.95), st.floats(0.0, 3.0))
     def test_nonnegative_on_random_pairs(self, seed, omega1, omega2):
@@ -170,16 +162,15 @@ class TestCombinedLoss:
 
 
 class TestCombinedLossWithLogits:
-    @pytest.mark.parametrize("per_slice", [True, False])
-    def test_equals_probability_form_inside_clamp(self, per_slice):
+    def test_equals_probability_form_inside_clamp(self):
         w = LossWeights(omega1=0.3, omega2=1.5)
         rng = np.random.default_rng(11)
         y = Tensor((rng.uniform(size=(3, 1, 4, 5)) > 0.6).astype(np.float64))
         z = Tensor(rng.uniform(-8.0, 8.0, size=y.shape))
         p = sigmoid(z)
         assert np.all((p.data >= CLAMP_DELTA) & (p.data <= 1.0 - CLAMP_DELTA))
-        got = combined_loss_with_logits(y, z, w, per_slice=per_slice).item()
-        want = combined_loss(y, p, w, per_slice=per_slice).item()
+        got = combined_loss_with_logits(y, z, w).item()
+        want = combined_loss(y, p, w).item()
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_saturated_positive_pixel_keeps_gradient(self):

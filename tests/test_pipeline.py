@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fednet.pipeline import (Bbox3, EmptyMaskError, SliceSample, bbox_of_mask,
+from fednet import harness
+from fednet.config import TrainConfig
+from fednet.pipeline import (Bbox3, EmptyMaskError, bbox_of_mask,
                              connected_components_3d, flip_augment,
                              hierarchical_postprocess, hu_window_normalize,
                              largest_component, sample_slices,
@@ -66,59 +68,77 @@ class TestStackAdjacentSlices:
 
 
 class TestSampleSlices:
-    def _volumes(self, nz=20, positive_every=2):
-        image = RNG.uniform(size=(nz, 4, 4)).astype(np.float32)
+    def _target(self, nz=20, positive_every=2):
         target = np.zeros((nz, 4, 4), dtype=np.uint8)
         target[::positive_every, 1, 1] = 1
-        return image, target
+        return target
 
     def test_all_positive_kept_at_probability_one(self):
-        image, target = self._volumes(positive_every=1)
-        out = sample_slices(image, target, seed=0, p_pos=1.0, p_neg=0.0)
-        assert [s.z_index for s in out] == list(range(20))
-        assert all(s.is_positive for s in out)
+        out = sample_slices(self._target(positive_every=1), seed=0, p_pos=1.0, p_neg=0.0)
+        assert out.tolist() == list(range(20))
 
     def test_zero_probabilities_keep_nothing(self):
-        image, target = self._volumes()
-        assert sample_slices(image, target, seed=0, p_pos=0.0, p_neg=0.0) == []
+        assert sample_slices(self._target(), seed=0, p_pos=0.0, p_neg=0.0).size == 0
 
     def test_deterministic_per_seed(self):
-        image, target = self._volumes()
-        a = [s.z_index for s in sample_slices(image, target, seed=9)]
-        b = [s.z_index for s in sample_slices(image, target, seed=9)]
-        c = [s.z_index for s in sample_slices(image, target, seed=10)]
+        target = self._target()
+        a = sample_slices(target, seed=9).tolist()
+        b = sample_slices(target, seed=9).tolist()
+        c = sample_slices(target, seed=10).tolist()
         assert a == b
         assert a == sorted(a)
         assert a != c
 
     def test_eligibility_mask_restricts_and_keeps_draw_stream(self):
-        image, target = self._volumes()
+        target = self._target()
         eligible = np.zeros(20, dtype=bool)
         eligible[5:10] = True
-        out = sample_slices(image, target, seed=3, p_pos=1.0, p_neg=1.0, eligible=eligible)
-        assert {s.z_index for s in out} == set(range(5, 10))
+        out = sample_slices(target, seed=3, p_pos=1.0, p_neg=1.0, eligible=eligible)
+        assert out.tolist() == list(range(5, 10))
+        # an ineligible slice still consumes its draw: the kept eligible
+        # slices are those kept without the mask
+        full = sample_slices(target, seed=3)
+        masked = sample_slices(target, seed=3, eligible=eligible)
+        assert masked.tolist() == [z for z in full.tolist() if eligible[z]]
 
     def test_bernoulli_statistics(self):
         nz = 10000
-        image = np.zeros((nz, 2, 2), dtype=np.float32)
         target = np.zeros((nz, 2, 2), dtype=np.uint8)
         target[:, 0, 0] = 1  # every slice positive
-        kept = len(sample_slices(image, target, seed=1234, p_pos=0.9, p_neg=0.0))
+        kept = sample_slices(target, seed=1234, p_pos=0.9, p_neg=0.0).size
         assert abs(kept / nz - 0.9) <= 0.01
         target[...] = 0  # every slice negative
-        kept = len(sample_slices(image, target, seed=1234, p_pos=0.0, p_neg=0.1))
+        kept = sample_slices(target, seed=1234, p_pos=0.0, p_neg=0.1).size
         assert abs(kept / nz - 0.1) <= 0.01
 
     def test_channel_structure(self):
-        image, target = self._volumes()
-        sample = sample_slices(image, target, seed=0, p_pos=1.0, p_neg=1.0)[3]
-        np.testing.assert_array_equal(sample.image,
-                                      stack_adjacent_slices(image, sample.z_index))
-        assert sample.target.shape == (1, 4, 4)
+        # training stacks each drawn index with its neighbours, in draw order
+        image = RNG.uniform(size=(20, 4, 4)).astype(np.float32)
+        target = self._target()
+        cfg = TrainConfig(seed=0, p_pos=1.0, p_neg=1.0)
+        prepared = [(image, target, np.ones(20, dtype=bool))]
+        stream = harness._sample_stream(prepared, cfg, _FixedRng([0.9] * 8))  # no flips
+        samples = [next(stream) for _ in range(4)]
+        sample_image, sample_target = samples[3]
+        np.testing.assert_array_equal(sample_image, stack_adjacent_slices(image, 3))
+        np.testing.assert_array_equal(sample_target, target[3][None])
+        assert sample_target.shape == (1, 4, 4)
 
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dims mismatch"):
-            sample_slices(np.zeros((3, 4, 4)), np.zeros((3, 4, 5)), seed=0)
+    def test_matches_one_scalar_draw_per_slice(self):
+        # the vectorized draw consumes the stream as one rng.random() per
+        # slice in ascending z, the order the sampling has always used
+        target = self._target(nz=30, positive_every=3)
+        eligible = np.arange(30) % 4 != 1
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            expected = []
+            for z in range(30):
+                u = rng.random()
+                p = 0.7 if target[z].any() else 0.2
+                if eligible[z] and u < p:
+                    expected.append(z)
+            got = sample_slices(target, seed, p_pos=0.7, p_neg=0.2, eligible=eligible)
+            assert got.tolist() == expected
 
 
 class _FixedRng:
@@ -132,35 +152,36 @@ class _FixedRng:
 
 
 class TestFlipAugment:
-    def _sample(self):
+    def _pair(self):
         image = RNG.uniform(size=(3, 4, 5)).astype(np.float32)
         target = (RNG.uniform(size=(1, 4, 5)) > 0.5).astype(np.float32)
-        return SliceSample(image, target, 7, True)
+        return image, target
 
     def test_double_flip_is_identity(self):
-        s = self._sample()
-        once = flip_augment(s, _FixedRng([0.0, 0.0]))      # flip both axes
-        twice = flip_augment(once, _FixedRng([0.0, 0.0]))
-        np.testing.assert_array_equal(twice.image, s.image)
-        np.testing.assert_array_equal(twice.target, s.target)
+        image, target = self._pair()
+        once = flip_augment(image, target, _FixedRng([0.0, 0.0]))      # flip both axes
+        twice = flip_augment(*once, _FixedRng([0.0, 0.0]))
+        np.testing.assert_array_equal(twice[0], image)
+        np.testing.assert_array_equal(twice[1], target)
 
     def test_image_and_target_flip_together(self):
-        s = self._sample()
-        flipped = flip_augment(s, _FixedRng([0.3, 0.8]))   # flip W only
-        np.testing.assert_array_equal(flipped.image, np.flip(s.image, axis=2))
-        np.testing.assert_array_equal(flipped.target, np.flip(s.target, axis=2))
+        image, target = self._pair()
+        flipped = flip_augment(image, target, _FixedRng([0.3, 0.8]))   # flip W only
+        np.testing.assert_array_equal(flipped[0], np.flip(image, axis=2))
+        np.testing.assert_array_equal(flipped[1], np.flip(target, axis=2))
 
     def test_no_flip_path(self):
-        s = self._sample()
-        out = flip_augment(s, _FixedRng([0.9, 0.9]))
-        np.testing.assert_array_equal(out.image, s.image)
-        assert out.z_index == s.z_index and out.is_positive == s.is_positive
+        image, target = self._pair()
+        out_image, out_target = flip_augment(image, target, _FixedRng([0.9, 0.9]))
+        np.testing.assert_array_equal(out_image, image)
+        np.testing.assert_array_equal(out_target, target)
 
     def test_seeded_generator_reproducible(self):
-        s = self._sample()
-        a = flip_augment(s, np.random.default_rng(5))
-        b = flip_augment(s, np.random.default_rng(5))
-        np.testing.assert_array_equal(a.image, b.image)
+        image, target = self._pair()
+        a = flip_augment(image, target, np.random.default_rng(5))
+        b = flip_augment(image, target, np.random.default_rng(5))
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
 
 class TestThresholdMask:

@@ -110,17 +110,17 @@ class TestConv2d:
 
     def test_channel_mismatch_names_axis(self):
         with pytest.raises(ValueError, match="channel axis"):
-            ops.conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((1, 3, 3, 3))), None, 1, 1)
+            ops.conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((1, 3, 3, 3))), t(np.zeros(1)), 1, 1)
 
     def test_too_small_spatial(self):
         with pytest.raises(ValueError, match="height axis"):
-            ops.conv2d(t(np.zeros((1, 1, 2, 8))), t(np.zeros((1, 1, 3, 3))), None, 1, 0)
+            ops.conv2d(t(np.zeros((1, 1, 2, 8))), t(np.zeros((1, 1, 3, 3))), t(np.zeros(1)), 1, 0)
 
     def test_deterministic_bits(self):
         x = RNG.standard_normal((2, 3, 8, 8))
         w = RNG.standard_normal((4, 3, 3, 3))
-        a = ops.conv2d(t(x), t(w), None, 1, 1).data
-        b = ops.conv2d(t(x), t(w), None, 1, 1).data
+        a = ops.conv2d(t(x), t(w), t(np.zeros(4)), 1, 1).data
+        b = ops.conv2d(t(x), t(w), t(np.zeros(4)), 1, 1).data
         assert a.tobytes() == b.tobytes()
 
 
@@ -134,7 +134,7 @@ class TestConvTranspose2d:
     def test_shape_formula(self):
         x = RNG.standard_normal((1, 1, 2, 2))
         w = RNG.standard_normal((1, 3, 2, 2))
-        out = ops.conv_transpose2d(t(x), t(w), None, 2, 0)
+        out = ops.conv_transpose2d(t(x), t(w), t(np.zeros(3)), 2, 0)
         assert out.shape == (1, 3, 4, 4)
 
     @pytest.mark.parametrize("h,s,p,k", [(7, 2, 1, 3), (6, 1, 0, 3), (9, 2, 0, 3), (8, 2, 1, 2)])
@@ -145,8 +145,8 @@ class TestConvTranspose2d:
         w = RNG.standard_normal((4, 3, k, k))
         oh = (h + 2 * p - k) // s + 1
         y = RNG.standard_normal((2, 4, oh, oh))
-        lhs = float(np.sum(ops.conv2d(t(x), t(w), None, s, p).data * y))
-        rhs = float(np.sum(x * ops.conv_transpose2d(t(y), t(w), None, s, p).data))
+        lhs = float(np.sum(ops.conv2d(t(x), t(w), t(np.zeros(4)), s, p).data * y))
+        rhs = float(np.sum(x * ops.conv_transpose2d(t(y), t(w), t(np.zeros(3)), s, p).data))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_matches_loop_oracle(self):
@@ -159,7 +159,8 @@ class TestConvTranspose2d:
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel axis"):
-            ops.conv_transpose2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((3, 1, 2, 2))), None, 1, 0)
+            ops.conv_transpose2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((3, 1, 2, 2))),
+                                 t(np.zeros(1)), 1, 0)
 
 
 class TestDense:
@@ -182,7 +183,7 @@ class TestDense:
 
     def test_inner_mismatch(self):
         with pytest.raises(ValueError, match="inner axis"):
-            ops.dense(t(np.zeros((2, 3))), t(np.zeros((4, 5))), None)
+            ops.dense(t(np.zeros((2, 3))), t(np.zeros((4, 5))), t(np.zeros(4)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_bits_independent_of_batch_size(self, dtype):
