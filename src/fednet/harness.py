@@ -177,7 +177,8 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     The loss is :func:`~fednet.losses.combined_loss_with_logits` on the
     network's logits, so a saturated output still gets a gradient.  Aborts
     with :class:`TrainingDiverged`, naming the iteration, on a non-finite
-    loss or when the pre-clip gradient norm has been exactly 0 for
+    loss, on a non-finite pre-clip gradient norm (before ``sgd_step``), or
+    when the pre-clip gradient norm has been exactly 0 for
     ``DEAD_GRADIENT_ITERATIONS`` consecutive iterations.
     """
     cfg.validate()
@@ -207,6 +208,10 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
             raise TrainingDiverged(f"non-finite loss at iteration {it}")
         backward(loss, tape)
         norm = clip_gradients(params, cfg.grad_clip)
+        if not np.isfinite(norm):
+            # a NaN norm skips clipping, and sgd_step would write NaN into
+            # every parameter
+            raise TrainingDiverged(f"non-finite gradient norm {norm} at iteration {it}")
         zero_norm_run = zero_norm_run + 1 if norm == 0.0 else 0
         if zero_norm_run >= DEAD_GRADIENT_ITERATIONS:
             raise TrainingDiverged(
@@ -393,6 +398,14 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)), requires_grad=True)
         return lambda t: ops.conv2d(x, t, b, 2, 1), w
 
+    def conv_weight_deep():
+        # 8 output channels on a 2x2 map: the weight gradient is one GEMM
+        # over the whole batch (ops.sum_matmul_t)
+        rng = _suite_rng(26)
+        x, b = _rand(rng, (2, 4, 2, 2)), _rand(rng, (8,))
+        w = Tensor(rng.uniform(-1, 1, (8, 4, 3, 3)), requires_grad=True)
+        return lambda t: ops.conv2d(x, t, b, 1, 1), w
+
     def convt_input():
         rng = _suite_rng(3)
         w, b = _rand(rng, (3, 4, 2, 2)), _rand(rng, (4,))
@@ -561,6 +574,7 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
     registry = [
         ("conv2d/input", conv_input, True),
         ("conv2d/weight", conv_weight, False),
+        ("conv2d/weight_deep", conv_weight_deep, False),
         ("conv_transpose2d/input", convt_input, True),
         ("conv_transpose2d/weight", convt_weight, False),
         ("dense/input", dense_input, True),

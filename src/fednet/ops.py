@@ -27,6 +27,14 @@ lifting is a single matmul; the transposed convolution is the exact adjoint
 of conv2d for matching geometry.  im2col is one strided view of the padded
 input plus one copy into the patch matrix (no copy for an unpadded 1x1
 stride-1 conv of a contiguous input).
+
+A conv's weight gradient is sum over n of g[n] @ cols[n].T (``sum_matmul_t``),
+with M output channels, K = Cin*kh*kw patch rows and P output pixels.
+Where M*K > P*(M+K), the deep layers with many channels on a few pixels, it
+is one GEMM over the joined (N*P) axis: N per-sample [M, K] products would
+each have an inner dimension of P and be written out before the sum.
+Elsewhere it stays one GEMM per sample, summed, which is faster there; those
+layers keep their bits.  The rule reads operand shapes only, not N.
 """
 
 from __future__ import annotations
@@ -87,6 +95,22 @@ def _col2im(cols: np.ndarray, out_shape: tuple, kh: int, kw: int, stride: int,
     return buf[:, :, pad:pad + h, pad:pad + w] if pad else buf
 
 
+def sum_matmul_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over n of a[n] @ b[n].T for a:[N,M,P] and b:[N,K,P]: [M,K].
+
+    When each per-sample product is larger than its two operands,
+    M*K > P*(M+K) (deep layers: many channels, few pixels), this is one GEMM
+    over the joined (N*P) axis.  Otherwise it is N per-sample GEMMs summed,
+    which is faster there and keeps those layers' bits.  The choice depends
+    on the operand shapes only, never on N.
+    """
+    _, m, p = a.shape
+    k = b.shape[1]
+    if m * k > p * (m + k):
+        return np.tensordot(a, b, axes=([0, 2], [0, 2]))
+    return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Convolutions
 # ---------------------------------------------------------------------------
@@ -141,7 +165,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
             dcols = np.matmul(w2.T, g2)
             dx = _col2im(dcols, xs, kh, kw, stride, pad, oh, ow)
         if w.requires_grad:
-            dw = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(ws)
+            dw = sum_matmul_t(g2, cols).reshape(ws)
         if b.requires_grad:
             db = g.sum(axis=(0, 2, 3))
         return dx, dw, db
@@ -180,8 +204,7 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
         if x.requires_grad:
             dx = np.matmul(w2, gcols).reshape(xs)
         if w.requires_grad:
-            dw = np.matmul(x.data.reshape(n, cin, h * width),
-                           gcols.transpose(0, 2, 1)).sum(axis=0).reshape(ws)
+            dw = sum_matmul_t(x.data.reshape(n, cin, h * width), gcols).reshape(ws)
         if b.requires_grad:
             db = g.sum(axis=(0, 2, 3))
         return dx, dw, db

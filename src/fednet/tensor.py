@@ -172,7 +172,9 @@ def backward(root: Tensor, tape: Tape) -> None:
     """Reverse-mode pass: fills ``grad`` on every leaf reachable from ``root``.
 
     ``root`` must be a scalar produced through ``tape``.  Gradients sum over
-    all paths.  A tape can be walked once.
+    all paths.  A tape can be walked once: each entry is popped as it is
+    walked, so the activations and buffers its backward function holds are
+    freed during the walk, and the tape is empty afterwards.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {tuple(root.shape)}")
@@ -185,7 +187,9 @@ def backward(root: Tensor, tape: Tape) -> None:
 
     # id -> [tensor, accumulated gradient]; the buffer is always owned here.
     pending: dict[int, list] = {id(root): [root, np.ones_like(root.data)]}
-    for entry in reversed(tape.entries):
+    entries = tape.entries
+    while entries:
+        entry = entries.pop()
         slot = pending.pop(id(entry.out), None)
         if slot is None:
             continue

@@ -76,6 +76,36 @@ def conv_transpose2d_reference(x, w, b, stride=1, pad=0):
     return out + b[None, :, None, None]
 
 
+def conv_transpose2d_grad_reference(x, w, g, stride=1, pad=0):
+    """Gradients (dx, dw, db) of sum(g * conv_transpose2d(x, w, b)), by
+    gathering, for each scatter term of the forward loop, the upstream
+    gradient at the position it writes."""
+    n, cin, h, width = x.shape
+    _, cout, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    dx = np.zeros(x.shape, dtype=np.float64)
+    dw = np.zeros(w.shape, dtype=np.float64)
+    db = np.zeros(cout, dtype=np.float64)
+    for nn in range(n):
+        for co in range(cout):
+            for oi in range(oh):
+                for oj in range(ow):
+                    db[co] += g[nn, co, oi, oj]
+        for ci in range(cin):
+            for i in range(h):
+                for j in range(width):
+                    for co in range(cout):
+                        for ki in range(kh):
+                            for kj in range(kw):
+                                oi = i * stride + ki - pad
+                                oj = j * stride + kj - pad
+                                if 0 <= oi < oh and 0 <= oj < ow:
+                                    gv = g[nn, co, oi, oj]
+                                    dx[nn, ci, i, j] += gv * w[ci, co, ki, kj]
+                                    dw[ci, co, ki, kj] += gv * x[nn, ci, i, j]
+    return dx, dw, db
+
+
 def dense_reference(x, w, b):
     n, cin = x.shape
     cout = w.shape[0]

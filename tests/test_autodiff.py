@@ -65,8 +65,11 @@ class TestBackward:
     def test_tape_single_use(self):
         x = leaf([1.0])
         with Tape() as tape:
-            s = x.sum()
+            s = (x * 2.0).sum()
+        assert len(tape) == 2
         backward(s, tape)
+        # the walk pops every entry, freeing what its backward function held
+        assert len(tape) == 0
         with pytest.raises(RuntimeError, match="consumed"):
             backward(s, tape)
 

@@ -171,6 +171,27 @@ class TestTrain:
         with pytest.raises(harness.TrainingDiverged, match="iteration 2"):
             harness.train(cfg)
 
+    def test_nonfinite_gradient_norm_aborts_before_the_step(self, dataset, tmp_path,
+                                                            monkeypatch):
+        norms, steps = [], []
+        real_clip, real_step = harness.clip_gradients, harness.sgd_step
+
+        def poisoned_clip(params, max_norm):
+            norms.append(real_clip(params, max_norm))
+            return float("nan") if len(norms) > 2 else norms[-1]
+
+        def counted_step(*args, **kwargs):
+            steps.append(1)
+            real_step(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "clip_gradients", poisoned_clip)
+        monkeypatch.setattr(harness, "sgd_step", counted_step)
+        cfg = micro_config(dataset, tmp_path / "nan_norm.fedckpt", iterations=3)
+        with pytest.raises(harness.TrainingDiverged, match="gradient norm nan at iteration 2"):
+            harness.train(cfg)
+        assert len(steps) == 2
+        assert not (tmp_path / "nan_norm.fedckpt").exists()
+
     def test_zero_gradient_norm_aborts_with_iteration(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "clip_gradients", lambda params, max_norm: 0.0)
         k = harness.DEAD_GRADIENT_ITERATIONS

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from fednet import losses, ops, tensor
 from fednet.tensor import Tape, Tensor, backward
 
-from oracles import (conv2d_grad_reference, conv2d_reference, conv_transpose2d_reference,
+from oracles import (conv2d_grad_reference, conv2d_reference,
+                     conv_transpose2d_grad_reference, conv_transpose2d_reference,
                      dense_reference, fold_1x1_reference, global_avg_pool_reference,
                      pixel_shuffle_reference,
                      sigmoid_branchwise_reference, sigmoid_scalar,
@@ -16,12 +17,19 @@ from oracles import (conv2d_grad_reference, conv2d_reference, conv_transpose2d_r
 
 RNG = np.random.default_rng(20240811)
 
-# (xshape, wshape, stride, pad) checked against the loop oracles
+# (xshape, wshape, stride, pad) checked against the loop oracles.  Then the
+# 1x1 geometries (the stride-1 patch matrix is a view of the input), and deep
+# layers (many channels, 2x2 output), where ops.sum_matmul_t computes the
+# weight gradient as one GEMM over the whole batch
 CONV_GEOMETRIES = [
     ((1, 2, 4, 4), (3, 2, 3, 3), 1, 1),
     ((2, 3, 7, 6), (4, 3, 3, 2), 2, 1),
     ((1, 1, 5, 5), (2, 1, 2, 2), 2, 0),
     ((2, 2, 6, 6), (1, 2, 3, 3), 3, 2),
+    ((2, 3, 5, 4), (4, 3, 1, 1), 1, 0),
+    ((2, 3, 5, 4), (4, 3, 1, 1), 2, 0),
+    ((2, 8, 2, 2), (16, 8, 3, 3), 1, 1),
+    ((2, 4, 3, 3), (12, 4, 3, 3), 2, 1),
 ]
 
 
@@ -77,11 +85,7 @@ class TestConv2d:
         ref = conv2d_reference(x, w, b, stride, pad)
         np.testing.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
 
-    # the 1x1 geometries: the stride-1 patch matrix is a view of the input
-    @pytest.mark.parametrize("xshape,wshape,stride,pad", CONV_GEOMETRIES + [
-        ((2, 3, 5, 4), (4, 3, 1, 1), 1, 0),
-        ((2, 3, 5, 4), (4, 3, 1, 1), 2, 0),
-    ])
+    @pytest.mark.parametrize("xshape,wshape,stride,pad", CONV_GEOMETRIES)
     @pytest.mark.parametrize("layout", ["contiguous", "flipped", "transposed"])
     def test_backward_matches_loop_oracle(self, xshape, wshape, stride, pad, layout):
         rng = np.random.default_rng(513)
@@ -157,10 +161,55 @@ class TestConvTranspose2d:
         ref = conv_transpose2d_reference(x, w, b, 2, 1)
         np.testing.assert_allclose(out.data, ref, atol=1e-12, rtol=0)
 
+    # (xshape, wshape, stride, pad): the weight gradient summed per sample,
+    # then one GEMM over the whole batch (8 channels on a 2x2 input)
+    @pytest.mark.parametrize("xshape,wshape,stride,pad", [
+        ((2, 3, 4, 5), (3, 2, 3, 3), 2, 1),
+        ((2, 8, 2, 2), (8, 4, 3, 3), 2, 1),
+    ])
+    def test_backward_matches_loop_oracle(self, xshape, wshape, stride, pad):
+        rng = np.random.default_rng(514)
+        x, w = rng.standard_normal(xshape), rng.standard_normal(wshape)
+        xt, wt, bt = t(x, requires_grad=True), t(w, requires_grad=True), t(
+            rng.standard_normal(wshape[1]), requires_grad=True)
+        with Tape() as tape:
+            out = ops.conv_transpose2d(xt, wt, bt, stride, pad)
+            g = rng.standard_normal(out.shape)
+            loss = (out * Tensor(g)).sum()
+        backward(loss, tape)
+        dx, dw, db = conv_transpose2d_grad_reference(x, w, g, stride, pad)
+        np.testing.assert_allclose(xt.grad, dx, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(wt.grad, dw, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(bt.grad, db, atol=1e-12, rtol=0)
+
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel axis"):
             ops.conv_transpose2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((3, 1, 2, 2))),
                                  t(np.zeros(1)), 1, 0)
+
+
+class TestSumMatmulT:
+    # (a shape [N,M,P], b shape [N,K,P], folded): one GEMM over the batch
+    # exactly where M*K > P*(M+K)
+    @pytest.mark.parametrize("ashape,bshape,folded", [
+        ((3, 16, 4), (3, 72, 4), True),
+        ((1, 8, 1), (1, 9, 1), True),
+        ((3, 4, 16), (3, 36, 16), False),
+        ((2, 16, 256), (2, 144, 256), False),
+    ])
+    def test_each_branch_equals_the_per_sample_sum(self, ashape, bshape, folded):
+        rng = np.random.default_rng(515)
+        a, b = rng.standard_normal(ashape), rng.standard_normal(bshape)
+        m, k, p = ashape[1], bshape[1], ashape[2]
+        assert (m * k > p * (m + k)) == folded
+        ref = sum(a[i] @ b[i].T for i in range(ashape[0]))
+        out = ops.sum_matmul_t(a, b)
+        assert out.shape == (m, k)
+        np.testing.assert_allclose(out, ref, atol=1e-12, rtol=0)
+        if not folded:
+            # below the rule the per-sample products keep their bits
+            batched = np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
+            assert out.tobytes() == batched.tobytes()
 
 
 class TestDense:
