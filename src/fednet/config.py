@@ -4,6 +4,7 @@ rejected, missing keys defaulted, everything validated with line numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import get_type_hints
 
@@ -38,12 +39,13 @@ class TrainConfig:
     def validate(self) -> None:
         if self.stage not in ("liver", "lesion"):
             raise ConfigError(f"stage must be 'liver' or 'lesion', got {self.stage!r}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.momentum < 0 or self.momentum >= 1:
+        # each float check is a comparison that NaN fails
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be > 0 and finite, got {self.lr}")
+        if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.iterations < 0:
@@ -58,8 +60,8 @@ class TrainConfig:
             raise ConfigError("data_dir and checkpoint_out must be non-empty paths")
         if self.connectivity not in (6, 26):
             raise ConfigError(f"connectivity must be 6 or 26, got {self.connectivity}")
-        if self.grad_clip < 0:
-            raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
+        if not 0 <= self.grad_clip < math.inf:
+            raise ConfigError(f"grad_clip must be >= 0 and finite, got {self.grad_clip}")
         try:
             self.network.validate()
         except ValueError as exc:

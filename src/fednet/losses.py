@@ -14,6 +14,7 @@ metrics operate on plain binary numpy masks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,10 +41,11 @@ class LossWeights:
     def __post_init__(self):
         if not 0.0 < self.omega1 < 1.0:
             raise ValueError(f"omega1 must lie in (0, 1), got {self.omega1}")
-        if self.omega2 < 0.0:
-            raise ValueError(f"omega2 must be >= 0, got {self.omega2}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        # comparisons that NaN fails
+        if not 0.0 <= self.omega2 < math.inf:
+            raise ValueError(f"omega2 must be >= 0 and finite, got {self.omega2}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be > 0 and finite, got {self.epsilon}")
 
 
 def _validate_pair(y: Tensor, y_hat: Tensor, op: str, probabilities: bool = True) -> None:

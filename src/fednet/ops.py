@@ -28,6 +28,14 @@ of conv2d for matching geometry.  im2col is one strided view of the padded
 input plus one copy into the patch matrix (no copy for an unpadded 1x1
 stride-1 conv of a contiguous input).
 
+A conv's input gradient is scattered channels-last: one GEMM per sample
+gives every tap as [OH, OW, kh, kw, Cin], and each tap is added, in (i, j)
+order, into a zeroed [N, Hp, Wp, Cin] buffer, over rows of OW*Cin floats
+(an NCHW scatter adds rows of OW floats, 2 on a 2x2 map).  The cropped
+buffer is returned as a C-contiguous [N, Cin, H, W] array.  The sums and
+their order are those of col2im, so the bits are too.  An unpadded 1x1
+stride-1 conv has nothing to scatter: its input gradient is the GEMM output.
+
 A conv's weight gradient is sum over n of g[n] @ cols[n].T (``sum_matmul_t``),
 with M output channels, K = Cin*kh*kw patch rows and P output pixels.
 Where M*K > P*(M+K), the deep layers with many channels on a few pixels, it
@@ -81,10 +89,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
 
 def _col2im(cols: np.ndarray, out_shape: tuple, kh: int, kw: int, stride: int,
             pad: int, oh: int, ow: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add patches back into [N,C,H,W].
+    """Adjoint of :func:`_im2col`: scatter-add patches back into [N,C,H,W],
+    the forward of :func:`conv_transpose2d`.
 
-    With padding the result is a view into the padded buffer, not a copy
-    (the backward pass copies every gradient it keeps).
+    With padding the result is a view into the padded buffer, not a copy.
     """
     n, c, h, w = out_shape
     buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
@@ -93,6 +101,23 @@ def _col2im(cols: np.ndarray, out_shape: tuple, kh: int, kw: int, stride: int,
         for j in range(kw):
             buf[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols6[:, :, i, j]
     return buf[:, :, pad:pad + h, pad:pad + w] if pad else buf
+
+
+def _conv2d_input_grad(g2: np.ndarray, w: np.ndarray, xs: tuple, stride: int,
+                       pad: int, oh: int, ow: int) -> np.ndarray:
+    """dx of :func:`conv2d` from g2:[N, Cout, OH*OW] and w:[Cout, Cin, kh, kw],
+    scattered channels-last (see the module docstring) and returned as a
+    C-contiguous [N, Cin, H, W] array: a transposed view would hand the
+    GEMMs downstream other operand layouts, and other bits."""
+    n, cin, h, width = xs
+    cout, _, kh, kw = w.shape
+    w_taps = w.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    taps = np.matmul(g2.transpose(0, 2, 1), w_taps).reshape(n, oh, ow, kh, kw, cin)
+    buf = np.zeros((n, h + 2 * pad, width + 2 * pad, cin), dtype=taps.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            buf[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += taps[:, :, :, i, j]
+    return np.ascontiguousarray(buf[:, pad:pad + h, pad:pad + width].transpose(0, 3, 1, 2))
 
 
 def sum_matmul_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,8 +187,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         g2 = g.reshape(n, cout, oh * ow)
         dx = dw = db = None
         if x.requires_grad:
-            dcols = np.matmul(w2.T, g2)
-            dx = _col2im(dcols, xs, kh, kw, stride, pad, oh, ow)
+            if kh == kw == stride == 1 and not pad:
+                dx = np.matmul(w2.T, g2).reshape(xs)
+            else:
+                dx = _conv2d_input_grad(g2, w.data, xs, stride, pad, oh, ow)
         if w.requires_grad:
             dw = sum_matmul_t(g2, cols).reshape(ws)
         if b.requires_grad:

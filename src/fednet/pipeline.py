@@ -2,7 +2,7 @@
 probabilistic slice sampling, flip augmentation, thresholding, 3-D connected
 components (a vectorized run-based two-pass labeler), bounding boxes, and the
 two-stage mask merge.  Inference labels the stage-1 liver mask once: the
-merge takes the liver component that ``harness.infer`` already kept.
+merge takes the liver component that ``harness.segment`` already kept.
 
 All functions here operate on plain numpy arrays in (z, y, x) axis order;
 slices are (H, W) = (ny, nx) images.
@@ -197,8 +197,8 @@ def hierarchical_postprocess(liver_mask: np.ndarray, lesion_prob: np.ndarray,
                              lesion_threshold: float = 0.3) -> np.ndarray:
     """Two-stage merge: intersect the 0.3-threshold lesion mask with the
     bounding box of ``liver_mask``, the kept liver component (the largest
-    component of the liver probabilities thresholded at 0.5, which ``infer``
-    computes once).  An empty liver yields an empty result."""
+    component of the liver probabilities thresholded at 0.5, which
+    ``harness.segment`` computes once).  An empty liver yields an empty result."""
     liver_mask = np.asarray(liver_mask)
     lesion_prob = np.asarray(lesion_prob)
     if liver_mask.shape != lesion_prob.shape:

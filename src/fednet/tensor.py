@@ -158,8 +158,10 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tens
     """Finish an op: propagate requires_grad and record onto the active tape.
 
     ``backward_fn(grad_out)`` must return one gradient array (or None) per
-    input, in order.  Returned arrays may be views; the backward pass copies
-    before accumulating.
+    input, in order.  Returned arrays may be views, read-only ones or the
+    same array for two inputs: the backward pass never writes to them.  It
+    never copies them either, except into a leaf's ``.grad``, so
+    ``backward_fn`` must not write to ``grad_out``.
     """
     out.requires_grad = any(t.requires_grad for t in inputs)
     tape = active_tape()
@@ -172,9 +174,10 @@ def backward(root: Tensor, tape: Tape) -> None:
     """Reverse-mode pass: fills ``grad`` on every leaf reachable from ``root``.
 
     ``root`` must be a scalar produced through ``tape``.  Gradients sum over
-    all paths.  A tape can be walked once: each entry is popped as it is
-    walked, so the activations and buffers its backward function holds are
-    freed during the walk, and the tape is empty afterwards.
+    all paths, out of place, and each leaf gets its own copy in ``grad``.  A
+    tape can be walked once: each entry is popped as it is walked, so the
+    activations and buffers its backward function holds are freed during
+    the walk, and the tape is empty afterwards.
     """
     if root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {tuple(root.shape)}")
@@ -185,7 +188,8 @@ def backward(root: Tensor, tape: Tape) -> None:
         raise ValueError("root was not produced on this tape (detached root)")
     tape._consumed = True
 
-    # id -> [tensor, accumulated gradient]; the buffer is always owned here.
+    # id -> [tensor, accumulated gradient], kept as backward_fn returned it:
+    # it may be read-only or shared with another input (see record)
     pending: dict[int, list] = {id(root): [root, np.ones_like(root.data)]}
     entries = tape.entries
     while entries:
@@ -201,12 +205,12 @@ def backward(root: Tensor, tape: Tape) -> None:
                 continue
             acc = pending.get(id(t))
             if acc is None:
-                pending[id(t)] = [t, np.array(g, dtype=t.data.dtype)]
+                pending[id(t)] = [t, g]
             else:
-                acc[1] += g
+                acc[1] = acc[1] + g
     # Whatever is left was never an op output on this tape: the leaves.
     for t, g in pending.values():
-        t.grad = g if t.grad is None else t.grad + g
+        t.grad = np.array(g, dtype=t.data.dtype) if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------------

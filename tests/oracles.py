@@ -54,6 +54,24 @@ def conv2d_grad_reference(x, w, g, stride=1, pad=1):
     return dxp[:, :, pad:pad + h, pad:pad + width], dw, db
 
 
+def conv2d_input_grad_nchw(w, g, x_shape, stride, pad):
+    """Bit-level reference for conv2d's input gradient: one [Cin*kh*kw, Cout]
+    by [Cout, OH*OW] GEMM per sample, then one strided add per tap, in
+    (i, j) order, into a zeroed [N, Cin, Hp, Wp] buffer, cropped to x_shape.
+    This is the NCHW scatter conv2d's backward ran before it scattered
+    channels-last; the two sum the same terms in the same order."""
+    n, cin, h, width = x_shape
+    cout, _, kh, kw = w.shape
+    _, _, oh, ow = g.shape
+    cols = np.matmul(w.reshape(cout, -1).T, g.reshape(n, cout, oh * ow))
+    cols = cols.reshape(n, cin, kh, kw, oh, ow)
+    buf = np.zeros((n, cin, h + 2 * pad, width + 2 * pad), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            buf[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
+    return buf[:, :, pad:pad + h, pad:pad + width]
+
+
 def conv_transpose2d_reference(x, w, b, stride=1, pad=0):
     """Direct scatter-add transposed convolution; w is [Cin, Cout, kh, kw]."""
     n, cin, h, width = x.shape

@@ -46,6 +46,29 @@ class TestBackward:
         assert a.grad[0] == 5.0
         assert b.grad[0] == 3.0
 
+    def test_two_leaf_operands_get_their_own_grad(self):
+        # a + b hands both leaves the same array; clipping scales each .grad
+        # in place, so a shared one would be scaled twice
+        a, b = Parameter(np.zeros(2), "a"), Parameter(np.zeros(2), "b")
+        with Tape() as tape:
+            s = ((a.value + b.value) * 4.0).sum()
+        backward(s, tape)
+        assert not np.shares_memory(a.value.grad, b.value.grad)
+        assert clip_gradients([a, b], max_norm=2.0) == 8.0
+        np.testing.assert_array_equal(a.value.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(b.value.grad, [1.0, 1.0])
+
+    def test_read_only_broadcast_gradients_accumulate(self):
+        # sum and mean return read-only np.broadcast_to views; y has both as
+        # consumers, so its first gradient is a view that cannot take +=
+        x = leaf([1.0, 2.0, 3.0, 4.0])
+        with Tape() as tape:
+            y = x * 2.0
+            s = y.sum() + y.mean()
+        backward(s, tape)
+        np.testing.assert_array_equal(x.grad, np.full(4, 2.5))
+        assert x.grad.flags.writeable
+
     def test_non_scalar_root_rejected(self):
         x = leaf([1.0, 2.0])
         with Tape() as tape:

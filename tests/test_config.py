@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fednet import cli
 from fednet.config import _SCHEMA, ConfigError, TrainConfig, parse_config
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "lesion_example.cfg"
@@ -91,6 +92,23 @@ class TestErrors:
     def test_bad_bool(self, tmp_path):
         with pytest.raises(ConfigError, match="boolean"):
             parse_config(write(tmp_path, "enable_ff = maybe\n"))
+
+
+FLOAT_KEYS = sorted(key for key, (_, caster) in _SCHEMA.items() if caster is float)
+
+
+class TestNonFinite:
+    # NaN fails every comparison: a check written as `lr <= 0` let it through,
+    # and a NaN grad_clip turned clipping off
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_rejected(self, tmp_path, key, text):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(write(tmp_path, f"{key} = {text}\n"))
+
+    def test_train_exits_one(self, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(write(tmp_path, "grad_clip = nan\n"))]) == 1
+        assert "grad_clip must be >= 0 and finite, got nan" in capsys.readouterr().err
 
 
 class TestValidateMethod:

@@ -1,9 +1,15 @@
 """Training loop, two-stage inference, evaluation, ablation table, the
 gradient-check suite, and the CLI surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fednet
 from fednet import cli, harness, pipeline
 from fednet.blocks import FedNet, NetworkSpec
 from fednet.checkpoint import CheckpointMismatch, save_checkpoint, state_arrays
@@ -109,6 +115,25 @@ class TestTrain:
         harness.train(a)
         harness.train(b)
         assert (tmp_path / "a.fedckpt").read_bytes() == (tmp_path / "b.fedckpt").read_bytes()
+
+    def test_blas_thread_count_leaves_checkpoint_unchanged(self, tmp_path):
+        # each GEMM's sums must not depend on how BLAS splits it over threads.
+        # OpenBLAS reads its thread count when numpy loads, so each count
+        # trains in its own process: the default lesion net at 64 px
+        data = tmp_path / "data"
+        make_dataset(data, dims=(64, 64, 32))
+        paths = [str(Path(fednet.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        checkpoints = []
+        for threads in ("1", "2"):
+            ckpt = tmp_path / f"threads{threads}.fedckpt"
+            cfg = tmp_path / f"threads{threads}.cfg"
+            cfg.write_text(f"data_dir = {data}\ncheckpoint_out = {ckpt}\niterations = 25\n")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in paths if p))
+            subprocess.run([sys.executable, "-m", "fednet", "train", "--config", str(cfg)],
+                           env=env, check=True, capture_output=True, timeout=600)
+            checkpoints.append(ckpt.read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
     def test_different_seed_changes_checkpoint(self, dataset, tmp_path):
         a = micro_config(dataset, tmp_path / "a2.fedckpt")

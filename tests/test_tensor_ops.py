@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fednet import losses, ops, tensor
+from fednet.blocks import FedNet, NetworkSpec
 from fednet.tensor import Tape, Tensor, backward
 
-from oracles import (conv2d_grad_reference, conv2d_reference,
+from oracles import (conv2d_grad_reference, conv2d_input_grad_nchw, conv2d_reference,
                      conv_transpose2d_grad_reference, conv_transpose2d_reference,
                      dense_reference, fold_1x1_reference, global_avg_pool_reference,
                      pixel_shuffle_reference,
@@ -126,6 +127,58 @@ class TestConv2d:
         a = ops.conv2d(t(x), t(w), t(np.zeros(4)), 1, 1).data
         b = ops.conv2d(t(x), t(w), t(np.zeros(4)), 1, 1).data
         assert a.tobytes() == b.tobytes()
+
+
+def _lesion_net_convs() -> list:
+    """(input shape without the batch axis, weight shape, stride, pad) of each
+    distinct conv2d in one forward pass of the default 64-px lesion network."""
+    seen = []
+    conv2d = ops.conv2d
+
+    def spy(x, w, b, stride=1, pad=0):
+        if (x.shape[1:], w.shape, stride, pad) not in seen:
+            seen.append((x.shape[1:], w.shape, stride, pad))
+        return conv2d(x, w, b, stride, pad)
+
+    ops.conv2d = spy
+    try:
+        FedNet(NetworkSpec()).logits(Tensor(np.zeros((1, 3, 64, 64), np.float32)))
+    finally:
+        ops.conv2d = conv2d
+    return seen
+
+
+LESION_NET_CONVS = _lesion_net_convs()
+
+
+class TestConv2dInputGrad:
+    """conv2d's dx is scattered channels-last; it must equal the NCHW scatter
+    bit for bit, signed zeros included, on every conv of the lesion net."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cshape,wshape,stride,pad", LESION_NET_CONVS,
+                             ids=["x{}-w{}-s{}p{}".format("x".join(map(str, c)),
+                                                          "x".join(map(str, w)), s, p)
+                                  for c, w, s, p in LESION_NET_CONVS])
+    def test_equals_nchw_scatter(self, cshape, wshape, stride, pad, dtype):
+        rng = np.random.default_rng(515)
+        for n in (1, 8):
+            x = Tensor(rng.standard_normal((n,) + cshape).astype(dtype), requires_grad=True)
+            w = rng.standard_normal(wshape).astype(dtype)
+            with Tape() as tape:
+                out = ops.conv2d(x, Tensor(w), Tensor(np.zeros(wshape[0], dtype)), stride, pad)
+            g = rng.standard_normal(out.shape).astype(dtype)
+            g[..., ::3] = -0.0
+            (entry,) = tape.entries
+            dx = entry.backward_fn(g)[0]
+            ref = conv2d_input_grad_nchw(w, g, x.shape, stride, pad)
+            assert dx.dtype == dtype and dx.flags.c_contiguous
+            if wshape[2:] == (1, 1) and stride == 1 and pad == 0:
+                # dx is the GEMM output itself, where the scatter into zeros
+                # turns each -0.0 into +0.0
+                np.testing.assert_array_equal(dx, ref)
+            else:
+                assert dx.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 class TestConvTranspose2d:
