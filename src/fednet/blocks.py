@@ -305,13 +305,13 @@ class UpsampleConv(Block):
     Both forms read and multiply the same number of values per output pixel;
     the sub-pixel form builds an r*r smaller patch matrix and reads an r*r
     larger kernel, so by that count it moves less data when Cout < H*W, the
-    test used here.  Timed at batch 8, float32, one BLAS thread, for slices
-    of 64x64 to 512x512, with the head's 1x1 conv not yet folded in:
-    wherever the test picks the sub-pixel form it is faster (upconv4 at
-    16x16, 16 vs 39 ms forward; the 8-channel head at 64x64, 49 vs 333 ms),
-    and the direct form is faster only for the smallest maps (upconv4 at
-    2x2, 0.75 vs 1.25 ms).  Between H*W = Cout/4 and Cout the sub-pixel form
-    already ties or wins, so the test errs toward the direct form there.
+    test used here.  Timed at batch 8, float32, one BLAS thread, on 64-px
+    slices: upconv4 on its 2x2 map, where the test picks the direct form,
+    takes 1.26 ms forward and 2.16 ms backward, against 1.73 and 3.28 ms in
+    the sub-pixel form; the folded 1-channel head on 16x16, where it picks
+    the sub-pixel form, 0.61 and 1.56 ms, against 10.3 and 48.9 ms direct.
+    Between H*W = Cout/4 and Cout the sub-pixel form already ties or wins,
+    so the test errs toward the direct form there.
     The test looks at one sample's shape only, so a sample's output does not
     depend on its batch-mates.  The parameters are ``conv.w`` [Cout, Cin, 3,
     3] and ``conv.b`` in both forms.

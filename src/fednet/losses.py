@@ -158,18 +158,23 @@ def combined_loss_with_logits(y, z, w: LossWeights = LossWeights()) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _pooled_dice(op: str, cases) -> float:
+    """2 * sum |a & b| / sum (|a| + |b|) over the (a, b) mask pairs of
+    ``cases``; 1.0 when every mask is empty."""
+    inter = total = 0
+    for a, b in cases:
+        a, b = np.asarray(a), np.asarray(b)
+        if a.shape != b.shape:
+            raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+        a, b = a.astype(bool), b.astype(bool)
+        inter += int(np.logical_and(a, b).sum())
+        total += int(a.sum()) + int(b.sum())
+    return 1.0 if total == 0 else 2.0 * inter / total
+
+
 def dice(a: np.ndarray, b: np.ndarray) -> float:
     """2|a & b| / (|a| + |b|); defined as 1.0 when both masks are empty."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dice: shape mismatch {a.shape} vs {b.shape}")
-    a = a.astype(bool)
-    b = b.astype(bool)
-    denom = int(a.sum()) + int(b.sum())
-    if denom == 0:
-        return 1.0
-    return 2.0 * int(np.logical_and(a, b).sum()) / denom
+    return _pooled_dice("dice", [(a, b)])
 
 
 def dice_per_case(cases: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
@@ -183,15 +188,4 @@ def dice_global(cases: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
     """Dice on voxel counts pooled across all cases."""
     if not cases:
         raise ValueError("dice_global: need at least one case")
-    inter = 0
-    total = 0
-    for a, b in cases:
-        a = np.asarray(a).astype(bool)
-        b = np.asarray(b).astype(bool)
-        if a.shape != b.shape:
-            raise ValueError(f"dice_global: shape mismatch {a.shape} vs {b.shape}")
-        inter += int(np.logical_and(a, b).sum())
-        total += int(a.sum()) + int(b.sum())
-    if total == 0:
-        return 1.0
-    return 2.0 * inter / total
+    return _pooled_dice("dice_global", cases)

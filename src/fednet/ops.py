@@ -22,19 +22,20 @@ A 1x1 conv that follows a conv, with at most a pixel shuffle between them,
 composes with it into one conv (``fold_1x1``), which computes only the 1x1
 conv's output channels.
 
-conv2d / conv_transpose2d are implemented via im2col / col2im so the heavy
-lifting is a single matmul; the transposed convolution is the exact adjoint
-of conv2d for matching geometry.  im2col is one strided view of the padded
-input plus one copy into the patch matrix (no copy for an unpadded 1x1
-stride-1 conv of a contiguous input).
+conv2d's forward and conv_transpose2d's backward gather patches with im2col,
+so the heavy lifting is one matmul per sample.  im2col is one strided view of
+the padded input plus one copy into the patch matrix (no copy for an
+unpadded 1x1 stride-1 conv of a contiguous input).
 
-A conv's input gradient is scattered channels-last: one GEMM per sample
-gives every tap as [OH, OW, kh, kw, Cin], and each tap is added, in (i, j)
-order, into a zeroed [N, Hp, Wp, Cin] buffer, over rows of OW*Cin floats
-(an NCHW scatter adds rows of OW floats, 2 on a 2x2 map).  The cropped
-buffer is returned as a C-contiguous [N, Cin, H, W] array.  The sums and
-their order are those of col2im, so the bits are too.  An unpadded 1x1
-stride-1 conv has nothing to scatter: its input gradient is the GEMM output.
+A transposed convolution is the adjoint of the conv2d with the same weight
+(Dumoulin and Visin, arXiv 1603.07285), so one channels-last scatter
+(``_conv2d_adjoint``) computes both conv2d's input gradient and
+conv_transpose2d's forward.  One GEMM per sample gives every tap as
+[OH, OW, kh, kw, Cin], and each tap is added, in (i, j) order, into a zeroed
+[N, Hp, Wp, Cin] buffer, over rows of OW*Cin floats (an NCHW scatter adds
+rows of OW floats, 2 on a 2x2 map).  The cropped buffer is returned as a
+C-contiguous [N, Cin, H, W] array.  An unpadded 1x1 stride-1 conv has
+nothing to scatter: its adjoint is the GEMM output.
 
 A conv's weight gradient is sum over n of g[n] @ cols[n].T (``sum_matmul_t``),
 with M output channels, K = Cin*kh*kw patch rows and P output pixels.
@@ -58,7 +59,7 @@ def _check_rank(op: str, shape: tuple, rank: int, role: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# im2col / col2im
+# im2col and the conv adjoint
 # ---------------------------------------------------------------------------
 
 
@@ -87,30 +88,18 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
     return patches.reshape(n, c * kh * kw, oh * ow)
 
 
-def _col2im(cols: np.ndarray, out_shape: tuple, kh: int, kw: int, stride: int,
-            pad: int, oh: int, ow: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add patches back into [N,C,H,W],
-    the forward of :func:`conv_transpose2d`.
-
-    With padding the result is a view into the padded buffer, not a copy.
-    """
-    n, c, h, w = out_shape
-    buf = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            buf[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols6[:, :, i, j]
-    return buf[:, :, pad:pad + h, pad:pad + w] if pad else buf
-
-
-def _conv2d_input_grad(g2: np.ndarray, w: np.ndarray, xs: tuple, stride: int,
-                       pad: int, oh: int, ow: int) -> np.ndarray:
-    """dx of :func:`conv2d` from g2:[N, Cout, OH*OW] and w:[Cout, Cin, kh, kw],
-    scattered channels-last (see the module docstring) and returned as a
-    C-contiguous [N, Cin, H, W] array: a transposed view would hand the
-    GEMMs downstream other operand layouts, and other bits."""
+def _conv2d_adjoint(g2: np.ndarray, w: np.ndarray, xs: tuple, stride: int,
+                    pad: int, oh: int, ow: int) -> np.ndarray:
+    """Adjoint of :func:`conv2d` with w:[Cout, Cin, kh, kw], applied to
+    g2:[N, Cout, OH*OW]: conv2d's input gradient, and the forward of
+    :func:`conv_transpose2d`.  Scattered channels-last (see the module
+    docstring) and returned as a C-contiguous [N, Cin, H, W] array of shape
+    xs: a transposed view would hand the GEMMs downstream other operand
+    layouts, and other bits."""
     n, cin, h, width = xs
     cout, _, kh, kw = w.shape
+    if kh == kw == stride == 1 and not pad:
+        return np.matmul(w.reshape(cout, cin).T, g2).reshape(xs)
     w_taps = w.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
     taps = np.matmul(g2.transpose(0, 2, 1), w_taps).reshape(n, oh, ow, kh, kw, cin)
     buf = np.zeros((n, h + 2 * pad, width + 2 * pad, cin), dtype=taps.dtype)
@@ -187,10 +176,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         g2 = g.reshape(n, cout, oh * ow)
         dx = dw = db = None
         if x.requires_grad:
-            if kh == kw == stride == 1 and not pad:
-                dx = np.matmul(w2.T, g2).reshape(xs)
-            else:
-                dx = _conv2d_input_grad(g2, w.data, xs, stride, pad, oh, ow)
+            dx = _conv2d_adjoint(g2, w.data, xs, stride, pad, oh, ow)
         if w.requires_grad:
             dw = sum_matmul_t(g2, cols).reshape(ws)
         if b.requires_grad:
@@ -218,9 +204,10 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     if wp < 1:
         raise ValueError(f"conv_transpose2d: width axis collapses to {wp}")
 
-    w2 = w.data.reshape(cin, cout * kh * kw)
-    cols = np.matmul(w2.T, x.data.reshape(n, cin, h * width))
-    out = Tensor(_col2im(cols, (n, cout, hp, wp), kh, kw, stride, pad, h, width)
+    # w:[Cin, Cout, kh, kw] is the weight of the conv2d from [N, Cout, Hp, Wp]
+    # to x's shape, so this is that conv's adjoint applied to x
+    x2 = x.data.reshape(n, cin, h * width)
+    out = Tensor(_conv2d_adjoint(x2, w.data, (n, cout, hp, wp), stride, pad, h, width)
                  + b.data[None, :, None, None])
 
     def backward_fn(g):
@@ -229,9 +216,9 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
         if x.requires_grad or w.requires_grad:
             gcols = _im2col(g, kh, kw, stride, pad)
         if x.requires_grad:
-            dx = np.matmul(w2, gcols).reshape(xs)
+            dx = np.matmul(w.data.reshape(cin, cout * kh * kw), gcols).reshape(xs)
         if w.requires_grad:
-            dw = sum_matmul_t(x.data.reshape(n, cin, h * width), gcols).reshape(ws)
+            dw = sum_matmul_t(x2, gcols).reshape(ws)
         if b.requires_grad:
             db = g.sum(axis=(0, 2, 3))
         return dx, dw, db

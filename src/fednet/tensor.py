@@ -305,9 +305,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 def tensor_sum(a: Tensor, axis=None) -> Tensor:
     if axis is None:
-        out = Tensor(a.data.sum(dtype=a.data.dtype))
-        shape = a.shape
-        return record(out, (a,), lambda g: (np.broadcast_to(g, shape),))
+        axis = range(a.ndim)
     axes = (axis,) if isinstance(axis, int) else tuple(axis)
     out = Tensor(a.data.sum(axis=axes, dtype=a.data.dtype))
     shape = a.shape
@@ -348,7 +346,10 @@ class Parameter:
 
 def clip_gradients(params: Iterable[Parameter], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``;
-    returns the pre-clip norm.  A non-positive ``max_norm`` disables clipping."""
+    returns the pre-clip norm.  A non-positive ``max_norm`` disables clipping;
+    a NaN one is rejected."""
+    if np.isnan(max_norm):
+        raise ValueError(f"max_norm must not be NaN, got {max_norm}")
     params = list(params)
     total = 0.0
     for p in params:
@@ -371,14 +372,17 @@ def sgd_step(params: Iterable[Parameter], lr: float, momentum: float = 0.9,
     buf <- momentum * buf + (grad + weight_decay * value)
     value <- value - lr * buf
     """
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    # a comparison that NaN fails
+    if not 0 < lr < np.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
+    params = list(params)
+    # every gradient is checked before any parameter is written
     for p in params:
-        g = p.value.grad
-        if g is None:
+        if p.value.grad is None:
             raise RuntimeError(f"parameter {p.name!r} has no gradient; run backward first")
+    for p in params:
         p.momentum *= momentum
-        p.momentum += g + weight_decay * p.value.data
+        p.momentum += p.value.grad + weight_decay * p.value.data
         p.value.data -= lr * p.momentum
         p.value.grad = None
 

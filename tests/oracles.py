@@ -54,17 +54,27 @@ def conv2d_grad_reference(x, w, g, stride=1, pad=1):
     return dxp[:, :, pad:pad + h, pad:pad + width], dw, db
 
 
-def conv2d_input_grad_nchw(w, g, x_shape, stride, pad):
-    """Bit-level reference for conv2d's input gradient: one [Cin*kh*kw, Cout]
-    by [Cout, OH*OW] GEMM per sample, then one strided add per tap, in
-    (i, j) order, into a zeroed [N, Cin, Hp, Wp] buffer, cropped to x_shape.
-    This is the NCHW scatter conv2d's backward ran before it scattered
-    channels-last; the two sum the same terms in the same order."""
+def conv2d_adjoint_nchw(w, g, x_shape, stride, pad):
+    """Bit-level reference for the adjoint of the conv2d with w:[Cout, Cin,
+    kh, kw], applied to g:[N, Cout, OH, OW]: conv2d's input gradient, and the
+    forward of a transposed conv with weight w and zero bias.
+
+    Its products are the GEMMs the package runs, so the comparison does not
+    depend on how a BLAS kernel orders a GEMM's sums.  An unpadded 1x1
+    stride-1 conv has nothing to scatter: the result is w2^T @ g2 per sample
+    itself, with w2 = w as [Cout, Cin].  Otherwise the taps are the
+    channels-last g2^T @ w_taps per sample, with w_taps = w as
+    [Cout, kh*kw*Cin], and each tap is added, in (i, j) order, into a zeroed
+    [N, Cin, Hp, Wp] buffer, cropped to x_shape."""
     n, cin, h, width = x_shape
     cout, _, kh, kw = w.shape
     _, _, oh, ow = g.shape
-    cols = np.matmul(w.reshape(cout, -1).T, g.reshape(n, cout, oh * ow))
-    cols = cols.reshape(n, cin, kh, kw, oh, ow)
+    g2 = g.reshape(n, cout, oh * ow)
+    if kh == kw == stride == 1 and not pad:
+        return np.matmul(w.reshape(cout, cin).T, g2).reshape(x_shape)
+    w_taps = w.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    taps = np.matmul(g2.transpose(0, 2, 1), w_taps)
+    cols = taps.reshape(n, oh, ow, kh, kw, cin).transpose(0, 5, 3, 4, 1, 2)
     buf = np.zeros((n, cin, h + 2 * pad, width + 2 * pad), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):

@@ -174,6 +174,23 @@ class TestSgd:
         with pytest.raises(ValueError, match="lr"):
             sgd_step([], lr=0.0)
 
+    def test_missing_grad_rejected_before_any_update(self):
+        a, b = Parameter(np.array([1.0]), "a"), Parameter(np.array([2.0]), "b")
+        a.value.grad = np.ones(1)
+        with pytest.raises(RuntimeError, match="'b' has no gradient"):
+            sgd_step([a, b], lr=0.1)
+        np.testing.assert_array_equal(a.value.data, [1.0])
+        np.testing.assert_array_equal(a.momentum, [0.0])
+        np.testing.assert_array_equal(a.value.grad, [1.0])
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        p = Parameter(np.array([1.0]), "p")
+        p.value.grad = np.ones(1)
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            sgd_step([p], lr=lr)
+        np.testing.assert_array_equal(p.value.data, [1.0])
+
 
 class TestClipGradients:
     def test_scales_down_large_gradients(self):
@@ -194,6 +211,12 @@ class TestClipGradients:
         p.value.grad = np.array([10.0, 10.0])
         clip_gradients([p], max_norm=0.0)
         np.testing.assert_array_equal(p.value.grad, [10.0, 10.0])
+
+    def test_nan_norm_rejected(self):
+        p = Parameter(np.zeros(2), "p")
+        p.value.grad = np.array([10.0, 10.0])
+        with pytest.raises(ValueError, match="max_norm must not be NaN"):
+            clip_gradients([p], max_norm=float("nan"))
 
 
 class TestGradCheck:

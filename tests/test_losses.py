@@ -239,8 +239,10 @@ class TestDice:
         assert dice(np.zeros(4), np.zeros(4)) == 1.0
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
+        with pytest.raises(ValueError, match="^dice: shape mismatch"):
             dice(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError, match="^dice_global: shape mismatch"):
+            dice_global([(np.zeros(3), np.zeros(3)), (np.zeros(3), np.zeros(4))])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 31))

@@ -9,7 +9,7 @@ from fednet import losses, ops, tensor
 from fednet.blocks import FedNet, NetworkSpec
 from fednet.tensor import Tape, Tensor, backward
 
-from oracles import (conv2d_grad_reference, conv2d_input_grad_nchw, conv2d_reference,
+from oracles import (conv2d_adjoint_nchw, conv2d_grad_reference, conv2d_reference,
                      conv_transpose2d_grad_reference, conv_transpose2d_reference,
                      dense_reference, fold_1x1_reference, global_avg_pool_reference,
                      pixel_shuffle_reference,
@@ -129,37 +129,50 @@ class TestConv2d:
         assert a.tobytes() == b.tobytes()
 
 
-def _lesion_net_convs() -> list:
+def _net_convs(op_name: str, specs) -> list:
     """(input shape without the batch axis, weight shape, stride, pad) of each
-    distinct conv2d in one forward pass of the default 64-px lesion network."""
+    distinct call of ``ops.<op_name>`` in one forward pass of each default
+    64-px network built from ``specs``."""
     seen = []
-    conv2d = ops.conv2d
+    op = getattr(ops, op_name)
 
     def spy(x, w, b, stride=1, pad=0):
         if (x.shape[1:], w.shape, stride, pad) not in seen:
             seen.append((x.shape[1:], w.shape, stride, pad))
-        return conv2d(x, w, b, stride, pad)
+        return op(x, w, b, stride, pad)
 
-    ops.conv2d = spy
+    setattr(ops, op_name, spy)
     try:
-        FedNet(NetworkSpec()).logits(Tensor(np.zeros((1, 3, 64, 64), np.float32)))
+        for spec in specs:
+            FedNet(spec).logits(Tensor(np.zeros((1, 3, 64, 64), np.float32)))
     finally:
-        ops.conv2d = conv2d
+        setattr(ops, op_name, op)
     return seen
 
 
-LESION_NET_CONVS = _lesion_net_convs()
+def _conv_ids(convs) -> list:
+    return ["x{}-w{}-s{}p{}".format("x".join(map(str, c)), "x".join(map(str, w)), s, p)
+            for c, w, s, p in convs]
+
+
+LESION_NET_CONVS = _net_convs("conv2d", [NetworkSpec()])
+# every transposed conv of the liver (baseline) and lesion networks, then the
+# two of the gradient-check suite (harness.gradcheck_suite)
+NET_CONV_TRANSPOSES = _net_convs("conv_transpose2d", [NetworkSpec().baseline(), NetworkSpec()]) + [
+    ((3, 4, 5), (3, 4, 2, 2), 2, 0),
+    ((3, 4, 4), (3, 4, 3, 3), 2, 1),
+]
 
 
 class TestConv2dInputGrad:
     """conv2d's dx is scattered channels-last; it must equal the NCHW scatter
-    bit for bit, signed zeros included, on every conv of the lesion net."""
+    of the same taps bit for bit, signed zeros included, on every conv of the
+    lesion net.  An unpadded 1x1 stride-1 conv's dx is the GEMM output itself,
+    -0.0 kept."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("cshape,wshape,stride,pad", LESION_NET_CONVS,
-                             ids=["x{}-w{}-s{}p{}".format("x".join(map(str, c)),
-                                                          "x".join(map(str, w)), s, p)
-                                  for c, w, s, p in LESION_NET_CONVS])
+                             ids=_conv_ids(LESION_NET_CONVS))
     def test_equals_nchw_scatter(self, cshape, wshape, stride, pad, dtype):
         rng = np.random.default_rng(515)
         for n in (1, 8):
@@ -171,14 +184,9 @@ class TestConv2dInputGrad:
             g[..., ::3] = -0.0
             (entry,) = tape.entries
             dx = entry.backward_fn(g)[0]
-            ref = conv2d_input_grad_nchw(w, g, x.shape, stride, pad)
+            ref = conv2d_adjoint_nchw(w, g, x.shape, stride, pad)
             assert dx.dtype == dtype and dx.flags.c_contiguous
-            if wshape[2:] == (1, 1) and stride == 1 and pad == 0:
-                # dx is the GEMM output itself, where the scatter into zeros
-                # turns each -0.0 into +0.0
-                np.testing.assert_array_equal(dx, ref)
-            else:
-                assert dx.tobytes() == np.ascontiguousarray(ref).tobytes()
+            assert dx.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 class TestConvTranspose2d:
@@ -205,6 +213,25 @@ class TestConvTranspose2d:
         lhs = float(np.sum(ops.conv2d(t(x), t(w), t(np.zeros(4)), s, p).data * y))
         rhs = float(np.sum(x * ops.conv_transpose2d(t(y), t(w), t(np.zeros(3)), s, p).data))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cshape,wshape,stride,pad", NET_CONV_TRANSPOSES,
+                             ids=_conv_ids(NET_CONV_TRANSPOSES))
+    def test_forward_is_conv2d_adjoint(self, cshape, wshape, stride, pad, dtype):
+        # bit for bit the NCHW scatter of the adjoint of the conv2d with
+        # weight w, plus the bias
+        rng = np.random.default_rng(516)
+        _, cout, kh, kw = wshape
+        hp = (cshape[1] - 1) * stride - 2 * pad + kh
+        wp = (cshape[2] - 1) * stride - 2 * pad + kw
+        for n in (1, 8):
+            x = rng.standard_normal((n,) + cshape).astype(dtype)
+            w = rng.standard_normal(wshape).astype(dtype)
+            b = rng.standard_normal(cout).astype(dtype)
+            out = ops.conv_transpose2d(Tensor(x), Tensor(w), Tensor(b), stride, pad).data
+            ref = conv2d_adjoint_nchw(w, x, (n, cout, hp, wp), stride, pad) + b[None, :, None, None]
+            assert out.dtype == dtype and out.flags.c_contiguous
+            assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
 
     def test_matches_loop_oracle(self):
         x = RNG.standard_normal((2, 3, 4, 5))
