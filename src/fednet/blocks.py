@@ -101,10 +101,10 @@ class Block:
         return list(self.named_parameters().values())
 
     def astype(self, dtype) -> "Block":
-        """Convert every parameter's value and momentum buffer to ``dtype`` in
+        """Convert every parameter's data and momentum buffer to ``dtype`` in
         place, keeping the same :class:`Parameter` objects; returns ``self``."""
         for p in self.parameters():
-            p.value.data = p.value.data.astype(dtype)
+            p.data = p.data.astype(dtype)
             p.momentum = p.momentum.astype(dtype)
         return self
 
@@ -119,7 +119,7 @@ class Conv2d(Block):
         self.b = self._param("b", np.zeros(cout, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.conv2d(x, self.w.value, self.b.value, self.stride, self.pad)
+        return ops.conv2d(x, self.w, self.b, self.stride, self.pad)
 
 
 def _conv_then(conv: Conv2d, then: Optional[Conv2d], phases: int
@@ -127,12 +127,12 @@ def _conv_then(conv: Conv2d, then: Optional[Conv2d], phases: int
     """Weight and bias of ``conv``, with the 1x1 stride-1 conv ``then``
     folded in (:func:`ops.fold_1x1`) when one is given."""
     if then is None:
-        return conv.w.value, conv.b.value
+        return conv.w, conv.b
     if then.stride != 1 or then.pad != 0:
         raise ValueError(
             f"only an unpadded stride-1 1x1 conv folds into the conv before it, "
             f"got stride {then.stride}, pad {then.pad}")
-    return ops.fold_1x1(conv.w.value, conv.b.value, then.w.value, then.b.value, phases)
+    return ops.fold_1x1(conv.w, conv.b, then.w, then.b, phases)
 
 
 class ConvTranspose2d(Block):
@@ -145,7 +145,7 @@ class ConvTranspose2d(Block):
         self.b = self._param("b", np.zeros(cout, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.conv_transpose2d(x, self.w.value, self.b.value, self.stride, self.pad)
+        return ops.conv_transpose2d(x, self.w, self.b, self.stride, self.pad)
 
 
 class Dense(Block):
@@ -155,7 +155,7 @@ class Dense(Block):
         self.b = self._param("b", np.zeros(cout, dtype=np.float32))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.dense(x, self.w.value, self.b.value)
+        return ops.dense(x, self.w, self.b)
 
 
 class SEBlock(Block):
@@ -447,7 +447,7 @@ class FedNet(Block):
         self.head_out = self._child("head_out", Conv2d(head_ch, 1, 1, rng))
         # start biased toward background: initial probabilities ~0.12 keep the
         # overlap-loss gradients bounded when foreground is rare
-        self.head_out.b.value.data[...] = -2.0
+        self.head_out.b.data[...] = -2.0
         for name, p in self.named_parameters().items():
             p.name = name
 

@@ -119,7 +119,7 @@ def state_arrays(net) -> dict[str, np.ndarray]:
     """Flatten a network's parameters and momentum buffers for saving."""
     out: dict[str, np.ndarray] = {}
     for name, p in net.named_parameters().items():
-        out[name] = p.value.data
+        out[name] = p.data
         out[name + MOMENTUM_SUFFIX] = p.momentum
     return out
 
@@ -154,7 +154,7 @@ def load_parameters(net, path) -> None:
                 f"{_quoted(extra, 'unexpected in checkpoint')}")
         reads: list[tuple[int, np.ndarray]] = []
         for name, p in params.items():
-            for key, array in ((name, p.value.data), (name + MOMENTUM_SUFFIX, p.momentum)):
+            for key, array in ((name, p.data), (name + MOMENTUM_SUFFIX, p.momentum)):
                 if key not in index:
                     continue
                 shape, offset = index[key]

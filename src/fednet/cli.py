@@ -15,14 +15,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness
-from .checkpoint import CheckpointError
-from .config import ConfigError, parse_config
+from .config import parse_config
 from .pipeline import hu_window_normalize
 from .synth import synth_generate
-from .volume import MVolError, Volume, read_mvol, write_mvol
+from .volume import Volume, read_mvol, write_mvol
 
-_VALIDATION_ERRORS = (ConfigError, MVolError, CheckpointError, harness.DatasetError,
-                      FileNotFoundError, NotADirectoryError, ValueError)
+# ConfigError, MVolError, CheckpointError and DatasetError all derive from ValueError
+_VALIDATION_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError)
 
 
 def _parse_dims(raw: str) -> tuple[int, int, int]:

@@ -522,7 +522,7 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
     def upconv_check():
         rng = _suite_rng(22)
         block = UpsampleConv(3, 2, 2, rng).astype(f64)
-        block.conv.b.value.data[...] = rng.uniform(-1, 1, 2)
+        block.conv.b.data[...] = rng.uniform(-1, 1, 2)
         # 2 output channels < 6 pixels: the sub-pixel form
         x = Tensor(rng.uniform(-1, 1, (2, 3, 2, 3)), requires_grad=True)
         return lambda t: block(t), x

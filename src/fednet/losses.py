@@ -54,11 +54,10 @@ def _validate_pair(y: Tensor, y_hat: Tensor, op: str, probabilities: bool = True
     yd = y.data
     if not np.all((yd == 0) | (yd == 1)):
         raise ValueError(f"{op}: ground truth must be binary")
-    if not probabilities:
-        return
     pd = y_hat.data
-    if pd.size and (pd.min() < 0 or pd.max() > 1):
+    if probabilities and pd.size and (pd.min() < 0 or pd.max() > 1):
         raise ValueError(f"{op}: predictions must lie in [0, 1]")
+    check_dtypes(op, y, y_hat)
 
 
 def weighted_bce(y, y_hat, w: LossWeights = LossWeights()) -> Tensor:
@@ -67,7 +66,6 @@ def weighted_bce(y, y_hat, w: LossWeights = LossWeights()) -> Tensor:
     with p the prediction clamped to [CLAMP_DELTA, 1 - CLAMP_DELTA]."""
     y, y_hat = as_tensor(y), as_tensor(y_hat)
     _validate_pair(y, y_hat, "weighted_bce")
-    check_dtypes("weighted_bce", y, y_hat)
     p = y_hat.clamp(CLAMP_DELTA, 1.0 - CLAMP_DELTA)
     pos = y * p.log() * (w.omega1 - 1.0)
     negm = (1.0 - y) * (1.0 - p).log() * w.omega1
@@ -80,7 +78,6 @@ def soft_jaccard(y, y_hat, epsilon: float = 1e-15) -> Tensor:
     and 1 when both sides are empty."""
     y, y_hat = as_tensor(y), as_tensor(y_hat)
     _validate_pair(y, y_hat, "soft_jaccard")
-    check_dtypes("soft_jaccard", y, y_hat)
     return _jaccard(y, y_hat, epsilon)
 
 
@@ -103,7 +100,6 @@ def weighted_bce_with_logits(y, z, w: LossWeights = LossWeights()) -> Tensor:
     """
     y, z = as_tensor(y), as_tensor(z)
     _validate_pair(y, z, "weighted_bce_with_logits", probabilities=False)
-    check_dtypes("weighted_bce_with_logits", y, z)
     zd, yd = z.data, y.data
     e, prob = stable_logistic(zd)
     tail = np.log1p(e)

@@ -344,25 +344,30 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     return record(out, (x,), backward_fn)
 
 
+def _shuffle(a: np.ndarray, r: int) -> np.ndarray:
+    """[N, C*r*r, H, W] -> [N, C, H*r, W*r]; a view when nothing moves (r = 1)."""
+    n, c_in, h, w = a.shape
+    c = c_in // (r * r)
+    return a.reshape(n, c, r, r, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h * r, w * r)
+
+
+def _unshuffle(a: np.ndarray, r: int) -> np.ndarray:
+    """[N, C, H*r, W*r] -> [N, C*r*r, H, W], the inverse of :func:`_shuffle`."""
+    n, c, hr, wr = a.shape
+    h, w = hr // r, wr // r
+    return a.reshape(n, c, h, r, w, r).transpose(0, 1, 3, 5, 2, 4).reshape(n, c * r * r, h, w)
+
+
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     """[N, C*r*r, H, W] -> [N, C, H*r, W*r] by periodic channel-to-space rearrangement."""
     _check_rank("pixel_shuffle", x.shape, 4, "input")
     if r < 1:
         raise ValueError(f"pixel_shuffle: r must be >= 1, got {r}")
-    n, c_in, h, w = x.shape
+    c_in = x.shape[1]
     if c_in % (r * r) != 0:
         raise ValueError(f"pixel_shuffle: channel extent {c_in} not divisible by r*r={r * r}")
-    c = c_in // (r * r)
-    out_data = (x.data.reshape(n, c, r, r, h, w)
-                .transpose(0, 1, 4, 2, 5, 3)
-                .reshape(n, c, h * r, w * r).copy())
-    out = Tensor(out_data)
-
-    def backward_fn(g):
-        return (g.reshape(n, c, h, r, w, r).transpose(0, 1, 3, 5, 2, 4)
-                .reshape(n, c_in, h, w),)
-
-    return record(out, (x,), backward_fn)
+    out = Tensor(_shuffle(x.data, r).copy())
+    return record(out, (x,), lambda g: (_unshuffle(g, r),))
 
 
 def _subpixel_fold_matrix(r: int, dtype: np.dtype) -> np.ndarray:
@@ -473,22 +478,13 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     _check_rank("pixel_unshuffle", x.shape, 4, "input")
     if r < 1:
         raise ValueError(f"pixel_unshuffle: r must be >= 1, got {r}")
-    n, c, hr, wr = x.shape
+    hr, wr = x.shape[2:]
     if hr % r != 0:
         raise ValueError(f"pixel_unshuffle: height extent {hr} not divisible by r={r}")
     if wr % r != 0:
         raise ValueError(f"pixel_unshuffle: width extent {wr} not divisible by r={r}")
-    h, w = hr // r, wr // r
-    out_data = (x.data.reshape(n, c, h, r, w, r)
-                .transpose(0, 1, 3, 5, 2, 4)
-                .reshape(n, c * r * r, h, w).copy())
-    out = Tensor(out_data)
-
-    def backward_fn(g):
-        return (g.reshape(n, c, r, r, h, w).transpose(0, 1, 4, 2, 5, 3)
-                .reshape(n, c, hr, wr),)
-
-    return record(out, (x,), backward_fn)
+    out = Tensor(_unshuffle(x.data, r).copy())
+    return record(out, (x,), lambda g: (_shuffle(g, r),))
 
 
 def channel_scale(x: Tensor, gate: Tensor) -> Tensor:

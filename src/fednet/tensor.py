@@ -10,7 +10,8 @@ Differentiable ops record onto a ``Tape`` (an execution-ordered list of
 operations) when one is active.  With no tape active, the same calls are plain
 forward evaluation with no recording overhead.  Gradients accumulate by
 summation over all paths from the root; leaf tensors keep their accumulated
-gradient in ``Tensor.grad``.
+gradient in ``Tensor.grad``.  A network parameter is such a leaf: a
+:class:`Parameter` is a named tensor that carries its SGD momentum buffer.
 """
 
 from __future__ import annotations
@@ -328,20 +329,20 @@ def tensor_mean(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-class Parameter:
-    """Trainable value plus its gradient and SGD momentum buffer."""
+class Parameter(Tensor):
+    """Named trainable leaf tensor that carries its SGD momentum buffer."""
 
-    __slots__ = ("name", "value", "momentum")
+    __slots__ = ("name", "momentum")
 
     def __init__(self, array: np.ndarray, name: str = ""):
+        super().__init__(array, requires_grad=True)
         self.name = name
-        self.value = Tensor(array, requires_grad=True)
         # np.zeros takes untouched zero pages, so a momentum buffer that a
         # checkpoint overwrites next is written once (zeros_like writes it twice)
-        self.momentum = np.zeros(self.value.data.shape, self.value.data.dtype)
+        self.momentum = np.zeros(self.data.shape, self.data.dtype)
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={tuple(self.value.shape)})"
+        return f"Parameter({self.name!r}, shape={tuple(self.shape)})"
 
 
 def clip_gradients(params: Iterable[Parameter], max_norm: float) -> float:
@@ -353,15 +354,15 @@ def clip_gradients(params: Iterable[Parameter], max_norm: float) -> float:
     params = list(params)
     total = 0.0
     for p in params:
-        g = p.value.grad
+        g = p.grad
         if g is not None:
             total += float((g.astype(np.float64) ** 2).sum())
     total = total ** 0.5
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for p in params:
-            if p.value.grad is not None:
-                p.value.grad *= p.value.grad.dtype.type(scale)
+            if p.grad is not None:
+                p.grad *= p.grad.dtype.type(scale)
     return total
 
 
@@ -369,8 +370,8 @@ def sgd_step(params: Iterable[Parameter], lr: float, momentum: float = 0.9,
              weight_decay: float = 1e-4) -> None:
     """One SGD-with-momentum update, then gradients are zeroed.
 
-    buf <- momentum * buf + (grad + weight_decay * value)
-    value <- value - lr * buf
+    buf <- momentum * buf + (grad + weight_decay * data)
+    data <- data - lr * buf
     """
     # a comparison that NaN fails
     if not 0 < lr < np.inf:
@@ -378,13 +379,13 @@ def sgd_step(params: Iterable[Parameter], lr: float, momentum: float = 0.9,
     params = list(params)
     # every gradient is checked before any parameter is written
     for p in params:
-        if p.value.grad is None:
+        if p.grad is None:
             raise RuntimeError(f"parameter {p.name!r} has no gradient; run backward first")
     for p in params:
         p.momentum *= momentum
-        p.momentum += p.value.grad + weight_decay * p.value.data
-        p.value.data -= lr * p.momentum
-        p.value.grad = None
+        p.momentum += p.grad + weight_decay * p.data
+        p.data -= lr * p.momentum
+        p.grad = None
 
 
 # ---------------------------------------------------------------------------

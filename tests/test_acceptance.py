@@ -125,9 +125,9 @@ def test_criterion_4_fusion_reduction():
     channels = (3, 3, 3, 3)
     fuse = FeatureFusion(channels, 1, False, rng).astype(np.float64)
     for term in fuse.terms.values():
-        c = term.proj.w.value.shape[0]
-        term.proj.w.value.data[...] = np.eye(c).reshape(c, c, 1, 1)
-        term.proj.b.value.data[...] = 0.0
+        c = term.proj.w.shape[0]
+        term.proj.w.data[...] = np.eye(c).reshape(c, c, 1, 1)
+        term.proj.b.data[...] = 0.0
 
     constants = [Tensor(np.full((1, 3, 16, 16), 1.0)), Tensor(np.full((1, 3, 8, 8), 2.0)),
                  Tensor(np.full((1, 3, 4, 4), 3.0)), Tensor(np.full((1, 3, 2, 2), 4.0))]

@@ -51,12 +51,12 @@ class TestBackward:
         # in place, so a shared one would be scaled twice
         a, b = Parameter(np.zeros(2), "a"), Parameter(np.zeros(2), "b")
         with Tape() as tape:
-            s = ((a.value + b.value) * 4.0).sum()
+            s = ((a + b) * 4.0).sum()
         backward(s, tape)
-        assert not np.shares_memory(a.value.grad, b.value.grad)
+        assert not np.shares_memory(a.grad, b.grad)
         assert clip_gradients([a, b], max_norm=2.0) == 8.0
-        np.testing.assert_array_equal(a.value.grad, [1.0, 1.0])
-        np.testing.assert_array_equal(b.value.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
     def test_read_only_broadcast_gradients_accumulate(self):
         # sum and mean return read-only np.broadcast_to views; y has both as
@@ -135,24 +135,24 @@ class TestElementwiseBackward:
 class TestSgd:
     def test_plain_descent_without_momentum(self):
         p = Parameter(np.array([1.0, 2.0], dtype=np.float64), "p")
-        p.value.grad = np.array([0.5, -1.0])
+        p.grad = np.array([0.5, -1.0])
         sgd_step([p], lr=0.1, momentum=0.0, weight_decay=0.0)
-        np.testing.assert_allclose(p.value.data, [0.95, 2.1])
-        assert p.value.grad is None
+        np.testing.assert_allclose(p.data, [0.95, 2.1])
+        assert p.grad is None
 
     def test_zero_grad_zero_buffer_no_change(self):
         p = Parameter(np.array([3.0]), "p")
-        p.value.grad = np.zeros(1)
+        p.grad = np.zeros(1)
         sgd_step([p], lr=0.5, momentum=0.9, weight_decay=0.0)
-        np.testing.assert_array_equal(p.value.data, [3.0])
+        np.testing.assert_array_equal(p.data, [3.0])
 
     def test_momentum_recurrence_two_steps(self):
         # buf <- 0.9*buf + grad; value <- value - 0.1*buf: 1 -> 0.9 -> 0.71
         p = Parameter(np.array([1.0]), "p")
         for _ in range(2):
-            p.value.grad = np.ones(1)
+            p.grad = np.ones(1)
             sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0)
-        assert p.value.data[0] == pytest.approx(0.71, abs=1e-12)
+        assert p.data[0] == pytest.approx(0.71, abs=1e-12)
 
     def test_weight_decay_matches_scalar_simulation(self):
         value, buf = 1.5, 0.0
@@ -161,9 +161,9 @@ class TestSgd:
             g = 0.3 * (step + 1)
             buf = 0.9 * buf + (g + 0.01 * value)
             value -= 0.05 * buf
-            p.value.grad = np.array([g])
+            p.grad = np.array([g])
             sgd_step([p], lr=0.05, momentum=0.9, weight_decay=0.01)
-        assert p.value.data[0] == pytest.approx(value, rel=1e-12)
+        assert p.data[0] == pytest.approx(value, rel=1e-12)
 
     def test_missing_grad_rejected(self):
         p = Parameter(np.array([1.0]), "p")
@@ -176,45 +176,45 @@ class TestSgd:
 
     def test_missing_grad_rejected_before_any_update(self):
         a, b = Parameter(np.array([1.0]), "a"), Parameter(np.array([2.0]), "b")
-        a.value.grad = np.ones(1)
+        a.grad = np.ones(1)
         with pytest.raises(RuntimeError, match="'b' has no gradient"):
             sgd_step([a, b], lr=0.1)
-        np.testing.assert_array_equal(a.value.data, [1.0])
+        np.testing.assert_array_equal(a.data, [1.0])
         np.testing.assert_array_equal(a.momentum, [0.0])
-        np.testing.assert_array_equal(a.value.grad, [1.0])
+        np.testing.assert_array_equal(a.grad, [1.0])
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_non_finite_lr_rejected(self, lr):
         p = Parameter(np.array([1.0]), "p")
-        p.value.grad = np.ones(1)
+        p.grad = np.ones(1)
         with pytest.raises(ValueError, match="lr must be positive and finite"):
             sgd_step([p], lr=lr)
-        np.testing.assert_array_equal(p.value.data, [1.0])
+        np.testing.assert_array_equal(p.data, [1.0])
 
 
 class TestClipGradients:
     def test_scales_down_large_gradients(self):
         p = Parameter(np.zeros(4), "p")
-        p.value.grad = np.full(4, 3.0)
+        p.grad = np.full(4, 3.0)
         norm = clip_gradients([p], max_norm=1.0)
         assert norm == pytest.approx(6.0)
-        assert np.linalg.norm(p.value.grad) == pytest.approx(1.0, rel=1e-6)
+        assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-6)
 
     def test_leaves_small_gradients_alone(self):
         p = Parameter(np.zeros(2), "p")
-        p.value.grad = np.array([0.1, 0.2])
+        p.grad = np.array([0.1, 0.2])
         clip_gradients([p], max_norm=5.0)
-        np.testing.assert_array_equal(p.value.grad, [0.1, 0.2])
+        np.testing.assert_array_equal(p.grad, [0.1, 0.2])
 
     def test_disabled_with_nonpositive_norm(self):
         p = Parameter(np.zeros(2), "p")
-        p.value.grad = np.array([10.0, 10.0])
+        p.grad = np.array([10.0, 10.0])
         clip_gradients([p], max_norm=0.0)
-        np.testing.assert_array_equal(p.value.grad, [10.0, 10.0])
+        np.testing.assert_array_equal(p.grad, [10.0, 10.0])
 
     def test_nan_norm_rejected(self):
         p = Parameter(np.zeros(2), "p")
-        p.value.grad = np.array([10.0, 10.0])
+        p.grad = np.array([10.0, 10.0])
         with pytest.raises(ValueError, match="max_norm must not be NaN"):
             clip_gradients([p], max_norm=float("nan"))
 

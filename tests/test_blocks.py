@@ -8,6 +8,7 @@ import pytest
 from fednet import ops
 from fednet.blocks import (DUC, RCB, Conv2d, DecoderBlock, Encoder, FeatureFusion, FedNet,
                            NetworkSpec, SEBlock, UpsampleConv)
+from fednet.losses import combined_loss_with_logits
 from fednet.tensor import Tape, Tensor, backward
 
 from oracles import (baseline_fednet_logits_reference, conv2d_reference,
@@ -34,10 +35,10 @@ class TestSEBlock:
     def test_identical_channels_and_rows_give_equal_gates(self):
         block = SEBlock(4, 2, rng_for(2)).astype(F64)
         # make both dense layers row-symmetric so all channels see the same gate
-        block.fc1.w.value.data[...] = 0.3
-        block.fc1.b.value.data[...] = 0.1
-        block.fc2.w.value.data[...] = -0.2
-        block.fc2.b.value.data[...] = 0.05
+        block.fc1.w.data[...] = 0.3
+        block.fc1.b.data[...] = 0.1
+        block.fc2.w.data[...] = -0.2
+        block.fc2.b.data[...] = 0.05
         x = np.tile(rng_for(3).uniform(-1, 1, (1, 1, 4, 4)), (1, 4, 1, 1))
         out = block(t(x)).data
         gates = out / x
@@ -46,10 +47,10 @@ class TestSEBlock:
     def test_scalar_hand_evaluation(self):
         # C=2, H=W=1: pool -> fc1 -> relu -> fc2 -> sigmoid -> scale, by hand
         block = SEBlock(2, 2, rng_for(4)).astype(F64)
-        block.fc1.w.value.data[...] = [[0.5, -0.25]]
-        block.fc1.b.value.data[...] = [0.1]
-        block.fc2.w.value.data[...] = [[2.0], [-1.0]]
-        block.fc2.b.value.data[...] = [0.2, -0.3]
+        block.fc1.w.data[...] = [[0.5, -0.25]]
+        block.fc1.b.data[...] = [0.1]
+        block.fc2.w.data[...] = [[2.0], [-1.0]]
+        block.fc2.b.data[...] = [0.2, -0.3]
         x1, x2 = 0.8, -0.4
         hidden = max(0.0, 0.5 * x1 - 0.25 * x2 + 0.1)
         g1 = 1.0 / (1.0 + np.exp(-(2.0 * hidden + 0.2)))
@@ -73,7 +74,7 @@ class TestRCB:
     def test_zero_convs_reduce_to_relu(self):
         block = RCB(3, rng_for(8)).astype(F64)
         for p in block.parameters():
-            p.value.data[...] = 0.0
+            p.data[...] = 0.0
         x = rng_for(9).uniform(-1, 1, (1, 3, 4, 4))
         out = block(t(x))
         np.testing.assert_array_equal(out.data, np.maximum(x, 0.0))
@@ -86,8 +87,8 @@ class TestRCB:
     def test_matches_composed_loop_oracles(self):
         block = RCB(2, rng_for(11)).astype(F64)
         x = rng_for(12).uniform(-1, 1, (1, 2, 4, 4))
-        w1, b1 = block.conv1.w.value.data, block.conv1.b.value.data
-        w2, b2 = block.conv2.w.value.data, block.conv2.b.value.data
+        w1, b1 = block.conv1.w.data, block.conv1.b.data
+        w2, b2 = block.conv2.w.data, block.conv2.b.data
         inner = np.maximum(conv2d_reference(x, w1, b1, 1, 1), 0.0)
         expected = np.maximum(x + conv2d_reference(inner, w2, b2, 1, 1), 0.0)
         np.testing.assert_allclose(block(t(x)).data, expected, atol=1e-12, rtol=0)
@@ -101,8 +102,8 @@ class TestFeatureFusion:
     def test_single_level_is_projection_only(self):
         fuse = FeatureFusion((3,), 1, False, rng_for(14)).astype(F64)
         proj = fuse.terms[(0, 0)].proj
-        proj.w.value.data[...] = np.eye(3).reshape(3, 3, 1, 1)
-        proj.b.value.data[...] = 0.0
+        proj.w.data[...] = np.eye(3).reshape(3, 3, 1, 1)
+        proj.b.data[...] = 0.0
         x = rng_for(15).uniform(-1, 1, (2, 3, 4, 4))
         fused = fuse([t(x)])
         np.testing.assert_allclose(fused[0].data, x, atol=1e-15, rtol=0)
@@ -110,10 +111,10 @@ class TestFeatureFusion:
     def _identity_fusion(self, channels, rng):
         fuse = FeatureFusion(channels, 1, False, rng).astype(F64)
         for term in fuse.terms.values():
-            c_out, c_in = term.proj.w.value.shape[:2]
+            c_out, c_in = term.proj.w.shape[:2]
             assert c_out == c_in
-            term.proj.w.value.data[...] = np.eye(c_out).reshape(c_out, c_in, 1, 1)
-            term.proj.b.value.data[...] = 0.0
+            term.proj.w.data[...] = np.eye(c_out).reshape(c_out, c_in, 1, 1)
+            term.proj.b.data[...] = 0.0
         return fuse
 
     def test_constant_two_level_reduction(self):
@@ -146,14 +147,14 @@ class TestFeatureFusion:
 
         def np_se(term, v):
             pooled = v.mean(axis=(2, 3))
-            h = np.maximum(pooled @ term.se.fc1.w.value.data.T + term.se.fc1.b.value.data, 0.0)
-            gate = 1.0 / (1.0 + np.exp(-(h @ term.se.fc2.w.value.data.T
-                                         + term.se.fc2.b.value.data)))
+            h = np.maximum(pooled @ term.se.fc1.w.data.T + term.se.fc1.b.data, 0.0)
+            gate = 1.0 / (1.0 + np.exp(-(h @ term.se.fc2.w.data.T
+                                         + term.se.fc2.b.data)))
             return v * gate[:, :, None, None]
 
         def np_term(l, i, v):
             term = fuse.terms[(l, i)]
-            v = conv2d_reference(v, term.proj.w.value.data, term.proj.b.value.data, 1, 0)
+            v = conv2d_reference(v, term.proj.w.data, term.proj.b.data, 1, 0)
             return np_se(term, v)
 
         up = lambda v, f: np.kron(v, np.ones((1, 1, f, f)))
@@ -180,7 +181,7 @@ class TestDUC:
     def test_r1_reduces_to_conv(self):
         block = DUC(3, 2, 1, rng_for(20)).astype(F64)
         x = rng_for(21).uniform(-1, 1, (1, 3, 4, 4))
-        expected = conv2d_reference(x, block.conv.w.value.data, block.conv.b.value.data, 1, 1)
+        expected = conv2d_reference(x, block.conv.w.data, block.conv.b.data, 1, 1)
         np.testing.assert_allclose(block(t(x)).data, expected, atol=1e-12, rtol=0)
 
     def test_output_shape(self):
@@ -190,7 +191,7 @@ class TestDUC:
     def test_matches_conv_then_shuffle_oracles(self):
         block = DUC(2, 3, 2, rng_for(23)).astype(F64)
         x = rng_for(24).uniform(-1, 1, (1, 2, 3, 3))
-        convd = conv2d_reference(x, block.conv.w.value.data, block.conv.b.value.data, 1, 1)
+        convd = conv2d_reference(x, block.conv.w.data, block.conv.b.data, 1, 1)
         expected = pixel_shuffle_reference(convd, 2)
         np.testing.assert_allclose(block(t(x)).data, expected, atol=1e-12, rtol=0)
 
@@ -198,7 +199,7 @@ class TestDUC:
 class TestUpsampleConv:
     def _block(self, cin, cout, r, seed):
         block = UpsampleConv(cin, cout, r, rng_for(seed)).astype(F64)
-        block.conv.b.value.data[...] = rng_for(seed, 1).uniform(-1, 1, cout)
+        block.conv.b.data[...] = rng_for(seed, 1).uniform(-1, 1, cout)
         return block
 
     @pytest.mark.parametrize("r", [2, 3, 4])
@@ -208,12 +209,12 @@ class TestUpsampleConv:
         block = self._block(3, 2, r, 50 + r)
         x = rng_for(51, r).uniform(-1, 1, (2, 3) + hw)
         expected = conv2d_reference(upsample_nearest_reference(x, r),
-                                    block.conv.w.value.data, block.conv.b.value.data, 1, 1)
+                                    block.conv.w.data, block.conv.b.data, 1, 1)
         np.testing.assert_allclose(block(t(x)).data, expected, atol=1e-12, rtol=0)
 
     def test_gradients_match_upsample_then_conv(self):
         block = self._block(3, 2, 4, 52)
-        w, b = block.conv.w.value, block.conv.b.value
+        w, b = block.conv.w, block.conv.b
         g = rng_for(53).uniform(-1, 1, (2, 2, 12, 8))
         grads = []
         for direct in (False, True):
@@ -232,7 +233,7 @@ class TestUpsampleConv:
 
     def test_parameters_keep_the_conv_names_and_shapes(self):
         block = UpsampleConv(16, 8, 4, rng_for(55))
-        shapes = {name: p.value.shape for name, p in block.named_parameters().items()}
+        shapes = {name: p.shape for name, p in block.named_parameters().items()}
         assert shapes == {"conv.w": (8, 16, 3, 3), "conv.b": (8,)}
 
 
@@ -244,7 +245,7 @@ class TestFoldedHead:
         out = Conv2d(2, 1, 1, rng_for(seed, 1)).astype(F64)
         jitter = rng_for(seed, 2)
         for p in head.parameters() + out.parameters():  # every bias nonzero
-            p.value.data[...] += jitter.uniform(-0.5, 0.5, p.value.shape)
+            p.data[...] += jitter.uniform(-0.5, 0.5, p.shape)
         return head, out
 
     @pytest.mark.parametrize("kind", [DUC, UpsampleConv])
@@ -260,22 +261,22 @@ class TestFoldedHead:
         for fused in (True, False):
             x = t(x0, requires_grad=True)
             for p in params:
-                p.value.grad = None
+                p.grad = None
             with Tape() as tape:
                 y = head(x, then=out) if fused else out(head(x))
                 g = t(rng_for(72, r).uniform(-1, 1, y.shape))
                 s = (y * g).sum()
             backward(s, tape)
-            results.append([y.data, x.grad] + [p.value.grad for p in params])
+            results.append([y.data, x.grad] + [p.grad for p in params])
         for got, expected in zip(*results):
             np.testing.assert_allclose(got, expected, atol=1e-12, rtol=0)
         # the values against the loop oracles, as the unfused head is written
-        w, b = head.conv.w.value.data, head.conv.b.value.data
+        w, b = head.conv.w.data, head.conv.b.data
         if kind is DUC:
             up = pixel_shuffle_reference(conv2d_reference(x0, w, b, 1, 1), r)
         else:
             up = conv2d_reference(upsample_nearest_reference(x0, r), w, b, 1, 1)
-        expected = conv2d_reference(up, out.w.value.data, out.b.value.data, 1, 0)
+        expected = conv2d_reference(up, out.w.data, out.b.data, 1, 0)
         np.testing.assert_allclose(results[0][0], expected, atol=1e-12, rtol=0)
 
     def test_only_an_unpadded_stride1_conv_folds(self):
@@ -293,19 +294,19 @@ class TestDecoderBlock:
     def test_zero_weights_zero_biases_give_zero(self):
         block = DecoderBlock(8, 3, rng_for(26)).astype(F64)
         for p in block.parameters():
-            p.value.data[...] = 0.0
+            p.data[...] = 0.0
         out = block(t(rng_for(27).uniform(-1, 1, (1, 8, 4, 4))))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_matches_composed_loop_oracles(self):
         block = DecoderBlock(4, 2, rng_for(28)).astype(F64)
         x = rng_for(29).uniform(-1, 1, (1, 4, 3, 3))
-        stage1 = np.maximum(conv2d_reference(x, block.reduce.w.value.data,
-                                             block.reduce.b.value.data, 1, 0), 0.0)
-        stage2 = np.maximum(conv_transpose2d_reference(stage1, block.up.w.value.data,
-                                                       block.up.b.value.data, 2, 0), 0.0)
-        expected = conv2d_reference(stage2, block.restore.w.value.data,
-                                    block.restore.b.value.data, 1, 0)
+        stage1 = np.maximum(conv2d_reference(x, block.reduce.w.data,
+                                             block.reduce.b.data, 1, 0), 0.0)
+        stage2 = np.maximum(conv_transpose2d_reference(stage1, block.up.w.data,
+                                                       block.up.b.data, 2, 0), 0.0)
+        expected = conv2d_reference(stage2, block.restore.w.data,
+                                    block.restore.b.data, 1, 0)
         np.testing.assert_allclose(block(t(x)).data, expected, atol=1e-12, rtol=0)
 
     def test_too_few_channels_rejected(self):
@@ -381,9 +382,9 @@ class TestFedNet:
         net = FedNet(spec, rng=rng_for(43)).astype(F64)
         jitter = rng_for(44)
         for p in net.parameters():  # nonzero biases, so none of them can hide
-            p.value.data[...] += jitter.uniform(-0.1, 0.1, p.value.shape)
+            p.data[...] += jitter.uniform(-0.1, 0.1, p.shape)
         x = rng_for(45).uniform(0, 1, (1, 3, 32, 64))
-        params = {name: p.value.data for name, p in net.named_parameters().items()}
+        params = {name: p.data for name, p in net.named_parameters().items()}
         np.testing.assert_allclose(net.logits(t(x)).data,
                                    baseline_fednet_logits_reference(params, x),
                                    atol=1e-12, rtol=0)
@@ -394,7 +395,7 @@ class TestFedNet:
         net = FedNet(spec.baseline() if baseline else spec, rng=rng_for(46)).astype(F64)
         jitter = rng_for(47)
         for p in net.parameters():
-            p.value.data[...] += jitter.uniform(-0.1, 0.1, p.value.shape)
+            p.data[...] += jitter.uniform(-0.1, 0.1, p.shape)
         x = t(rng_for(48).uniform(0, 1, (2, 3, 32, 64)))
         levels = net.encoder(x)
         skips = net.fuse(levels) if net.fuse is not None else levels
@@ -430,6 +431,22 @@ class TestFedNet:
         net2 = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(42)).astype(F64)
         assert names == list(net2.named_parameters())
 
+    def test_parameters_are_the_leaf_tensors_backward_fills(self):
+        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(49))
+        x = Tensor(rng_for(50).uniform(0, 1, (2, 3, 32, 32)).astype(np.float32))
+        y = Tensor((rng_for(51).uniform(0, 1, (2, 1, 32, 32)) > 0.7).astype(np.float32))
+        with Tape() as tape:
+            loss = combined_loss_with_logits(y, net.logits(x))
+        backward(loss, tape)
+        for name, p in net.named_parameters().items():
+            assert isinstance(p, Tensor), name
+            assert p.grad is not None and p.grad.shape == p.shape, name
+        conv = Conv2d(3, 2, 3, rng_for(52), pad=1).astype(F64)
+        x1 = rng_for(53).uniform(-1, 1, (1, 3, 5, 4))
+        np.testing.assert_allclose(ops.conv2d(t(x1), conv.w, conv.b, 1, 1).data,
+                                   conv2d_reference(x1, conv.w.data, conv.b.data, 1, 1),
+                                   atol=1e-12, rtol=0)
+
 
 class TestAstype:
     def test_round_trip_keeps_values_momentum_and_parameters(self):
@@ -438,11 +455,11 @@ class TestAstype:
         for p in net.parameters():
             p.momentum[...] = rng.standard_normal(p.momentum.shape)
         before = net.named_parameters()
-        values = {n: p.value.data.tobytes() for n, p in before.items()}
+        values = {n: p.data.tobytes() for n, p in before.items()}
         momenta = {n: p.momentum.tobytes() for n, p in before.items()}
 
         assert net.astype(F64) is net
-        assert all(p.value.dtype == F64 and p.momentum.dtype == F64
+        assert all(p.dtype == F64 and p.momentum.dtype == F64
                    for p in net.parameters())
         net.astype(np.float32)
 
@@ -450,8 +467,8 @@ class TestAstype:
         assert list(after) == list(before)
         for name, p in after.items():
             assert p is before[name] and p.name == name
-            assert p.value.dtype == np.float32 and p.momentum.dtype == np.float32
-            assert p.value.data.tobytes() == values[name]
+            assert p.dtype == np.float32 and p.momentum.dtype == np.float32
+            assert p.data.tobytes() == values[name]
             assert p.momentum.tobytes() == momenta[name]
 
     @pytest.mark.parametrize("stage", ["liver", "lesion"])
@@ -460,7 +477,7 @@ class TestAstype:
         from fednet.harness import build_network
         params = build_network(TrainConfig(), stage).parameters()
         assert params
-        assert all(p.value.dtype == np.float32 and p.momentum.dtype == np.float32
+        assert all(p.dtype == np.float32 and p.momentum.dtype == np.float32
                    for p in params)
 
     def test_float64_network_rejects_float32_batch(self):

@@ -94,13 +94,13 @@ def entry_bytes(name, arr):
 
 
 def values_of(net):
-    return {name: (p.value.data.copy(), p.momentum.copy())
+    return {name: (p.data.copy(), p.momentum.copy())
             for name, p in net.named_parameters().items()}
 
 
 def assert_unchanged(net, before):
     for name, p in net.named_parameters().items():
-        np.testing.assert_array_equal(p.value.data, before[name][0])
+        np.testing.assert_array_equal(p.data, before[name][0])
         np.testing.assert_array_equal(p.momentum, before[name][1])
 
 
@@ -116,18 +116,18 @@ class TestNetworkState:
         other = small_net(seed=2)
         load_parameters(other, path)
         for name, p in other.named_parameters().items():
-            np.testing.assert_array_equal(p.value.data, params[name].value.data)
+            np.testing.assert_array_equal(p.data, params[name].data)
             np.testing.assert_array_equal(p.momentum, params[name].momentum)
 
     def test_loads_into_the_existing_arrays(self, tmp_path):
         path = tmp_path / "net.fedckpt"
         save_checkpoint(path, state_arrays(small_net(seed=1)))
         net = FedNet(NetworkSpec(base_channels=4, se_reduction=4))
-        arrays = {name: (p.value.data, p.momentum)
+        arrays = {name: (p.data, p.momentum)
                   for name, p in net.named_parameters().items()}
         load_parameters(net, path)
         for name, p in net.named_parameters().items():
-            assert p.value.data is arrays[name][0] and p.momentum is arrays[name][1]
+            assert p.data is arrays[name][0] and p.momentum is arrays[name][1]
 
     def test_float64_network_loads_the_float32_values(self, tmp_path):
         net = small_net(seed=1)
@@ -137,12 +137,12 @@ class TestNetworkState:
         load_parameters(wide, path)
         narrow = net.named_parameters()
         for name, p in wide.named_parameters().items():
-            assert p.value.data.dtype == np.float64
-            np.testing.assert_array_equal(p.value.data, narrow[name].value.data)
+            assert p.data.dtype == np.float64
+            np.testing.assert_array_equal(p.data, narrow[name].data)
 
     def test_value_only_checkpoint_keeps_momentum(self, tmp_path):
         net = small_net(seed=1)
-        values = {name: p.value.data for name, p in net.named_parameters().items()}
+        values = {name: p.data for name, p in net.named_parameters().items()}
         path = tmp_path / "values.fedckpt"
         save_checkpoint(path, values)
         other = small_net(seed=2)

@@ -259,8 +259,8 @@ class TestInfer:
         cfg = micro_config(dataset, tmp_path / "unused.fedckpt")
         liver_net = harness.build_network(cfg, stage="liver")
         for p in liver_net.parameters():
-            p.value.data[...] = 0.0
-        liver_net.head_out.b.value.data[...] = -2.0  # logits -2 -> prob 0.12 < 0.5
+            p.data[...] = 0.0
+        liver_net.head_out.b.data[...] = -2.0  # logits -2 -> prob 0.12 < 0.5
         lesion_net = harness.build_network(cfg, stage="lesion")
         liver_ckpt = tmp_path / "liver0.fedckpt"
         lesion_ckpt = tmp_path / "lesion0.fedckpt"
@@ -276,8 +276,8 @@ class TestInfer:
         cfg = micro_config(dataset, tmp_path / "unused1.fedckpt")
         liver_net = harness.build_network(cfg, stage="liver")
         for p in liver_net.parameters():
-            p.value.data[...] = 0.0
-        liver_net.head_out.b.value.data[...] = 2.0  # logits 2 -> prob 0.88: all liver
+            p.data[...] = 0.0
+        liver_net.head_out.b.data[...] = 2.0  # logits 2 -> prob 0.88: all liver
         liver_ckpt = tmp_path / "liver1.fedckpt"
         lesion_ckpt = tmp_path / "lesion1.fedckpt"
         save_checkpoint(liver_ckpt, state_arrays(liver_net))
@@ -311,8 +311,8 @@ class TestInfer:
         seeded = harness.build_network(cfg, stage="lesion")
         assert list(blank.named_parameters()) == list(seeded.named_parameters())
         for name, p in blank.named_parameters().items():
-            assert p.value.data.dtype == np.float32
-            assert name == "head_out.b" or not p.value.data.any()
+            assert p.data.dtype == np.float32
+            assert name == "head_out.b" or not p.data.any()
 
 
 class TestEvaluate:
@@ -478,7 +478,7 @@ class TestCli:
             net = harness.build_network(cfg, stage=stage)
             # head biases +2 and 0: every slice is liver, and lesion
             # probabilities near 0.5 clear the 0.3 threshold, so masks are not empty
-            net.head_out.b.value.data[...] = 2.0 if stage == "liver" else 0.0
+            net.head_out.b.data[...] = 2.0 if stage == "liver" else 0.0
             ckpts[stage] = tmp_path / f"{stage}.fedckpt"
             save_checkpoint(ckpts[stage], state_arrays(net))
         common = ["--config", str(cfg_path), "--liver-ckpt", str(ckpts["liver"]),
