@@ -233,27 +233,13 @@ class FeatureFusion(Block):
                 self.terms[(l, i)] = term
                 self._child(f"l{l + 1}.from{i + 1}", term)
 
-    def _validate(self, levels: Sequence[Tensor]) -> None:
+    def __call__(self, levels: Sequence[Tensor]) -> list[Tensor]:
+        # The ops check the shapes: each projection conv rejects a wrong
+        # channel count, and level 0's sum, of every level upsampled to its
+        # size, a batch or spatial extent off the halving pyramid.
         if len(levels) != len(self.channels):
             raise ValueError(
                 f"feature fusion built for {len(self.channels)} levels, got {len(levels)}")
-        batch = levels[0].shape[0]
-        for idx, (lvl, c) in enumerate(zip(levels, self.channels)):
-            if lvl.shape[0] != batch:
-                raise ValueError("pyramid shape inconsistency: batch extents differ")
-            if lvl.shape[1] != c:
-                raise ValueError(
-                    f"pyramid shape inconsistency: level {idx + 1} has {lvl.shape[1]} "
-                    f"channels, expected {c}")
-            f = 2 ** idx
-            if (lvl.shape[2] * f != levels[0].shape[2]
-                    or lvl.shape[3] * f != levels[0].shape[3]):
-                raise ValueError(
-                    f"pyramid shape inconsistency: level {idx + 1} spatial extents "
-                    f"{tuple(lvl.shape[2:])} do not match a halving pyramid")
-
-    def __call__(self, levels: Sequence[Tensor]) -> list[Tensor]:
-        self._validate(levels)
         fused = []
         for l in range(len(levels)):
             acc = None

@@ -58,7 +58,8 @@ def _index(fh: BinaryIO, path) -> dict[str, tuple[tuple[int, ...], int]]:
     payload; returns name -> (shape, payload offset) in file order.
 
     Raises :class:`CheckpointError` on a wrong magic, a header or payload
-    cut short, a duplicate name, or bytes after the last entry.
+    cut short, a name that is not UTF-8, a duplicate name, or bytes after
+    the last entry.
     """
     size = os.fstat(fh.fileno()).st_size
     pos = len(MAGIC)
@@ -78,7 +79,11 @@ def _index(fh: BinaryIO, path) -> dict[str, tuple[tuple[int, ...], int]]:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         raw = take(name_len + 1)  # the name, then the rank byte
-        name, rank = raw[:-1].decode("utf-8"), raw[-1]
+        try:
+            name, rank = raw[:-1].decode("utf-8"), raw[-1]
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: entry name is not UTF-8 at byte "
+                                  f"{pos - len(raw) + exc.start}") from None
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         end = pos + FILE_DTYPE.itemsize * math.prod(shape)
         if end > size:

@@ -25,8 +25,8 @@ from .losses import (LossWeights, combined_loss, combined_loss_with_logits, dice
 from .pipeline import (flip_augment, hierarchical_postprocess, hu_window_normalize,
                        largest_component, sample_slices, stack_adjacent_slices,
                        threshold_mask)
-from .tensor import (Tape, Tensor, backward, clip_gradients, grad_check,
-                     sgd_step)
+from .tensor import (GradCheckReport, Tape, Tensor, backward, clip_gradients,
+                     grad_check, sgd_step)
 from .volume import Volume, read_mvol
 
 CT_SUFFIX = "_ct.mvol"
@@ -321,6 +321,9 @@ def evaluate(pred_dir, gt_dir, gt_label: Optional[int] = None) -> MetricsReport:
     for name in sorted(preds):
         pv = read_mvol(preds[name]).voxels
         gv = read_mvol(gts[name]).voxels
+        if pv.shape != gv.shape:
+            raise DatasetError(f"{name}: prediction and ground-truth dims differ, "
+                               f"{pv.shape} vs {gv.shape}")
         gt_mask = (gv == gt_label) if gt_label is not None else (gv != 0)
         cases.append(((pv != 0), gt_mask))
     return MetricsReport(dice_per_case(cases), dice_global(cases),
@@ -361,16 +364,6 @@ def ablate(cfg: TrainConfig) -> tuple[list[tuple[str, float, float]], str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SuiteCheck:
-    name: str
-    max_rel_err: float
-    passed: bool
-    worst_coord: Optional[tuple] = None
-    kink_coords_skipped: int = 0
-    seconds: float = 0.0  # wall time to build and run the check
-
-
 def _suite_rng(tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([0xC0FFEE, tag]))
 
@@ -380,9 +373,11 @@ def _rand(rng, shape, lo=-1.0, hi=1.0):
 
 
 def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
-                    ) -> list[SuiteCheck]:
+                    ) -> list[GradCheckReport]:
     """Finite-difference checks for every differentiable op and composite
-    block at verification precision.  ``names`` filters the checks to run."""
+    block at verification precision, one :class:`GradCheckReport` per check
+    with its ``name`` and ``seconds`` set.  ``names`` filters the checks to
+    run; a name the suite does not know is a ValueError."""
     f64 = np.float64
     toy = NetworkSpec(base_channels=4, se_reduction=4)
 
@@ -599,6 +594,9 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         ("combined_loss", loss_check, False),
         ("combined_loss_with_logits", logits_loss_check, False),
     ]
+    unknown = sorted(set(names or ()) - {name for name, _, _ in registry})
+    if unknown:
+        raise ValueError(f"gradcheck_suite: unknown check names {unknown}")
     results = []
     for name, builder, samplewise in registry:
         if names is not None and name not in names:
@@ -606,7 +604,5 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         started = time.perf_counter()
         f, x = builder()
         report = grad_check(f, x, tol, samplewise=samplewise)
-        results.append(SuiteCheck(name, report.max_rel_err, report.passed,
-                                  report.worst_coord, report.kink_coords_skipped,
-                                  time.perf_counter() - started))
+        results.append(replace(report, name=name, seconds=time.perf_counter() - started))
     return results

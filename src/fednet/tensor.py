@@ -428,6 +428,8 @@ class GradCheckReport:
     worst_coord: Optional[tuple] = None
     message: str = ""
     kink_coords_skipped: int = 0
+    name: str = ""  # set by a suite that runs several named checks
+    seconds: float = 0.0  # wall time to build and run the check, set likewise
 
     def __str__(self) -> str:
         state = "PASS" if self.passed else "FAIL"

@@ -77,6 +77,16 @@ class TestFormat:
         with pytest.raises(CheckpointError, match="duplicate parameter name 'w'"):
             load_checkpoint(path)
 
+    def test_non_utf8_name_rejected_with_path_and_offset(self, tmp_path):
+        path = tmp_path / "latin.fedckpt"
+        arr = np.zeros(1, "<f4")
+        # the name b"w\xff" starts at byte 14, so its bad byte is byte 15
+        path.write_bytes(b"FEDCKPT1" + struct.pack("<IH", 1, 2) + b"w\xff"
+                         + struct.pack("<BI", 1, 1) + arr.tobytes())
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value) == f"{path}: entry name is not UTF-8 at byte 15"
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "extra.fedckpt"
         save_checkpoint(path, {"w": np.zeros(2, np.float32)})

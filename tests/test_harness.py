@@ -15,6 +15,7 @@ from fednet.blocks import FedNet, NetworkSpec
 from fednet.checkpoint import CheckpointMismatch, save_checkpoint, state_arrays
 from fednet.config import TrainConfig, parse_config
 from fednet.synth import synth_generate
+from fednet.tensor import GradCheckReport
 from fednet.volume import Volume, read_mvol, write_mvol
 
 
@@ -346,6 +347,13 @@ class TestEvaluate:
         assert harness.evaluate(tmp_path / "pred", tmp_path / "gt", gt_label=2).per_case_dice == 1.0
         assert harness.evaluate(tmp_path / "pred", tmp_path / "gt").per_case_dice < 1.0
 
+    def test_dims_mismatch_names_the_case(self, tmp_path):
+        self._write_masks(tmp_path / "pred", {"a": np.zeros((4, 4, 4))})
+        self._write_masks(tmp_path / "gt", {"a": np.zeros((4, 4, 5))})
+        with pytest.raises(harness.DatasetError,
+                           match=r"a\.mvol: prediction and ground-truth dims differ"):
+            harness.evaluate(tmp_path / "pred", tmp_path / "gt")
+
     def test_unpaired_files_rejected(self, tmp_path):
         self._write_masks(tmp_path / "pred", {"a": np.zeros((2, 2, 2))})
         self._write_masks(tmp_path / "gt", {"b": np.zeros((2, 2, 2))})
@@ -407,6 +415,10 @@ class TestGradcheckSuite:
         (check,) = harness.gradcheck_suite(names=["relu"])
         assert check.worst_coord is not None and len(check.worst_coord) == 4
         assert check.kink_coords_skipped == 0
+
+    def test_unknown_names_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown check names \['conv2d/inptu'\]"):
+            harness.gradcheck_suite(names=["conv2d/inptu", "relu"])
 
     def test_fault_injection_detected(self, monkeypatch):
         import fednet.ops as ops_mod
@@ -574,17 +586,18 @@ class TestCli:
         assert (tmp_path / "a.fedckpt").read_bytes() != (tmp_path / "b.fedckpt").read_bytes()
 
     def test_gradcheck_exit_codes(self, monkeypatch, capsys):
-        ok = [harness.SuiteCheck("x", 1e-9, True)]
+        ok = [GradCheckReport(1e-9, True, name="x")]
         monkeypatch.setattr(harness, "gradcheck_suite", lambda tol: ok)
         assert cli.main(["gradcheck"]) == 0
         assert "x\t1.000e-09\tPASS" in capsys.readouterr().out
-        bad = [harness.SuiteCheck("x", 1e-2, False)]
+        bad = [GradCheckReport(1e-2, False, name="x")]
         monkeypatch.setattr(harness, "gradcheck_suite", lambda tol: bad)
         assert cli.main(["gradcheck"]) == 2
 
     def test_gradcheck_prints_worst_coord_and_kinks(self, monkeypatch, capsys):
-        checks = [harness.SuiteCheck("x", 1e-9, True, (0, 2, 1), 3, 1.25),
-                  harness.SuiteCheck("y", 1e-9, True, seconds=0.5)]
+        checks = [GradCheckReport(1e-9, True, (0, 2, 1), kink_coords_skipped=3, name="x",
+                                  seconds=1.25),
+                  GradCheckReport(1e-9, True, name="y", seconds=0.5)]
         monkeypatch.setattr(harness, "gradcheck_suite", lambda tol: checks)
         assert cli.main(["gradcheck"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -593,6 +606,15 @@ class TestCli:
         assert lines[1] == ("y\t1.000e-09\tPASS\tworst_coord=-\tkink_coords_skipped=0"
                             "\tseconds=0.500")
         assert lines[-1] == "total_seconds\t1.750"
+
+    def test_gradcheck_prints_the_reason_of_a_failed_check(self, monkeypatch, capsys):
+        checks = [GradCheckReport(np.inf, False, (1, 0), "non-finite gradient at (1, 0)",
+                                  name="x", seconds=0.25)]
+        monkeypatch.setattr(harness, "gradcheck_suite", lambda tol: checks)
+        assert cli.main(["gradcheck"]) == 2
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "x\tinf\tFAIL\tworst_coord=1,0\tkink_coords_skipped=0\tseconds=0.250"
+            "\treason=non-finite gradient at (1, 0)")
 
     def test_ablate_cli(self, dataset, tmp_path, capsys):
         cfg_path = tmp_path / "ab.cfg"
