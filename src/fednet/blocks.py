@@ -395,9 +395,9 @@ class FedNet(Block):
     [N, 1, H, W].  Training and inference both take this path; the
     parameters keep their names and shapes.
 
-    :meth:`logits` returns those pre-sigmoid logits, which training feeds to
-    the loss; :meth:`forward` (and calling the network) returns
-    ``sigmoid(logits(x))``, the probabilities inference thresholds.
+    Calling the network returns those pre-sigmoid logits: training feeds
+    them to the loss, and :func:`fednet.harness.predict_volume` takes their
+    sigmoid, the probabilities inference thresholds.
 
     With every enable flag off this is the plain baseline encoder-decoder
     with raw skip connections.  Built with ``rng=None``, every weight starts
@@ -437,9 +437,9 @@ class FedNet(Block):
         for name, p in self.named_parameters().items():
             p.name = name
 
-    def logits(self, x: Tensor) -> Tensor:
-        """Pre-sigmoid output [N, 1, H, W] of the head's 1x1 conv, folded
-        into the head's upsampling conv."""
+    def __call__(self, x: Tensor) -> Tensor:
+        """Logits [N, 1, H, W]: the head's 1x1 conv, folded into the head's
+        upsampling conv."""
         levels = self.encoder(x)
         skips = self.fuse(levels) if self.fuse is not None else levels
         d = self.up4(skips[3])
@@ -449,9 +449,3 @@ class FedNet(Block):
         d = self.dec2(d)
         d = d + self.skip1(skips[0])
         return self.head_up(d, then=self.head_out)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Foreground probabilities: ``sigmoid(logits(x))``."""
-        return sigmoid(self.logits(x))
-
-    __call__ = forward

@@ -101,12 +101,7 @@ def cmd_ablate(args) -> int:
 def cmd_gradcheck(args) -> int:
     results = harness.gradcheck_suite(tol=args.tol)
     for check in results:
-        state = "PASS" if check.passed else "FAIL"
-        worst = "-" if check.worst_coord is None else ",".join(map(str, check.worst_coord))
-        reason = f"\treason={check.message}" if check.message else ""
-        print(f"{check.name}\t{check.max_rel_err:.3e}\t{state}"
-              f"\tworst_coord={worst}\tkink_coords_skipped={check.kink_coords_skipped}"
-              f"\tseconds={check.seconds:.3f}{reason}")
+        print(check)
     failed = [c for c in results if not c.passed]
     print(f"checks\t{len(results)}")
     print(f"failed\t{len(failed)}")

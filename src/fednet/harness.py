@@ -101,6 +101,11 @@ def load_dataset(data_dir) -> list[tuple[str, Volume, Volume]]:
             raise DatasetError(f"missing segmentation for {ct_path.name}")
         ct = check_ct(read_mvol(ct_path), ct_path)
         seg = read_mvol(seg_path)
+        labels = seg.voxels
+        if labels.dtype != np.uint8 or labels.max() > 2:
+            found = f"largest label {labels.max()}" if labels.dtype == np.uint8 else labels.dtype
+            raise DatasetError(f"{seg_path}: a segmentation must hold uint8 labels in "
+                               f"{{0, 1, 2}}, got {found}")
         if ct.voxels.shape != seg.voxels.shape:
             raise DatasetError(f"{name}: ct and seg dims differ")
         out.append((name, ct, seg))
@@ -191,7 +196,7 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     prepared = [(hu_window_normalize(ct.voxels), *stage_targets(seg.voxels, cfg.stage))
                 for _, ct, seg in volumes]
     net = build_network(cfg)
-    params = list(net.named_parameters().values())
+    params = net.parameters()
     aug_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA0]))
     stream = _sample_stream(prepared, cfg, aug_rng)
 
@@ -202,7 +207,7 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
         xb = Tensor(np.stack([image for image, _ in batch]))
         yb = Tensor(np.stack([target for _, target in batch], dtype=np.float32))
         with Tape() as tape:
-            loss = combined_loss_with_logits(yb, net.logits(xb), cfg.loss)
+            loss = combined_loss_with_logits(yb, net(xb), cfg.loss)
         value = loss.item()
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite loss at iteration {it}")
@@ -230,13 +235,14 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
 
 
 def predict_volume(net: FedNet, norm: np.ndarray, z_indices: Sequence[int]) -> np.ndarray:
-    """Per-slice probabilities over the listed z indices; other slices are 0."""
+    """Per-slice probabilities, the sigmoid of the network's logits, over
+    the listed z indices; other slices are 0."""
     probs = np.zeros(norm.shape, dtype=np.float32)
     z_indices = list(z_indices)
     for start in range(0, len(z_indices), PREDICT_BATCH):
         chunk = z_indices[start:start + PREDICT_BATCH]
         xb = Tensor(np.stack([stack_adjacent_slices(norm, z) for z in chunk]))
-        out = net(xb).data[:, 0]
+        out = ops.sigmoid(net(xb)).data[:, 0]
         for z, sl in zip(chunk, out):
             probs[z] = sl
     return probs
@@ -289,10 +295,8 @@ def segment(cfg: TrainConfig, liver_net: FedNet, lesion_net: FedNet,
     liver_prob = predict_volume(liver_net, norm, range(norm.shape[0]))
     liver_mask = largest_component(threshold_mask(liver_prob, cfg.liver_threshold),
                                    cfg.connectivity)
-    lesion_prob = np.zeros(norm.shape, dtype=np.float32)
     liver_z = np.nonzero(liver_mask.any(axis=(1, 2)))[0]
-    if liver_z.size:
-        lesion_prob = predict_volume(lesion_net, norm, liver_z)
+    lesion_prob = predict_volume(lesion_net, norm, liver_z)
     final = hierarchical_postprocess(liver_mask, lesion_prob, cfg.lesion_threshold)
     return Volume(final, volume.spacing)
 
@@ -548,7 +552,7 @@ def gradcheck_suite(names: Optional[Sequence[str]] = None, tol: float = 1e-4
         rng = _suite_rng(18)
         net = FedNet(toy, rng=rng).astype(f64)
         x = Tensor(rng.uniform(-1, 1, (1, 3, 32, 32)), requires_grad=True)
-        return lambda t: net(t), x
+        return lambda t: ops.sigmoid(net(t)), x
 
     def loss_check():
         rng = _suite_rng(19)

@@ -376,6 +376,10 @@ def sgd_step(params: Iterable[Parameter], lr: float, momentum: float = 0.9,
     # a comparison that NaN fails
     if not 0 < lr < np.inf:
         raise ValueError(f"lr must be positive and finite, got {lr}")
+    if not 0 <= momentum < 1:
+        raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
+    if not 0 <= weight_decay < np.inf:
+        raise ValueError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
     params = list(params)
     # every gradient is checked before any parameter is written
     for p in params:
@@ -432,11 +436,12 @@ class GradCheckReport:
     seconds: float = 0.0  # wall time to build and run the check, set likewise
 
     def __str__(self) -> str:
-        state = "PASS" if self.passed else "FAIL"
-        extra = f" ({self.message})" if self.message else ""
-        if self.kink_coords_skipped:
-            extra += f" [{self.kink_coords_skipped} kink-straddling coords excluded]"
-        return f"{state} max_rel_err={self.max_rel_err:.3e}{extra}"
+        """One tab-separated row, as ``fednet gradcheck`` prints it."""
+        worst = "-" if self.worst_coord is None else ",".join(map(str, self.worst_coord))
+        reason = f"\treason={self.message}" if self.message else ""
+        return (f"{self.name}\t{self.max_rel_err:.3e}\t{'PASS' if self.passed else 'FAIL'}"
+                f"\tworst_coord={worst}\tkink_coords_skipped={self.kink_coords_skipped}"
+                f"\tseconds={self.seconds:.3f}{reason}")
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4,
@@ -472,6 +477,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4,
     global _KINK_LOG
     if x.data.dtype != np.float64:
         raise ValueError("grad_check requires float64 tensors (verification precision)")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if samplewise and x.data.ndim == 0:
         raise ValueError("samplewise grad_check needs an input with a batch axis")
     x.requires_grad = True

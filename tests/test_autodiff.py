@@ -191,6 +191,19 @@ class TestSgd:
             sgd_step([p], lr=lr)
         np.testing.assert_array_equal(p.data, [1.0])
 
+    @pytest.mark.parametrize("name, value", [
+        ("momentum", float("nan")), ("momentum", 1.0), ("momentum", -0.1),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")), ("weight_decay", -1e-4),
+    ])
+    def test_bad_momentum_or_weight_decay_rejected_before_any_update(self, name, value):
+        p = Parameter(np.array([1.0]), "p")
+        p.grad = np.ones(1)
+        with pytest.raises(ValueError, match=f"{name} must"):
+            sgd_step([p], lr=0.1, **{name: value})
+        np.testing.assert_array_equal(p.data, [1.0])
+        np.testing.assert_array_equal(p.momentum, [0.0])
+        np.testing.assert_array_equal(p.grad, [1.0])
+
 
 class TestClipGradients:
     def test_scales_down_large_gradients(self):
@@ -309,5 +322,13 @@ class TestGradCheck:
             grad_check(lambda v: v.sum(axis=0), x, samplewise=True)
 
     def test_report_is_printable(self):
-        report = GradCheckReport(1e-9, True)
-        assert "PASS" in str(report)
+        report = GradCheckReport(1e-9, True, name="x")
+        assert str(report) == ("x\t1.000e-09\tPASS\tworst_coord=-\tkink_coords_skipped=0"
+                               "\tseconds=0.000")
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-4])
+    def test_bad_tol_rejected(self, tol):
+        calls = []
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            grad_check(lambda v: calls.append(v) or v, leaf(np.ones(3)), tol=tol)
+        assert not calls

@@ -364,18 +364,13 @@ class TestFedNet:
     def test_output_shape_and_range(self):
         net = FedNet(NetworkSpec(base_channels=8, se_reduction=8), rng=rng_for(35))
         x = Tensor(np.random.default_rng(1).uniform(0, 1, (2, 3, 64, 64)).astype(np.float32))
-        out = net(x)
+        out = ops.sigmoid(net(x))
         assert out.shape == (2, 1, 64, 64)
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
     def test_nonsquare_input(self):
         net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(36)).astype(F64)
         assert net(t(np.zeros((1, 3, 32, 64)))).shape == (1, 1, 32, 64)
-
-    def test_forward_is_sigmoid_of_logits(self):
-        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(39))
-        x = Tensor(np.random.default_rng(4).uniform(0, 1, (2, 3, 32, 32)).astype(np.float32))
-        np.testing.assert_array_equal(net.forward(x).data, ops.sigmoid(net.logits(x)).data)
 
     def test_baseline_matches_upsample_first_oracle(self):
         spec = NetworkSpec(base_channels=4, se_reduction=4).baseline()
@@ -385,7 +380,7 @@ class TestFedNet:
             p.data[...] += jitter.uniform(-0.1, 0.1, p.shape)
         x = rng_for(45).uniform(0, 1, (1, 3, 32, 64))
         params = {name: p.data for name, p in net.named_parameters().items()}
-        np.testing.assert_allclose(net.logits(t(x)).data,
+        np.testing.assert_allclose(net(t(x)).data,
                                    baseline_fednet_logits_reference(params, x),
                                    atol=1e-12, rtol=0)
 
@@ -402,7 +397,7 @@ class TestFedNet:
         d = net.dec3(net.up4(skips[3]) + net.skip3(skips[2]))
         d = net.dec2(d + net.skip2(skips[1]))
         unfused = net.head_out(net.head_up(d + net.skip1(skips[0])))
-        np.testing.assert_allclose(net.logits(x).data, unfused.data, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(net(x).data, unfused.data, atol=1e-12, rtol=0)
 
     def test_six_ablation_configs_constructible_with_disjoint_block_names(self):
         from fednet.harness import ABLATION_ROWS
@@ -421,7 +416,7 @@ class TestFedNet:
 
     def test_head_starts_biased_toward_background(self):
         net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(40)).astype(F64)
-        out = net(t(np.random.default_rng(3).uniform(0, 1, (1, 3, 32, 32))))
+        out = ops.sigmoid(net(t(np.random.default_rng(3).uniform(0, 1, (1, 3, 32, 32)))))
         assert out.data.mean() < 0.5
 
     def test_parameter_names_are_unique_and_stable(self):
@@ -436,7 +431,7 @@ class TestFedNet:
         x = Tensor(rng_for(50).uniform(0, 1, (2, 3, 32, 32)).astype(np.float32))
         y = Tensor((rng_for(51).uniform(0, 1, (2, 1, 32, 32)) > 0.7).astype(np.float32))
         with Tape() as tape:
-            loss = combined_loss_with_logits(y, net.logits(x))
+            loss = combined_loss_with_logits(y, net(x))
         backward(loss, tape)
         for name, p in net.named_parameters().items():
             assert isinstance(p, Tensor), name

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import fednet
-from fednet import cli, harness, pipeline
+from fednet import cli, harness, ops, pipeline
 from fednet.blocks import FedNet, NetworkSpec
 from fednet.checkpoint import CheckpointMismatch, save_checkpoint, state_arrays
 from fednet.config import TrainConfig, parse_config
 from fednet.synth import synth_generate
-from fednet.tensor import GradCheckReport
+from fednet.tensor import GradCheckReport, Tensor
 from fednet.volume import Volume, read_mvol, write_mvol
 
 
@@ -74,6 +74,25 @@ class TestLoadDataset:
         seg = read_mvol(tmp_path / "d" / "case000_seg.mvol")
         write_mvol(Volume(seg.voxels[:-1], seg.spacing), tmp_path / "d" / "case000_seg.mvol")
         with pytest.raises(harness.DatasetError, match="case000: ct and seg dims differ"):
+            harness.load_dataset(tmp_path / "d")
+
+    def test_ct_as_segmentation_rejected(self, tmp_path):
+        make_dataset(tmp_path / "d", n=1)
+        seg_path = tmp_path / "d" / "case000_seg.mvol"
+        seg_path.write_bytes((tmp_path / "d" / "case000_ct.mvol").read_bytes())
+        with pytest.raises(harness.DatasetError) as info:
+            harness.load_dataset(tmp_path / "d")
+        assert str(info.value) == (f"{seg_path}: a segmentation must hold uint8 labels in "
+                                   "{0, 1, 2}, got int16")
+
+    def test_label_above_two_rejected(self, tmp_path):
+        make_dataset(tmp_path / "d", n=1)
+        seg_path = tmp_path / "d" / "case000_seg.mvol"
+        seg = read_mvol(seg_path)
+        labels = seg.voxels.copy()
+        labels[0, 0, 0] = 3
+        write_mvol(Volume(labels, seg.spacing), seg_path)
+        with pytest.raises(harness.DatasetError, match="case000_seg.mvol: .* got largest label 3$"):
             harness.load_dataset(tmp_path / "d")
 
 
@@ -253,6 +272,17 @@ class TestPredictVolume:
         alone = harness.predict_volume(net, norm, range(9))
         batched = harness.predict_volume(net, norm, range(1, 9))
         assert alone[8].tobytes() == batched[8].tobytes()
+
+    def test_probabilities_are_sigmoid_of_logits(self, dataset):
+        net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=np.random.default_rng(4))
+        _, ct, _ = harness.load_dataset(dataset)[0]
+        norm = pipeline.hu_window_normalize(ct.voxels)
+        probs = harness.predict_volume(net, norm, [3, 5])
+        x = Tensor(np.stack([pipeline.stack_adjacent_slices(norm, z) for z in (3, 5)]))
+        expected = ops.sigmoid(net(x)).data[:, 0]
+        assert probs[[3, 5]].tobytes() == expected.tobytes()
+        assert np.all(probs[[3, 5]] > 0) and np.all(probs[[3, 5]] < 1)
+        assert not np.delete(probs, [3, 5], axis=0).any()
 
 
 class TestInfer:
@@ -593,6 +623,11 @@ class TestCli:
         bad = [GradCheckReport(1e-2, False, name="x")]
         monkeypatch.setattr(harness, "gradcheck_suite", lambda tol: bad)
         assert cli.main(["gradcheck"]) == 2
+
+    def test_gradcheck_rejects_a_non_finite_tol(self, capsys):
+        assert cli.main(["gradcheck", "--tol", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: tol must be positive and finite, got nan\n"
 
     def test_gradcheck_prints_worst_coord_and_kinks(self, monkeypatch, capsys):
         checks = [GradCheckReport(1e-9, True, (0, 2, 1), kink_coords_skipped=3, name="x",

@@ -144,7 +144,7 @@ def _net_convs(op_name: str, specs) -> list:
     setattr(ops, op_name, spy)
     try:
         for spec in specs:
-            FedNet(spec).logits(Tensor(np.zeros((1, 3, 64, 64), np.float32)))
+            FedNet(spec)(Tensor(np.zeros((1, 3, 64, 64), np.float32)))
     finally:
         setattr(ops, op_name, op)
     return seen
