@@ -3,8 +3,8 @@
 Layout (little-endian): magic b"FEDCKPT1", u32 entry count, then per entry a
 u16 name length, the UTF-8 name, a u8 rank, rank u32 extents, and the values
 as 32-bit IEEE-754.  Entries are written sorted by name, so save -> load ->
-save is byte-identical.  SGD momentum buffers are stored as ordinary entries
-under the parameter name plus the suffix ".m".
+save is byte-identical.  A network's checkpoint holds one entry per
+parameter, its values, under the parameter's name.
 
 Both readers first walk the entry headers (:func:`_index`), which holds
 every check of the layout, and only then read payloads, each straight into
@@ -23,7 +23,6 @@ import numpy as np
 from .volume import atomic_write
 
 MAGIC = b"FEDCKPT1"
-MOMENTUM_SUFFIX = ".m"
 # names of each kind quoted in a CheckpointMismatch; the rest are counted
 MISMATCH_NAMES_SHOWN = 3
 
@@ -110,8 +109,8 @@ def _read_payload(fh: BinaryIO, path, offset: int, out: np.ndarray) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Every entry of a FEDCKPT1 file, momentum buffers included, each as its
-    own writable float32 array, in file (name) order."""
+    """Every entry of a FEDCKPT1 file, each as its own writable float32
+    array, in file (name) order."""
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
         for name, (shape, offset) in _index(fh, path).items():
@@ -121,12 +120,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def state_arrays(net) -> dict[str, np.ndarray]:
-    """Flatten a network's parameters and momentum buffers for saving."""
-    out: dict[str, np.ndarray] = {}
-    for name, p in net.named_parameters().items():
-        out[name] = p.data
-        out[name + MOMENTUM_SUFFIX] = p.momentum
-    return out
+    """A network's parameter values by name, for saving."""
+    return {name: p.data for name, p in net.named_parameters().items()}
 
 
 def _quoted(names: list[str], label: str) -> str:
@@ -136,38 +131,31 @@ def _quoted(names: list[str], label: str) -> str:
 
 
 def load_parameters(net, path) -> None:
-    """Read a FEDCKPT1 file's values, and any momentum buffers, into ``net``
-    by name, each payload straight into the parameter's array.
+    """Read a FEDCKPT1 file's values into ``net`` by name, each payload
+    straight into the parameter's array.
 
-    The file's value names must be exactly the network's parameter names,
-    with the same shapes, and each momentum entry must belong to one of
-    them; otherwise :class:`CheckpointMismatch` says, on one line, how many
-    names are missing and unexpected (an orphan momentum entry counts as
-    unexpected) and quotes the first few.  Every check runs before any
-    value is read, so a rejected file leaves ``net`` as it was.
+    The file's names must be exactly the network's parameter names, with
+    the same shapes; otherwise :class:`CheckpointMismatch` says, on one
+    line, how many names are missing and unexpected and quotes the first
+    few.  Every check runs before any value is read, so a rejected file
+    leaves ``net`` as it was.
     """
     params = net.named_parameters()
     with open(path, "rb") as fh:
         index = _index(fh, path)
-        values = {k for k in index if not k.endswith(MOMENTUM_SUFFIX)}
-        missing = sorted(set(params) - values)
-        extra = sorted(k for k in index if k.removesuffix(MOMENTUM_SUFFIX) not in params)
+        missing = sorted(params.keys() - index.keys())
+        extra = sorted(index.keys() - params.keys())
         if missing or extra:
             raise CheckpointMismatch(
                 f"{path}: parameter name mismatch: "
                 f"{_quoted(missing, 'missing from checkpoint')}, "
                 f"{_quoted(extra, 'unexpected in checkpoint')}")
-        reads: list[tuple[int, np.ndarray]] = []
         for name, p in params.items():
-            for key, array in ((name, p.data), (name + MOMENTUM_SUFFIX, p.momentum)):
-                if key not in index:
-                    continue
-                shape, offset = index[key]
-                if shape != array.shape:
-                    raise CheckpointMismatch(
-                        f"{path}: parameter {key!r}: checkpoint shape {shape} != "
-                        f"network shape {array.shape}")
-                reads.append((offset, array))
-        reads.sort(key=lambda read: read[0])
-        for offset, array in reads:
-            _read_payload(fh, path, offset, array)
+            shape = index[name][0]
+            if shape != p.data.shape:
+                raise CheckpointMismatch(
+                    f"{path}: parameter {name!r}: checkpoint shape {shape} != "
+                    f"network shape {p.data.shape}")
+        # in file order, so the reads run forward through the file
+        for name, (_, offset) in index.items():
+            _read_payload(fh, path, offset, params[name].data)

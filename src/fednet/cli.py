@@ -2,7 +2,8 @@
 
 Subcommands: synth, preprocess, train, infer, evaluate, ablate, gradcheck.
 Exit codes: 0 success, 1 validation error (bad config, bad file, mismatched
-checkpoint), 2 internal failure (including failed gradient checks).
+checkpoint, no OpenBLAS to set to one thread), 2 internal failure (including
+failed gradient checks).
 Reports are tab-separated text on standard output.
 """
 
@@ -21,7 +22,7 @@ from .synth import synth_generate
 from .volume import Volume, read_mvol, write_mvol
 
 # ConfigError, MVolError, CheckpointError and DatasetError all derive from ValueError
-_VALIDATION_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError)
+_VALIDATION_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, harness.BlasError)
 
 
 def _parse_dims(raw: str) -> tuple[int, int, int]:
@@ -42,10 +43,10 @@ def _load_config(args, out_is_checkpoint: bool = False) -> "harness.TrainConfig"
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     pairs = synth_generate(args.seed if args.seed is not None else 0,
                            args.count, _parse_dims(args.dims))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for idx, (ct, seg) in enumerate(pairs):
         write_mvol(ct, out / f"case{idx:03d}_ct.mvol")
         write_mvol(seg, out / f"case{idx:03d}_seg.mvol")

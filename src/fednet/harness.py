@@ -1,14 +1,18 @@
 """Training loop, two-stage inference, evaluation, the ablation grid, and the
 gradient-check suite.
 
-Everything here is deterministic for a given (config, seed): data sampling,
-augmentation, initialization and batch order are all driven by streams
-derived from the config seed, so identical runs produce byte-identical
-checkpoints.
+Everything here is deterministic for a given (config, seed) under one
+OpenBLAS kernel: data sampling, augmentation, initialization and batch order
+are all driven by streams derived from the config seed, and BLAS runs on one
+thread, so identical runs produce byte-identical checkpoints.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -37,6 +41,13 @@ SEG_SUFFIX = "_seg.mvol"
 # dead and further iterations only burn time.
 DEAD_GRADIENT_ITERATIONS = 10
 
+# numpy's wheels bundle OpenBLAS here; its thread-count setter under each
+# build's symbol name
+OPENBLAS_GLOB = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                             "*openblas*")
+OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
+
 # Slices per forward pass in predict_volume.  Every op computes each sample
 # on its own, so the chunk bounds memory and does not change any result.
 PREDICT_BATCH = 8
@@ -47,6 +58,10 @@ class TrainingDiverged(RuntimeError):
 
 
 class DatasetError(ValueError):
+    pass
+
+
+class BlasError(RuntimeError):
     pass
 
 
@@ -156,12 +171,35 @@ def _sample_stream(prepared, cfg: TrainConfig, aug_rng: np.random.Generator) -> 
         epoch += 1
 
 
+@functools.cache
+def _openblas_set_num_threads():
+    """OpenBLAS's thread-count setter, looked up once per process; a
+    :class:`BlasError` if no bundled library has one."""
+    for path in sorted(glob.glob(OPENBLAS_GLOB)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in OPENBLAS_SET_THREADS:
+            setter = getattr(lib, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                return setter
+    raise BlasError(f"no OpenBLAS thread-count setter found in {OPENBLAS_GLOB}; "
+                    f"training and inference need one BLAS thread to be deterministic")
+
+
 def build_network(cfg: TrainConfig, stage: Optional[str] = None,
                   init: bool = True) -> FedNet:
     """Network for a stage: the liver stage uses the baseline (all ablation
     flags off), the lesion stage uses the configured flags.  Weights are drawn
     from the config seed's init stream, or are zero with ``init=False``, for
-    a network whose values are loaded next."""
+    a network whose values are loaded next.
+
+    Training and inference both start here, so this is where BLAS is set to
+    one thread: OpenBLAS's GEMM sums can depend on how it splits a product
+    over threads, and a checkpoint must not depend on the thread count."""
+    _openblas_set_num_threads()(1)
     stage = stage or cfg.stage
     spec = cfg.network.baseline() if stage == "liver" else cfg.network
     init_rng = (np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xF0]))
@@ -176,8 +214,8 @@ def build_network(cfg: TrainConfig, stage: Optional[str] = None,
 
 def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], MetricsReport]:
     """Run the configured number of SGD iterations and report training-set
-    Dice.  Writes a FEDCKPT1 checkpoint (values + momentum) unless ``save``
-    is False.
+    Dice.  Returns the parameter values and writes them as a FEDCKPT1
+    checkpoint unless ``save`` is False.
 
     The loss is :func:`~fednet.losses.combined_loss_with_logits` on the
     network's logits, so a saturated output still gets a gradient.  Aborts
@@ -310,8 +348,10 @@ def infer(cfg: TrainConfig, liver_ckpt, lesion_ckpt, volume: Volume) -> Volume:
 
 def evaluate(pred_dir, gt_dir, gt_label: Optional[int] = None) -> MetricsReport:
     """Per-case and pooled Dice over matching ``*.mvol`` files in two
-    directories.  ``gt_label`` selects one ground-truth label as foreground;
-    by default any nonzero voxel is foreground."""
+    directories.  A prediction is a uint8 mask of 0s and 1s, as :func:`infer`
+    writes, and a ground truth holds uint8 labels.  ``gt_label`` selects one
+    ground-truth label as foreground; by default any nonzero voxel is
+    foreground."""
     started = time.perf_counter()
     pred_root, gt_root = Path(pred_dir), Path(gt_dir)
     preds = {p.name: p for p in sorted(pred_root.glob("*.mvol"))}
@@ -325,6 +365,13 @@ def evaluate(pred_dir, gt_dir, gt_label: Optional[int] = None) -> MetricsReport:
     for name in sorted(preds):
         pv = read_mvol(preds[name]).voxels
         gv = read_mvol(gts[name]).voxels
+        if pv.dtype != np.uint8 or pv.max(initial=0) > 1:
+            found = f"largest value {pv.max()}" if pv.dtype == np.uint8 else pv.dtype
+            raise DatasetError(f"{preds[name]}: a prediction must be a uint8 mask of 0s "
+                               f"and 1s, got {found}")
+        if gv.dtype != np.uint8:
+            raise DatasetError(f"{gts[name]}: a ground truth must hold uint8 labels, "
+                               f"got {gv.dtype}")
         if pv.shape != gv.shape:
             raise DatasetError(f"{name}: prediction and ground-truth dims differ, "
                                f"{pv.shape} vs {gv.shape}")

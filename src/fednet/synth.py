@@ -25,6 +25,8 @@ def _blend(weight: np.ndarray, fg: np.ndarray, bg: np.ndarray) -> np.ndarray:
 def synth_generate(seed, n_volumes: int, dims: tuple[int, int, int] = (64, 64, 48)
                    ) -> list[tuple[Volume, Volume]]:
     """Generate ``n_volumes`` (CT, label) pairs of size dims = (nx, ny, nz)."""
+    if n_volumes < 1:
+        raise ValueError(f"volume count must be at least 1, got {n_volumes}")
     nx, ny, nz = dims
     if min(nx, ny, nz) < 32:
         raise ValueError(f"dims must be >= 32 per axis, got {dims}")

@@ -337,8 +337,8 @@ class Parameter(Tensor):
     def __init__(self, array: np.ndarray, name: str = ""):
         super().__init__(array, requires_grad=True)
         self.name = name
-        # np.zeros takes untouched zero pages, so a momentum buffer that a
-        # checkpoint overwrites next is written once (zeros_like writes it twice)
+        # np.zeros takes untouched zero pages, so the buffer of a network
+        # that only runs inference is never written (zeros_like writes it)
         self.momentum = np.zeros(self.data.shape, self.data.dtype)
 
     def __repr__(self) -> str:

@@ -104,22 +104,25 @@ def entry_bytes(name, arr):
 
 
 def values_of(net):
-    return {name: (p.data.copy(), p.momentum.copy())
-            for name, p in net.named_parameters().items()}
+    return {name: p.data.copy() for name, p in net.named_parameters().items()}
 
 
 def assert_unchanged(net, before):
     for name, p in net.named_parameters().items():
-        np.testing.assert_array_equal(p.data, before[name][0])
-        np.testing.assert_array_equal(p.momentum, before[name][1])
+        np.testing.assert_array_equal(p.data, before[name])
 
 
 class TestNetworkState:
-    def test_round_trip_values_and_momentum(self, tmp_path):
+    def test_state_is_the_parameter_values_by_name(self):
+        net = small_net()
+        arrays = state_arrays(net)
+        params = net.named_parameters()
+        assert list(arrays) == list(params)
+        assert all(arrays[name] is p.data for name, p in params.items())
+
+    def test_round_trip_values(self, tmp_path):
         net = small_net(seed=1)
         params = net.named_parameters()
-        for p in params.values():
-            p.momentum[...] = RNG.standard_normal(p.momentum.shape).astype(np.float32)
         path = tmp_path / "net.fedckpt"
         save_checkpoint(path, state_arrays(net))
 
@@ -127,17 +130,15 @@ class TestNetworkState:
         load_parameters(other, path)
         for name, p in other.named_parameters().items():
             np.testing.assert_array_equal(p.data, params[name].data)
-            np.testing.assert_array_equal(p.momentum, params[name].momentum)
 
     def test_loads_into_the_existing_arrays(self, tmp_path):
         path = tmp_path / "net.fedckpt"
         save_checkpoint(path, state_arrays(small_net(seed=1)))
         net = FedNet(NetworkSpec(base_channels=4, se_reduction=4))
-        arrays = {name: (p.data, p.momentum)
-                  for name, p in net.named_parameters().items()}
+        arrays = {name: p.data for name, p in net.named_parameters().items()}
         load_parameters(net, path)
         for name, p in net.named_parameters().items():
-            assert p.data is arrays[name][0] and p.momentum is arrays[name][1]
+            assert p.data is arrays[name]
 
     def test_float64_network_loads_the_float32_values(self, tmp_path):
         net = small_net(seed=1)
@@ -171,18 +172,10 @@ class TestNetworkState:
             assert arr.flags.writeable and arr.flags.owndata
             np.testing.assert_array_equal(arr, arrays[name])
 
-    def test_momentum_suffix_entries_present(self, tmp_path):
-        net = small_net()
-        arrays = state_arrays(net)
-        names = set(arrays)
-        plain = {n for n in names if not n.endswith(".m")}
-        assert plain and all(f"{n}.m" in names for n in plain)
-
     def test_missing_parameter_rejected(self, tmp_path):
         net = small_net()
         arrays = state_arrays(net)
-        victim = next(k for k in arrays if not k.endswith(".m"))
-        del arrays[victim]
+        del arrays[next(iter(arrays))]
         path = tmp_path / "missing.fedckpt"
         save_checkpoint(path, arrays)
         with pytest.raises(CheckpointMismatch, match="missing from checkpoint"):
@@ -198,17 +191,20 @@ class TestNetworkState:
             load_parameters(net, path)
 
     def test_orphan_momentum_rejected(self, tmp_path):
+        # the layout written before checkpoints held values only: every
+        # parameter also had its SGD momentum under "<name>.m"
         net = small_net()
         before = values_of(net)
-        arrays = state_arrays(net)
-        arrays["encoder.nonexistent.w.m"] = np.zeros(3, np.float32)
-        path = tmp_path / "orphan.fedckpt"
-        save_checkpoint(path, arrays)
+        arrays = state_arrays(small_net(seed=1))
+        momentum = {f"{name}.m": np.ones_like(value) for name, value in arrays.items()}
+        path = tmp_path / "old.fedckpt"
+        save_checkpoint(path, {**arrays, **momentum})
         with pytest.raises(CheckpointMismatch) as info:
             load_parameters(net, path)
         message = str(info.value)
-        assert "0 missing from checkpoint" in message
-        assert "1 unexpected in checkpoint ['encoder.nonexistent.w.m']" in message
+        shown = ", ".join(repr(name) for name in sorted(momentum)[:3])
+        assert message == (f"{path}: parameter name mismatch: 0 missing from checkpoint [], "
+                           f"{len(momentum)} unexpected in checkpoint [{shown}, ...]")
         assert_unchanged(net, before)
 
     def test_cross_configuration_load_rejected(self, tmp_path):
@@ -222,19 +218,9 @@ class TestNetworkState:
     def test_shape_mismatch_rejected(self, tmp_path):
         net = small_net()
         arrays = state_arrays(net)
-        victim = next(k for k in arrays if not k.endswith(".m"))
+        victim = next(iter(arrays))
         arrays[victim] = np.zeros((1, 1), np.float32)
         path = tmp_path / "shape.fedckpt"
-        save_checkpoint(path, arrays)
-        with pytest.raises(CheckpointMismatch, match="shape"):
-            load_parameters(net, path)
-
-    def test_momentum_shape_mismatch_rejected(self, tmp_path):
-        net = small_net()
-        arrays = state_arrays(net)
-        victim = next(k for k in arrays if k.endswith(".m"))
-        arrays[victim] = np.zeros((1, 1), np.float32)
-        path = tmp_path / "mshape.fedckpt"
         save_checkpoint(path, arrays)
         with pytest.raises(CheckpointMismatch, match=f"{victim!r}: checkpoint shape"):
             load_parameters(net, path)
@@ -304,7 +290,7 @@ class TestLoadParametersFile:
     def test_late_shape_mismatch(self, tmp_path, net_and_blob):
         net, _ = net_and_blob
         arrays = state_arrays(small_net(seed=5))
-        last = sorted(k for k in arrays if not k.endswith(".m"))[-1]
+        last = sorted(arrays)[-1]
         arrays[last] = np.zeros((2, 2), np.float32)
         path = tmp_path / "late.fedckpt"
         save_checkpoint(path, arrays)

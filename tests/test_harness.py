@@ -155,6 +155,42 @@ class TestTrain:
             checkpoints.append(ckpt.read_bytes())
         assert checkpoints[0] == checkpoints[1]
 
+    def test_failed_blas_lookup_exits_one(self, dataset, tmp_path, monkeypatch, capsys):
+        # neither a missing library nor a file that does not load gives the
+        # thread-count setter, so training and inference stop before any GEMM
+        (tmp_path / "libopenblas.so").write_text("not a shared library")
+        monkeypatch.setattr(harness, "OPENBLAS_GLOB", str(tmp_path / "*openblas*"))
+        monkeypatch.setattr(harness, "_openblas_set_num_threads",
+                            harness._openblas_set_num_threads.__wrapped__)
+        ckpt = tmp_path / "never.fedckpt"
+        cfg_path = tmp_path / "blas.cfg"
+        cfg_path.write_text(f"data_dir = {dataset}\niterations = 1\nbatch_size = 2\n"
+                            f"base_channels = 4\nse_reduction = 4\ncheckpoint_out = {ckpt}\n")
+        infer = ["infer", str(dataset / "case000_ct.mvol"), "--config", str(cfg_path),
+                 "--liver-ckpt", str(ckpt), "--lesion-ckpt", str(ckpt),
+                 "--out", str(tmp_path / "mask.mvol")]
+        for argv in (["train", "--config", str(cfg_path)], infer):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert len(err.strip().splitlines()) == 1
+            assert "no OpenBLAS thread-count setter" in err
+        assert not ckpt.exists() and not (tmp_path / "mask.mvol").exists()
+
+    def test_blas_lookup_runs_once_per_process(self, dataset, tmp_path, monkeypatch):
+        cfg = micro_config(dataset, tmp_path / "unused.fedckpt")
+        loads = []
+        loader = harness.ctypes.CDLL
+
+        def counting(path):
+            loads.append(path)
+            return loader(path)
+
+        monkeypatch.setattr(harness.ctypes, "CDLL", counting)
+        harness._openblas_set_num_threads.cache_clear()
+        for stage in ("liver", "lesion", "lesion"):
+            harness.build_network(cfg, stage=stage)
+        assert len(loads) == 1
+
     def test_different_seed_changes_checkpoint(self, dataset, tmp_path):
         a = micro_config(dataset, tmp_path / "a2.fedckpt")
         b = micro_config(dataset, tmp_path / "b2.fedckpt", seed=1)
@@ -377,6 +413,29 @@ class TestEvaluate:
         assert harness.evaluate(tmp_path / "pred", tmp_path / "gt", gt_label=2).per_case_dice == 1.0
         assert harness.evaluate(tmp_path / "pred", tmp_path / "gt").per_case_dice < 1.0
 
+    @pytest.mark.parametrize("voxels, found", [
+        (np.full((2, 2, 2), 60, np.int16), "int16"),
+        (np.full((2, 2, 2), 0.7, np.float32), "float32"),
+        (np.array([0, 1, 2, 0, 1, 0, 0, 0], np.uint8).reshape(2, 2, 2), "largest value 2"),
+    ])
+    def test_prediction_that_is_not_a_mask_rejected(self, tmp_path, voxels, found):
+        (tmp_path / "pred").mkdir()
+        write_mvol(Volume(voxels), tmp_path / "pred" / "a.mvol")
+        self._write_masks(tmp_path / "gt", {"a": np.ones((2, 2, 2))})
+        with pytest.raises(harness.DatasetError) as info:
+            harness.evaluate(tmp_path / "pred", tmp_path / "gt")
+        assert str(info.value) == (f"{tmp_path / 'pred' / 'a.mvol'}: a prediction must be "
+                                   f"a uint8 mask of 0s and 1s, got {found}")
+
+    def test_ground_truth_that_is_not_labels_rejected(self, tmp_path):
+        self._write_masks(tmp_path / "pred", {"a": np.ones((2, 2, 2))})
+        (tmp_path / "gt").mkdir()
+        write_mvol(Volume(np.ones((2, 2, 2), np.int16)), tmp_path / "gt" / "a.mvol")
+        with pytest.raises(harness.DatasetError) as info:
+            harness.evaluate(tmp_path / "pred", tmp_path / "gt")
+        assert str(info.value) == (f"{tmp_path / 'gt' / 'a.mvol'}: a ground truth must hold "
+                                   "uint8 labels, got int16")
+
     def test_dims_mismatch_names_the_case(self, tmp_path):
         self._write_masks(tmp_path / "pred", {"a": np.zeros((4, 4, 4))})
         self._write_masks(tmp_path / "gt", {"a": np.zeros((4, 4, 5))})
@@ -594,6 +653,27 @@ class TestCli:
         assert not (tmp_path / "mask.mvol").exists()
         assert not (tmp_path / "w.fedckpt").exists()
         assert not (tmp_path / "twice.mvol").exists()
+
+    def test_evaluate_rejects_a_ct_as_prediction(self, dataset, tmp_path, capsys):
+        pred, gt = tmp_path / "pred", tmp_path / "gt"
+        pred.mkdir()
+        gt.mkdir()
+        (pred / "case000.mvol").write_bytes((dataset / "case000_ct.mvol").read_bytes())
+        (gt / "case000.mvol").write_bytes((dataset / "case000_seg.mvol").read_bytes())
+        assert cli.main(["evaluate", str(pred), str(gt)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {pred / 'case000.mvol'}: a prediction must be a "
+                                "uint8 mask of 0s and 1s, got int16\n")
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_synth_count_below_one_exits_one(self, tmp_path, capsys, count):
+        out = tmp_path / "none"
+        assert cli.main(["synth", "--out", str(out), "--count", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: volume count must be at least 1, got {count}\n"
+        assert not out.exists()
 
     def test_validation_errors_exit_one(self, tmp_path, capsys):
         bad_cfg = tmp_path / "bad.cfg"
