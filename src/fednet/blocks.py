@@ -25,9 +25,10 @@ from .ops import relu, sigmoid
 from .tensor import Parameter, Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkSpec:
-    """Hyperparameters of one network; the four enable flags are the ablation axes."""
+    """Hyperparameters of one network; the four enable flags are the ablation
+    axes.  Checked when built, and frozen."""
 
     base_channels: int = 16
     se_reduction: int = 16
@@ -42,7 +43,7 @@ class NetworkSpec:
         b = self.base_channels
         return (b, 2 * b, 4 * b, 8 * b)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.base_channels < 4:
             raise ValueError(
                 f"base_channels must be >= 4 for the decoder, got {self.base_channels}")
@@ -407,8 +408,6 @@ class FedNet(Block):
 
     def __init__(self, spec: NetworkSpec, rng: Optional[np.random.Generator] = None):
         super().__init__()
-        spec.validate()
-        self.spec = spec
         channels = spec.channels_per_level
         c1, c2, c3, c4 = channels
         # three input channels: slices z-1, z, z+1 (pipeline.stack_adjacent_slices)

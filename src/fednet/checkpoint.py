@@ -49,7 +49,7 @@ def save_checkpoint(path, arrays: Mapping[str, np.ndarray]) -> None:
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(arr)
 
 
 def _index(fh: BinaryIO, path) -> dict[str, tuple[tuple[int, ...], int]]:

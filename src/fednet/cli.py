@@ -32,14 +32,10 @@ def _parse_dims(raw: str) -> tuple[int, int, int]:
     return tuple(parts)
 
 
-def _load_config(args, out_is_checkpoint: bool = False) -> "harness.TrainConfig":
-    cfg = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if out_is_checkpoint and getattr(args, "out", None) is not None:
-        cfg = replace(cfg, checkpoint_out=args.out)
-    cfg.validate()
-    return cfg
+def _load_config(args, **overrides) -> "harness.TrainConfig":
+    """The config file with each given (not None) override; ``replace`` checks it."""
+    given = {key: value for key, value in overrides.items() if value is not None}
+    return replace(parse_config(args.config), **given)
 
 
 def cmd_synth(args) -> int:
@@ -64,7 +60,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args, out_is_checkpoint=True)
+    cfg = _load_config(args, seed=args.seed, checkpoint_out=args.out)
     _, report = harness.train(cfg)
     print(f"checkpoint\t{cfg.checkpoint_out}")
     print(report.lines())
@@ -93,7 +89,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, seed=args.seed)
     _, table = harness.ablate(cfg)
     print(table)
     return 0

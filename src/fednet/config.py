@@ -1,5 +1,10 @@
 """Text configuration: ``key = value`` lines, ``#`` comments, unknown keys
 rejected, missing keys defaulted, everything validated with line numbers.
+
+:class:`TrainConfig` and the :class:`~fednet.blocks.NetworkSpec` and
+:class:`~fednet.losses.LossWeights` it holds check themselves when built and
+are frozen: a config that exists is valid and cannot be changed.  A variant
+comes from ``dataclasses.replace``, which builds, and so checks, a new one.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     stage: str = "lesion"                  # "liver" trains the baseline, "lesion" the full net
     network: NetworkSpec = field(default_factory=NetworkSpec)
@@ -35,6 +40,9 @@ class TrainConfig:
     lesion_threshold: float = 0.3
     connectivity: int = 6
     grad_clip: float = 3.0                 # global grad-norm cap; 0 disables
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.stage not in ("liver", "lesion"):
@@ -62,10 +70,6 @@ class TrainConfig:
             raise ConfigError(f"connectivity must be 6 or 26, got {self.connectivity}")
         if not 0 <= self.grad_clip < math.inf:
             raise ConfigError(f"grad_clip must be >= 0 and finite, got {self.grad_clip}")
-        try:
-            self.network.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def _parse_bool(raw: str) -> bool:
@@ -121,6 +125,4 @@ def parse_config(path) -> TrainConfig:
         loss = LossWeights(**buckets["loss"])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    cfg = TrainConfig(network=net, loss=loss, **buckets["cfg"])
-    cfg.validate()
-    return cfg
+    return TrainConfig(network=net, loss=loss, **buckets["cfg"])

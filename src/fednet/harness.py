@@ -24,8 +24,8 @@ from . import checkpoint, ops
 from .blocks import (DUC, RCB, DecoderBlock, Encoder, FeatureFusion, FedNet,
                      NetworkSpec, SEBlock, UpsampleConv)
 from .config import TrainConfig
-from .losses import (LossWeights, combined_loss, combined_loss_with_logits, dice,
-                     dice_global, dice_per_case)
+from .losses import (LossWeights, combined_loss, combined_loss_with_logits, dice_global,
+                     dice_per_case)
 from .pipeline import (flip_augment, hierarchical_postprocess, hu_window_normalize,
                        largest_component, sample_slices, stack_adjacent_slices,
                        threshold_mask)
@@ -224,12 +224,13 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     when the pre-clip gradient norm has been exactly 0 for
     ``DEAD_GRADIENT_ITERATIONS`` consecutive iterations.
     """
-    cfg.validate()
     started = time.perf_counter()
     volumes = load_dataset(cfg.data_dir)
-    shapes = {ct.voxels.shape for _, ct, _ in volumes}
-    if len(shapes) > 1:
-        raise DatasetError(f"training batches need uniform volume dims, got {sorted(shapes)}")
+    # a batch stacks single slices, so only the in-plane dims must agree
+    planes = {ct.dims[:2] for _, ct, _ in volumes}
+    if len(planes) > 1:
+        raise DatasetError(f"training batches need uniform volume dims in-plane "
+                           f"(nx, ny), got {sorted(planes)}")
     # (normalized CT, stage target, eligible slices) per volume
     prepared = [(hu_window_normalize(ct.voxels), *stage_targets(seg.voxels, cfg.stage))
                 for _, ct, seg in volumes]
@@ -351,7 +352,10 @@ def evaluate(pred_dir, gt_dir, gt_label: Optional[int] = None) -> MetricsReport:
     directories.  A prediction is a uint8 mask of 0s and 1s, as :func:`infer`
     writes, and a ground truth holds uint8 labels.  ``gt_label`` selects one
     ground-truth label as foreground; by default any nonzero voxel is
-    foreground."""
+    foreground, and must be a label a uint8 ground truth can hold."""
+    if gt_label is not None and not 0 <= gt_label <= 255:
+        raise DatasetError(f"gt_label must lie in [0, 255], the labels a uint8 ground "
+                           f"truth holds, got {gt_label}")
     started = time.perf_counter()
     pred_root, gt_root = Path(pred_dir), Path(gt_dir)
     preds = {p.name: p for p in sorted(pred_root.glob("*.mvol"))}

@@ -9,7 +9,8 @@ MVOL layout (little-endian throughout):
     payload          raw voxels, x fastest, then y, then z
 
 In memory, voxels are stored as a C-contiguous array of shape (nz, ny, nx),
-so the on-disk payload is exactly ``voxels.tobytes()``.
+so the on-disk payload is exactly the array's buffer, written and read with
+no intermediate copy.
 """
 
 from __future__ import annotations
@@ -96,31 +97,32 @@ def write_mvol(vol: Volume, path) -> None:
     with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(nx, ny, nz, code, *vol.spacing))
-        fh.write(arr.tobytes())
+        fh.write(arr)
 
 
 def read_mvol(path) -> Volume:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC):
-        raise TruncatedPayload(f"{path}: file shorter than the magic header")
-    if blob[:len(MAGIC)] != MAGIC:
-        raise BadMagic(f"{path}: bad magic {blob[:len(MAGIC)]!r}")
-    head_end = len(MAGIC) + _HEADER.size
-    if len(blob) < head_end:
-        raise TruncatedPayload(f"{path}: truncated header")
-    nx, ny, nz, code, sx, sy, sz = _HEADER.unpack(blob[len(MAGIC):head_end])
-    if nx == 0 or ny == 0 or nz == 0 or nx * ny * nz > _MAX_VOXELS:
-        raise DimOverflow(f"{path}: invalid dims {nx}x{ny}x{nz}")
-    dtype = _DTYPE_CODES.get(code)
-    if dtype is None:
-        raise MVolError(f"{path}: unknown dtype code {code}")
-    expected = nx * ny * nz * dtype.itemsize
-    payload = blob[head_end:]
-    if len(payload) < expected:
-        raise TruncatedPayload(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected}")
-    if len(payload) > expected:
-        raise MVolError(f"{path}: {len(payload) - expected} trailing bytes after payload")
-    voxels = np.frombuffer(payload, dtype=dtype).reshape(nz, ny, nx)
-    return Volume(voxels.copy(), (sx, sy, sz))
+        magic = fh.read(len(MAGIC))
+        if len(magic) < len(MAGIC):
+            raise TruncatedPayload(f"{path}: file shorter than the magic header")
+        if magic != MAGIC:
+            raise BadMagic(f"{path}: bad magic {magic!r}")
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise TruncatedPayload(f"{path}: truncated header")
+        nx, ny, nz, code, sx, sy, sz = _HEADER.unpack(head)
+        if nx == 0 or ny == 0 or nz == 0 or nx * ny * nz > _MAX_VOXELS:
+            raise DimOverflow(f"{path}: invalid dims {nx}x{ny}x{nz}")
+        dtype = _DTYPE_CODES.get(code)
+        if dtype is None:
+            raise MVolError(f"{path}: unknown dtype code {code}")
+        expected = nx * ny * nz * dtype.itemsize
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload < expected:
+            raise TruncatedPayload(f"{path}: payload holds {payload} bytes, expected {expected}")
+        if payload > expected:
+            raise MVolError(f"{path}: {payload - expected} trailing bytes after payload")
+        voxels = np.empty((nz, ny, nx), dtype=dtype)
+        if fh.readinto(voxels) != expected:
+            raise TruncatedPayload(f"{path}: payload cut short while reading")
+    return Volume(voxels, (sx, sy, sz))

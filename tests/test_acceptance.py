@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fednet import cli, harness, ops
-from fednet.blocks import FeatureFusion
+from fednet.blocks import FeatureFusion, NetworkSpec
 from fednet.config import TrainConfig
 from fednet.losses import CLAMP_DELTA, LossWeights, combined_loss, soft_jaccard
 from fednet.pipeline import (bbox_of_mask, connected_components_3d,
@@ -211,9 +211,8 @@ def test_criterion_8_ablation_structure(tmp_path):
         write_mvol(ct, data / f"case{idx:03d}_ct.mvol")
         write_mvol(seg, data / f"case{idx:03d}_seg.mvol")
     cfg = TrainConfig(data_dir=str(data), iterations=20, batch_size=4, seed=3,
-                      checkpoint_out=str(tmp_path / "unused.fedckpt"))
-    cfg.network.base_channels = 8
-    cfg.network.se_reduction = 8
+                      checkpoint_out=str(tmp_path / "unused.fedckpt"),
+                      network=NetworkSpec(base_channels=8, se_reduction=8))
 
     rows, table = harness.ablate(cfg)
     labels = [label for label, _, _ in rows]

@@ -2,6 +2,8 @@
 fusion, dense upsampling, decoder stages, the encoder pyramid, and the full
 network's shape and ablation contracts."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -343,17 +345,28 @@ class TestEncoder:
 
 class TestNetworkSpec:
     def test_channels_derived_from_base(self):
-        assert NetworkSpec(base_channels=8).channels_per_level == (8, 16, 32, 64)
-        spec = NetworkSpec()
-        spec.base_channels = 4
-        assert spec.channels_per_level == (4, 8, 16, 32)
+        assert NetworkSpec(base_channels=8, se_reduction=8).channels_per_level == (8, 16, 32, 64)
+        assert replace(NetworkSpec(), base_channels=4, se_reduction=4).channels_per_level == (
+            4, 8, 16, 32)
 
     def test_se_divisibility_enforced_only_when_used(self):
-        spec = NetworkSpec(base_channels=8, se_reduction=16)
         with pytest.raises(ValueError, match="se_reduction"):
-            spec.validate()
-        NetworkSpec(base_channels=8, se_reduction=16, enable_se=False).validate()
-        NetworkSpec(base_channels=8, se_reduction=16, enable_ff=False).validate()
+            NetworkSpec(base_channels=8, se_reduction=16)
+        NetworkSpec(base_channels=8, se_reduction=16, enable_se=False)
+        NetworkSpec(base_channels=8, se_reduction=16, enable_ff=False)
+
+    @pytest.mark.parametrize("kw", [dict(se_reduction=7), dict(se_reduction=0),
+                                    dict(base_channels=2)])
+    def test_invalid_spec_cannot_be_built(self, kw):
+        with pytest.raises(ValueError):
+            NetworkSpec(**kw)
+
+    def test_frozen(self):
+        spec = NetworkSpec()
+        with pytest.raises(FrozenInstanceError):
+            spec.base_channels = 4
+        with pytest.raises(ValueError, match="se_reduction"):
+            replace(spec, se_reduction=7)
 
     def test_baseline_turns_all_flags_off(self):
         b = NetworkSpec().baseline()

@@ -1,6 +1,6 @@
 """Config parsing: defaults, typed values, line-numbered errors, validation."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -110,16 +110,39 @@ class TestNonFinite:
         assert cli.main(["train", "--config", str(write(tmp_path, "grad_clip = nan\n"))]) == 1
         assert "grad_clip must be >= 0 and finite, got nan" in capsys.readouterr().err
 
+    def test_invalid_cli_override_exits_one(self, tmp_path, capsys):
+        # the --seed and --out overrides build the config again, so they are checked
+        path = str(write(tmp_path, ""))
+        assert cli.main(["train", "--config", path, "--seed", "-1"]) == 1
+        assert "seed must be a u64, got -1" in capsys.readouterr().err
+        assert cli.main(["train", "--config", path, "--out", ""]) == 1
+        assert "non-empty" in capsys.readouterr().err
+
 
 class TestValidateMethod:
-    def test_validate_checks_network_spec(self):
-        cfg = TrainConfig()
-        cfg.network.se_reduction = 7
+    def test_validate_checks_network_spec(self, tmp_path):
         with pytest.raises(ConfigError, match="se_reduction"):
-            cfg.validate()
+            parse_config(write(tmp_path, "se_reduction = 7\n"))
 
     def test_default_config_is_valid(self):
         TrainConfig().validate()
+
+
+class TestBuiltConfigIsValid:
+    def test_invalid_field_cannot_be_built(self):
+        # segment would threshold liver probabilities at 7 and find no liver
+        with pytest.raises(ConfigError, match="liver_threshold"):
+            TrainConfig(liver_threshold=7.0)
+
+    def test_replace_checks_the_variant(self):
+        with pytest.raises(ConfigError, match="lr must be > 0"):
+            replace(TrainConfig(), lr=-1.0)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)])
+    def test_fields_cannot_be_assigned(self, name):
+        cfg = TrainConfig()
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
 
 
 # every key with a valid non-default value: (key, text, nested dataclass field

@@ -36,10 +36,7 @@ def micro_config(data_dir, ckpt, **kw):
         seed=0,
     )
     defaults.update(kw)
-    cfg = TrainConfig(**defaults)
-    cfg.network.base_channels = 4
-    cfg.network.se_reduction = 4
-    return cfg
+    return TrainConfig(network=NetworkSpec(base_channels=4, se_reduction=4), **defaults)
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +236,18 @@ class TestTrain:
         with pytest.raises(harness.DatasetError, match="uniform volume dims"):
             harness.train(cfg)
 
+    def test_mixed_slice_counts_train(self, tmp_path):
+        # real CT series differ in slice count; a batch holds single slices
+        root = tmp_path / "mixed_nz"
+        make_dataset(root, n=1, dims=(32, 32, 32))
+        for idx, (ct, seg) in enumerate(synth_generate(9, 1, (32, 32, 48)), start=1):
+            write_mvol(ct, root / f"case{idx:03d}_ct.mvol")
+            write_mvol(seg, root / f"case{idx:03d}_seg.mvol")
+        _, report = harness.train(micro_config(root, tmp_path / "m.fedckpt", iterations=2),
+                                  save=False)
+        assert len(report.loss_curve) == 2
+        assert 0.0 <= report.per_case_dice <= 1.0
+
     def test_nonfinite_loss_aborts_with_iteration(self, dataset, tmp_path, monkeypatch):
         calls = []
 
@@ -412,6 +421,14 @@ class TestEvaluate:
         self._write_masks(tmp_path / "gt", {"a": gt})
         assert harness.evaluate(tmp_path / "pred", tmp_path / "gt", gt_label=2).per_case_dice == 1.0
         assert harness.evaluate(tmp_path / "pred", tmp_path / "gt").per_case_dice < 1.0
+
+    @pytest.mark.parametrize("label", [-1, 256, 300])
+    def test_gt_label_a_uint8_cannot_hold_rejected(self, tmp_path, label):
+        # no uint8 voxel equals 300, so every case would score 0 without a word
+        self._write_masks(tmp_path / "pred", {"a": np.ones((2, 2, 2))})
+        self._write_masks(tmp_path / "gt", {"a": np.ones((2, 2, 2))})
+        with pytest.raises(harness.DatasetError, match=rf"\[0, 255\].*got {label}$"):
+            harness.evaluate(tmp_path / "pred", tmp_path / "gt", gt_label=label)
 
     @pytest.mark.parametrize("voxels, found", [
         (np.full((2, 2, 2), 60, np.int16), "int16"),
@@ -665,6 +682,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: {pred / 'case000.mvol'}: a prediction must be a "
                                 "uint8 mask of 0s and 1s, got int16\n")
+
+    def test_evaluate_rejects_a_gt_label_beyond_uint8(self, dataset, tmp_path, capsys):
+        gt = tmp_path / "gt"
+        gt.mkdir()
+        (gt / "case000.mvol").write_bytes((dataset / "case000_seg.mvol").read_bytes())
+        assert cli.main(["evaluate", str(gt), str(gt), "--gt-label", "300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: gt_label must lie in [0, 255], the labels a uint8 "
+                                "ground truth holds, got 300\n")
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_synth_count_below_one_exits_one(self, tmp_path, capsys, count):

@@ -1,6 +1,7 @@
 """MVOL container format: round trips, header validation, byte layout."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,36 @@ class TestErrors:
         assert issubclass(TruncatedPayload, MVolError)
         assert issubclass(DimOverflow, MVolError)
         assert not issubclass(BadMagic, TruncatedPayload)
+
+
+class TestMemory:
+    """Reading and writing hold one copy of the voxels: the array itself."""
+
+    PAYLOAD_SHAPE = (32, 128, 128)  # 2 MB of float32
+
+    def traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_read_peak_is_one_payload(self, tmp_path):
+        vol = Volume(RNG.uniform(0, 1, self.PAYLOAD_SHAPE).astype(np.float32))
+        path = tmp_path / "big.mvol"
+        write_mvol(vol, path)
+        kept = []
+        peak = self.traced_peak(lambda: kept.append(read_mvol(path)))
+        assert kept[0].voxels.tobytes() == vol.voxels.tobytes()
+        assert peak <= 1.1 * vol.voxels.nbytes
+
+    def test_write_makes_no_payload_copy(self, tmp_path):
+        vol = Volume(RNG.uniform(0, 1, self.PAYLOAD_SHAPE).astype(np.float32))
+        path = tmp_path / "big.mvol"
+        peak = self.traced_peak(lambda: write_mvol(vol, path))
+        assert peak <= 0.1 * vol.voxels.nbytes
+        assert path.stat().st_size == len(MAGIC) + volume._HEADER.size + vol.voxels.nbytes
 
 
 class TestVolume:
