@@ -102,11 +102,9 @@ class Block:
         return list(self.named_parameters().values())
 
     def astype(self, dtype) -> "Block":
-        """Convert every parameter's data and momentum buffer to ``dtype`` in
-        place, keeping the same :class:`Parameter` objects; returns ``self``."""
+        """Convert each parameter's data to ``dtype``, in the same objects; returns ``self``."""
         for p in self.parameters():
             p.data = p.data.astype(dtype)
-            p.momentum = p.momentum.astype(dtype)
         return self
 
 

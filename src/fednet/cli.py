@@ -39,8 +39,7 @@ def _load_config(args, **overrides) -> "harness.TrainConfig":
 
 
 def cmd_synth(args) -> int:
-    pairs = synth_generate(args.seed if args.seed is not None else 0,
-                           args.count, _parse_dims(args.dims))
+    pairs = synth_generate(args.seed, args.count, _parse_dims(args.dims))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for idx, (ct, seg) in enumerate(pairs):
@@ -71,6 +70,8 @@ def cmd_infer(args) -> int:
     if len(args.out) != len(args.volume):
         raise ValueError(f"infer got {len(args.volume)} volumes but {len(args.out)} "
                          f"--out paths; give one --out per volume, in order")
+    for out in args.out:
+        harness.check_out_dir(out)
     cfg = _load_config(args)
     nets = harness.load_two_stage(cfg, args.liver_ckpt, args.lesion_ckpt)
     for volume_path, out in zip(args.volume, args.out):
@@ -114,9 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic phantom volumes")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=4)
-    p.add_argument("--dims", default="64,64,48", help="nx,ny,nz (each >= 32)")
+    p.add_argument("--dims", default="64,64,48",
+                   help="nx,ny,nz (each >= 32; nx and ny multiples of 32)")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("preprocess", help="HU-window a CT volume to [0,1]")

@@ -69,7 +69,7 @@ class BlasError(RuntimeError):
 class MetricsReport:
     per_case_dice: float
     global_dice: float
-    loss_curve: list[tuple[int, float]] = field(default_factory=list)
+    loss_curve: list[float] = field(default_factory=list)  # one loss per iteration
     runtime_seconds: float = 0.0
 
     def lines(self) -> str:
@@ -80,14 +80,22 @@ class MetricsReport:
             ("runtime_seconds", f"{self.runtime_seconds:.3f}"),
         ]
         if self.loss_curve:
-            rows.append(("loss_first", f"{self.loss_curve[0][1]:.6f}"))
-            rows.append(("loss_last", f"{self.loss_curve[-1][1]:.6f}"))
+            rows.append(("loss_first", f"{self.loss_curve[0]:.6f}"))
+            rows.append(("loss_last", f"{self.loss_curve[-1]:.6f}"))
         return "\n".join(f"{k}\t{v}" for k, v in rows)
 
 
 # ---------------------------------------------------------------------------
 # Dataset handling
 # ---------------------------------------------------------------------------
+
+
+def check_out_dir(path) -> None:
+    """A one-line FileNotFoundError naming ``path`` unless its directory
+    exists, so that a command fails before it computes what it cannot write."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise FileNotFoundError(f"cannot write {path}: directory {parent} does not exist")
 
 
 def check_ct(volume: Volume, source) -> Volume:
@@ -108,6 +116,9 @@ def load_dataset(data_dir) -> list[tuple[str, Volume, Volume]]:
     root = Path(data_dir)
     if not root.is_dir():
         raise DatasetError(f"data directory {data_dir!r} does not exist")
+    for seg_path in sorted(root.glob(f"*{SEG_SUFFIX}")):
+        if not (root / f"{seg_path.name[:-len(SEG_SUFFIX)]}{CT_SUFFIX}").exists():
+            raise DatasetError(f"missing CT for {seg_path.name}")
     out = []
     for ct_path in sorted(root.glob(f"*{CT_SUFFIX}")):
         name = ct_path.name[:-len(CT_SUFFIX)]
@@ -222,9 +233,12 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     with :class:`TrainingDiverged`, naming the iteration, on a non-finite
     loss, on a non-finite pre-clip gradient norm (before ``sgd_step``), or
     when the pre-clip gradient norm has been exactly 0 for
-    ``DEAD_GRADIENT_ITERATIONS`` consecutive iterations.
+    ``DEAD_GRADIENT_ITERATIONS`` consecutive iterations.  With ``save``, a
+    missing checkpoint directory is rejected before any data is loaded.
     """
     started = time.perf_counter()
+    if save:
+        check_out_dir(cfg.checkpoint_out)
     volumes = load_dataset(cfg.data_dir)
     # a batch stacks single slices, so only the in-plane dims must agree
     planes = {ct.dims[:2] for _, ct, _ in volumes}
@@ -236,10 +250,11 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
                 for _, ct, seg in volumes]
     net = build_network(cfg)
     params = net.parameters()
+    velocity = [np.zeros(p.shape, p.dtype) for p in params]  # SGD momentum buffers
     aug_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA0]))
     stream = _sample_stream(prepared, cfg, aug_rng)
 
-    curve: list[tuple[int, float]] = []
+    curve: list[float] = []
     zero_norm_run = 0
     for it in range(cfg.iterations):
         batch = [next(stream) for _ in range(cfg.batch_size)]
@@ -261,8 +276,8 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
             raise TrainingDiverged(
                 f"gradient norm exactly 0 for {zero_norm_run} consecutive iterations "
                 f"at iteration {it}: the network is saturated")
-        sgd_step(params, cfg.lr, cfg.momentum, cfg.weight_decay)
-        curve.append((it, value))
+        sgd_step(params, velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
+        curve.append(value)
 
     arrays = checkpoint.state_arrays(net)
     if save:
@@ -358,6 +373,9 @@ def evaluate(pred_dir, gt_dir, gt_label: Optional[int] = None) -> MetricsReport:
                            f"truth holds, got {gt_label}")
     started = time.perf_counter()
     pred_root, gt_root = Path(pred_dir), Path(gt_dir)
+    for kind, path in (("prediction", pred_dir), ("ground-truth", gt_dir)):
+        if not Path(path).is_dir():
+            raise DatasetError(f"{kind} directory {path!r} does not exist")
     preds = {p.name: p for p in sorted(pred_root.glob("*.mvol"))}
     gts = {p.name: p for p in sorted(gt_root.glob("*.mvol"))}
     if not preds:

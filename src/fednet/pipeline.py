@@ -195,10 +195,11 @@ def bbox_of_mask(mask: np.ndarray) -> Bbox3:
 
 def hierarchical_postprocess(liver_mask: np.ndarray, lesion_prob: np.ndarray,
                              lesion_threshold: float = 0.3) -> np.ndarray:
-    """Two-stage merge: intersect the 0.3-threshold lesion mask with the
-    bounding box of ``liver_mask``, the kept liver component (the largest
-    component of the liver probabilities thresholded at 0.5, which
-    ``harness.segment`` computes once).  An empty liver yields an empty result."""
+    """Two-stage merge: intersect the lesion mask, ``lesion_prob`` thresholded
+    at ``lesion_threshold``, with the bounding box of ``liver_mask``, the kept
+    liver component (the largest component of the liver probabilities at the
+    configured liver threshold, which ``harness.segment`` computes once).  An
+    empty liver yields an empty result."""
     liver_mask = np.asarray(liver_mask)
     lesion_prob = np.asarray(lesion_prob)
     if liver_mask.shape != lesion_prob.shape:

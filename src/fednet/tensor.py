@@ -11,7 +11,7 @@ operations) when one is active.  With no tape active, the same calls are plain
 forward evaluation with no recording overhead.  Gradients accumulate by
 summation over all paths from the root; leaf tensors keep their accumulated
 gradient in ``Tensor.grad``.  A network parameter is such a leaf: a
-:class:`Parameter` is a named tensor that carries its SGD momentum buffer.
+:class:`Parameter` is a named tensor; optimizer state belongs to the caller.
 """
 
 from __future__ import annotations
@@ -330,16 +330,13 @@ def tensor_mean(a: Tensor) -> Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable leaf tensor that carries its SGD momentum buffer."""
+    """Named trainable leaf tensor."""
 
-    __slots__ = ("name", "momentum")
+    __slots__ = ("name",)
 
     def __init__(self, array: np.ndarray, name: str = ""):
         super().__init__(array, requires_grad=True)
         self.name = name
-        # np.zeros takes untouched zero pages, so the buffer of a network
-        # that only runs inference is never written (zeros_like writes it)
-        self.momentum = np.zeros(self.data.shape, self.data.dtype)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={tuple(self.shape)})"
@@ -366,12 +363,12 @@ def clip_gradients(params: Iterable[Parameter], max_norm: float) -> float:
     return total
 
 
-def sgd_step(params: Iterable[Parameter], lr: float, momentum: float = 0.9,
-             weight_decay: float = 1e-4) -> None:
-    """One SGD-with-momentum update, then gradients are zeroed.
+def sgd_step(params: Iterable[Parameter], velocity: Sequence[np.ndarray], lr: float,
+             momentum: float = 0.9, weight_decay: float = 1e-4) -> None:
+    """One SGD-with-momentum update, then gradients are zeroed.  ``velocity``
+    holds the caller's momentum buffers, one per parameter in order:
 
-    buf <- momentum * buf + (grad + weight_decay * data)
-    data <- data - lr * buf
+    buf <- momentum * buf + (grad + weight_decay * data);  data <- data - lr * buf
     """
     # a comparison that NaN fails
     if not 0 < lr < np.inf:
@@ -381,14 +378,18 @@ def sgd_step(params: Iterable[Parameter], lr: float, momentum: float = 0.9,
     if not 0 <= weight_decay < np.inf:
         raise ValueError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
     params = list(params)
-    # every gradient is checked before any parameter is written
-    for p in params:
+    if len(velocity) != len(params):
+        raise ValueError(f"{len(velocity)} velocity buffers for {len(params)} parameters")
+    # every gradient and buffer is checked before any parameter is written
+    for p, buf in zip(params, velocity):
         if p.grad is None:
             raise RuntimeError(f"parameter {p.name!r} has no gradient; run backward first")
-    for p in params:
-        p.momentum *= momentum
-        p.momentum += p.grad + weight_decay * p.data
-        p.data -= lr * p.momentum
+        if buf.shape != p.shape:
+            raise ValueError(f"{p.name!r} has shape {p.shape}, its velocity buffer {buf.shape}")
+    for p, buf in zip(params, velocity):
+        buf *= momentum
+        buf += p.grad + weight_decay * p.data
+        p.data -= lr * buf
         p.grad = None
 
 

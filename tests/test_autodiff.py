@@ -136,51 +136,72 @@ class TestSgd:
     def test_plain_descent_without_momentum(self):
         p = Parameter(np.array([1.0, 2.0], dtype=np.float64), "p")
         p.grad = np.array([0.5, -1.0])
-        sgd_step([p], lr=0.1, momentum=0.0, weight_decay=0.0)
+        sgd_step([p], [np.zeros(2)], lr=0.1, momentum=0.0, weight_decay=0.0)
         np.testing.assert_allclose(p.data, [0.95, 2.1])
         assert p.grad is None
 
     def test_zero_grad_zero_buffer_no_change(self):
         p = Parameter(np.array([3.0]), "p")
         p.grad = np.zeros(1)
-        sgd_step([p], lr=0.5, momentum=0.9, weight_decay=0.0)
+        sgd_step([p], [np.zeros(1)], lr=0.5, momentum=0.9, weight_decay=0.0)
         np.testing.assert_array_equal(p.data, [3.0])
 
     def test_momentum_recurrence_two_steps(self):
         # buf <- 0.9*buf + grad; value <- value - 0.1*buf: 1 -> 0.9 -> 0.71
-        p = Parameter(np.array([1.0]), "p")
+        p, buf = Parameter(np.array([1.0]), "p"), np.zeros(1)
         for _ in range(2):
             p.grad = np.ones(1)
-            sgd_step([p], lr=0.1, momentum=0.9, weight_decay=0.0)
+            sgd_step([p], [buf], lr=0.1, momentum=0.9, weight_decay=0.0)
         assert p.data[0] == pytest.approx(0.71, abs=1e-12)
+        assert buf[0] == pytest.approx(1.9, abs=1e-12)
 
     def test_weight_decay_matches_scalar_simulation(self):
         value, buf = 1.5, 0.0
-        p = Parameter(np.array([1.5]), "p")
+        p, velocity = Parameter(np.array([1.5]), "p"), [np.zeros(1)]
         for step in range(5):
             g = 0.3 * (step + 1)
             buf = 0.9 * buf + (g + 0.01 * value)
             value -= 0.05 * buf
             p.grad = np.array([g])
-            sgd_step([p], lr=0.05, momentum=0.9, weight_decay=0.01)
+            sgd_step([p], velocity, lr=0.05, momentum=0.9, weight_decay=0.01)
         assert p.data[0] == pytest.approx(value, rel=1e-12)
+        assert velocity[0][0] == pytest.approx(buf, rel=1e-12)
 
     def test_missing_grad_rejected(self):
         p = Parameter(np.array([1.0]), "p")
         with pytest.raises(RuntimeError, match="no gradient"):
-            sgd_step([p], lr=0.1)
+            sgd_step([p], [np.zeros(1)], lr=0.1)
 
     def test_bad_lr_rejected(self):
         with pytest.raises(ValueError, match="lr"):
-            sgd_step([], lr=0.0)
+            sgd_step([], [], lr=0.0)
 
     def test_missing_grad_rejected_before_any_update(self):
         a, b = Parameter(np.array([1.0]), "a"), Parameter(np.array([2.0]), "b")
         a.grad = np.ones(1)
+        velocity = [np.zeros(1), np.zeros(1)]
         with pytest.raises(RuntimeError, match="'b' has no gradient"):
-            sgd_step([a, b], lr=0.1)
+            sgd_step([a, b], velocity, lr=0.1)
         np.testing.assert_array_equal(a.data, [1.0])
-        np.testing.assert_array_equal(a.momentum, [0.0])
+        np.testing.assert_array_equal(velocity[0], [0.0])
+        np.testing.assert_array_equal(a.grad, [1.0])
+
+    @pytest.mark.parametrize("velocity, message", [
+        ([np.zeros(1)], "1 velocity buffers for 2 parameters"),
+        ([np.zeros(1), np.zeros(1), np.zeros(1)], "3 velocity buffers for 2 parameters"),
+        ([np.zeros(1), np.zeros(2)], r"'b' has shape \(1,\), its velocity buffer \(2,\)"),
+        ([np.zeros(1), np.zeros((1, 1))], r"'b' has shape \(1,\), its velocity buffer \(1, 1\)"),
+    ])
+    def test_mismatched_velocity_rejected_before_any_update(self, velocity, message):
+        a, b = Parameter(np.array([1.0]), "a"), Parameter(np.array([2.0]), "b")
+        a.grad, b.grad = np.ones(1), np.ones(1)
+        before = [buf.copy() for buf in velocity]
+        with pytest.raises(ValueError, match=message):
+            sgd_step([a, b], velocity, lr=0.1)
+        np.testing.assert_array_equal(a.data, [1.0])
+        np.testing.assert_array_equal(b.data, [2.0])
+        for buf, old in zip(velocity, before):
+            np.testing.assert_array_equal(buf, old)
         np.testing.assert_array_equal(a.grad, [1.0])
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
@@ -188,7 +209,7 @@ class TestSgd:
         p = Parameter(np.array([1.0]), "p")
         p.grad = np.ones(1)
         with pytest.raises(ValueError, match="lr must be positive and finite"):
-            sgd_step([p], lr=lr)
+            sgd_step([p], [np.zeros(1)], lr=lr)
         np.testing.assert_array_equal(p.data, [1.0])
 
     @pytest.mark.parametrize("name, value", [
@@ -196,12 +217,12 @@ class TestSgd:
         ("weight_decay", float("nan")), ("weight_decay", float("inf")), ("weight_decay", -1e-4),
     ])
     def test_bad_momentum_or_weight_decay_rejected_before_any_update(self, name, value):
-        p = Parameter(np.array([1.0]), "p")
+        p, velocity = Parameter(np.array([1.0]), "p"), [np.zeros(1)]
         p.grad = np.ones(1)
         with pytest.raises(ValueError, match=f"{name} must"):
-            sgd_step([p], lr=0.1, **{name: value})
+            sgd_step([p], velocity, lr=0.1, **{name: value})
         np.testing.assert_array_equal(p.data, [1.0])
-        np.testing.assert_array_equal(p.momentum, [0.0])
+        np.testing.assert_array_equal(velocity[0], [0.0])
         np.testing.assert_array_equal(p.grad, [1.0])
 
 

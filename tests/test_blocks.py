@@ -11,7 +11,7 @@ from fednet import ops
 from fednet.blocks import (DUC, RCB, Conv2d, DecoderBlock, Encoder, FeatureFusion, FedNet,
                            NetworkSpec, SEBlock, UpsampleConv)
 from fednet.losses import combined_loss_with_logits
-from fednet.tensor import Tape, Tensor, backward
+from fednet.tensor import Parameter, Tape, Tensor, backward
 
 from oracles import (baseline_fednet_logits_reference, conv2d_reference,
                      conv_transpose2d_reference, pixel_shuffle_reference,
@@ -457,27 +457,21 @@ class TestFedNet:
 
 
 class TestAstype:
-    def test_round_trip_keeps_values_momentum_and_parameters(self):
+    def test_round_trip_keeps_values_and_parameters(self):
         net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(43))
-        rng = rng_for(44)
-        for p in net.parameters():
-            p.momentum[...] = rng.standard_normal(p.momentum.shape)
         before = net.named_parameters()
         values = {n: p.data.tobytes() for n, p in before.items()}
-        momenta = {n: p.momentum.tobytes() for n, p in before.items()}
 
         assert net.astype(F64) is net
-        assert all(p.dtype == F64 and p.momentum.dtype == F64
-                   for p in net.parameters())
+        assert all(p.dtype == F64 for p in net.parameters())
         net.astype(np.float32)
 
         after = net.named_parameters()
         assert list(after) == list(before)
         for name, p in after.items():
             assert p is before[name] and p.name == name
-            assert p.dtype == np.float32 and p.momentum.dtype == np.float32
+            assert p.dtype == np.float32
             assert p.data.tobytes() == values[name]
-            assert p.momentum.tobytes() == momenta[name]
 
     @pytest.mark.parametrize("stage", ["liver", "lesion"])
     def test_built_networks_are_float32(self, stage):
@@ -485,8 +479,16 @@ class TestAstype:
         from fednet.harness import build_network
         params = build_network(TrainConfig(), stage).parameters()
         assert params
-        assert all(p.dtype == np.float32 and p.momentum.dtype == np.float32
-                   for p in params)
+        assert all(p.dtype == np.float32 for p in params)
+
+    @pytest.mark.parametrize("stage", ["liver", "lesion"])
+    def test_parameters_hold_no_optimizer_state(self, stage):
+        # a network is its weights: SGD momentum belongs to harness.train
+        from fednet.config import TrainConfig
+        from fednet.harness import build_network
+        params = build_network(TrainConfig(), stage).parameters()
+        assert Parameter.__slots__ == ("name",)
+        assert params and not any(hasattr(p, "momentum") for p in params)
 
     def test_float64_network_rejects_float32_batch(self):
         net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=rng_for(45)).astype(F64)

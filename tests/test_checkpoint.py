@@ -151,17 +151,6 @@ class TestNetworkState:
             assert p.data.dtype == np.float64
             np.testing.assert_array_equal(p.data, narrow[name].data)
 
-    def test_value_only_checkpoint_keeps_momentum(self, tmp_path):
-        net = small_net(seed=1)
-        values = {name: p.data for name, p in net.named_parameters().items()}
-        path = tmp_path / "values.fedckpt"
-        save_checkpoint(path, values)
-        other = small_net(seed=2)
-        for p in other.parameters():
-            p.momentum[...] = 1.5
-        load_parameters(other, path)
-        assert all((p.momentum == 1.5).all() for p in other.parameters())
-
     def test_load_checkpoint_returns_writable_copies(self, tmp_path):
         path = tmp_path / "net.fedckpt"
         arrays = state_arrays(small_net(seed=1))

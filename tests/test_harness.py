@@ -57,6 +57,14 @@ class TestLoadDataset:
         with pytest.raises(harness.DatasetError, match="missing segmentation"):
             harness.load_dataset(tmp_path / "d")
 
+    def test_orphan_segmentation_rejected(self, tmp_path):
+        make_dataset(tmp_path / "d", n=2)
+        (tmp_path / "d" / "case002_seg.mvol").write_bytes(
+            (tmp_path / "d" / "case000_seg.mvol").read_bytes())
+        with pytest.raises(harness.DatasetError) as info:
+            harness.load_dataset(tmp_path / "d")
+        assert str(info.value) == "missing CT for case002_seg.mvol"
+
     def test_empty_directory(self, tmp_path):
         (tmp_path / "d").mkdir()
         with pytest.raises(harness.DatasetError, match="no .*volumes"):
@@ -213,10 +221,8 @@ class TestTrain:
     def test_loss_decreases(self, dataset, tmp_path):
         cfg = micro_config(dataset, tmp_path / "long.fedckpt", iterations=60, batch_size=4)
         _, report = harness.train(cfg, save=False)
-        first = report.loss_curve[0][1]
-        last10 = np.mean([v for _, v in report.loss_curve[-10:]])
-        assert last10 < first
-        assert [i for i, _ in report.loss_curve] == list(range(60))
+        assert len(report.loss_curve) == 60
+        assert np.mean(report.loss_curve[-10:]) < report.loss_curve[0]
 
     def test_curve_and_dice_in_report(self, dataset, tmp_path):
         cfg = micro_config(dataset, tmp_path / "rep.fedckpt", iterations=3)
@@ -225,6 +231,17 @@ class TestTrain:
         assert 0.0 <= report.global_dice <= 1.0
         assert len(report.loss_curve) == 3
         assert report.runtime_seconds > 0
+
+    def test_missing_checkpoint_directory_rejected_before_loading(self, dataset, tmp_path,
+                                                                  monkeypatch):
+        ckpt = tmp_path / "missing" / "dir" / "lesion.fedckpt"
+        loads = []
+        monkeypatch.setattr(harness, "load_dataset", lambda *args: loads.append(1))
+        with pytest.raises(FileNotFoundError) as info:
+            harness.train(micro_config(dataset, ckpt))
+        assert str(info.value) == (f"cannot write {ckpt}: directory {ckpt.parent} "
+                                   "does not exist")
+        assert loads == []
 
     def test_mixed_dims_rejected(self, tmp_path):
         root = tmp_path / "mixed"
@@ -412,6 +429,17 @@ class TestEvaluate:
         report = harness.evaluate(tmp_path / "pred", tmp_path / "gt")
         assert report.global_dice == 0.0
 
+    @pytest.mark.parametrize("missing, kind", [("pred", "prediction"),
+                                               ("gt", "ground-truth")])
+    def test_missing_directory_named(self, tmp_path, missing, kind):
+        mask = np.ones((2, 2, 2))
+        for name in {"pred", "gt"} - {missing}:
+            self._write_masks(tmp_path / name, {"a": mask})
+        with pytest.raises(harness.DatasetError) as info:
+            harness.evaluate(str(tmp_path / "pred"), str(tmp_path / "gt"))
+        assert str(info.value) == (f"{kind} directory {str(tmp_path / missing)!r} "
+                                   "does not exist")
+
     def test_gt_label_selection(self, tmp_path):
         gt = np.zeros((3, 3, 3), dtype=np.uint8)
         gt[0] = 1
@@ -488,11 +516,11 @@ class TestEvaluate:
 
 class TestMetricsReport:
     def test_tab_separated_lines(self):
-        report = harness.MetricsReport(0.5, 0.25, [(0, 2.0), (1, 1.0)], 3.5)
+        report = harness.MetricsReport(0.5, 0.25, [2.0, 1.0], 3.5)
         lines = report.lines().splitlines()
         assert lines[0] == "per_case_dice\t0.500000"
         assert all("\t" in line for line in lines)
-        assert "loss_last\t1.000000" in lines
+        assert "loss_first\t2.000000" in lines and "loss_last\t1.000000" in lines
 
 
 class TestAblate:
@@ -634,6 +662,40 @@ class TestCli:
                          "--out", str(tmp_path / "only.mvol")]) == 1
         assert "2 volumes but 1 --out" in capsys.readouterr().err
         assert not (tmp_path / "only.mvol").exists()
+
+    def test_train_missing_out_directory_exits_one(self, dataset, tmp_path, capsys):
+        cfg_path = tmp_path / "t.cfg"
+        cfg_path.write_text(f"data_dir = {dataset}\nbase_channels = 4\nse_reduction = 4\n"
+                            f"checkpoint_out = {tmp_path / 'unused.fedckpt'}\n")
+        out = tmp_path / "missing" / "lesion.fedckpt"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {out}: directory {out.parent} "
+                                "does not exist\n")
+
+    def test_infer_missing_out_directory_exits_one_before_loading(self, dataset, tmp_path,
+                                                                  capsys):
+        # neither the config nor the checkpoints exist: no --out is checked after them
+        missing = str(tmp_path / "never_read.fedckpt")
+        outs = [tmp_path / "first.mvol", tmp_path / "missing" / "second.mvol"]
+        assert cli.main(["infer", str(dataset / "case000_ct.mvol"),
+                         str(dataset / "case001_ct.mvol"), "--config", "never_read.cfg",
+                         "--liver-ckpt", missing, "--lesion-ckpt", missing,
+                         "--out", str(outs[0]), "--out", str(outs[1])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {outs[1]}: directory {outs[1].parent} "
+                                "does not exist\n")
+        assert not outs[0].exists()
+
+    def test_synth_seed_defaults_to_zero(self, tmp_path):
+        for name, seed in (("default", []), ("zero", ["--seed", "0"])):
+            assert cli.main(["synth", "--out", str(tmp_path / name), "--count", "1",
+                             "--dims", "32,32,32", *seed]) == 0
+        for suffix in ("_ct.mvol", "_seg.mvol"):
+            assert ((tmp_path / "default" / f"case000{suffix}").read_bytes()
+                    == (tmp_path / "zero" / f"case000{suffix}").read_bytes())
 
     def test_windowed_ct_exits_one_naming_file_and_dtype(self, dataset, tmp_path, capsys):
         # a `fednet preprocess` output is windowed already: infer, train and
