@@ -346,6 +346,16 @@ class _ResStage(Block):
         return relu(self.main2(relu(self.main1(x))) + self.short(x))
 
 
+ENCODER_STRIDE = 32  # the encoder's total stride: a stride-4 stem, then three stride-2 stages
+
+
+def check_slice_size(shape, source) -> None:
+    """A ValueError naming ``source`` unless a (..., height, width) ``shape`` fits the encoder."""
+    if shape[-2] % ENCODER_STRIDE or shape[-1] % ENCODER_STRIDE:
+        raise ValueError(f"{source}: slice height and width must be multiples of "
+                         f"{ENCODER_STRIDE} to fit the network, got {shape[-2]}x{shape[-1]}")
+
+
 class Encoder(Block):
     """Four-resolution residual encoder: a stride-4 stem then three stride-2
     residual stages, optionally refined by an RCB after every block."""
@@ -368,9 +378,7 @@ class Encoder(Block):
         """Levels x_1..x_4 at strides 4, 8, 16, 32 relative to the input."""
         if x.ndim != 4:
             raise ValueError(f"encoder input must be 4-d [N,C,H,W], got {tuple(x.shape)}")
-        h, w = x.shape[2], x.shape[3]
-        if h % 32 != 0 or w % 32 != 0:
-            raise ValueError(f"encoder spatial extents must be divisible by 32, got {h}x{w}")
+        check_slice_size(x.shape, "encoder input")
         x1 = relu(self.stem_b(relu(self.stem_a(x))))
         levels = [x1]
         for stage in (self.stage2, self.stage3, self.stage4):

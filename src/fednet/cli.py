@@ -16,6 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness
+from .blocks import ENCODER_STRIDE, check_slice_size
 from .config import parse_config
 from .pipeline import hu_window_normalize
 from .synth import synth_generate
@@ -43,8 +44,8 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for idx, (ct, seg) in enumerate(pairs):
-        write_mvol(ct, out / f"case{idx:03d}_ct.mvol")
-        write_mvol(seg, out / f"case{idx:03d}_seg.mvol")
+        write_mvol(ct, out / f"case{idx:03d}{harness.CT_SUFFIX}")
+        write_mvol(seg, out / f"case{idx:03d}{harness.SEG_SUFFIX}")
     print(f"volumes\t{len(pairs)}")
     print(f"out_dir\t{out}")
     return 0
@@ -70,12 +71,23 @@ def cmd_infer(args) -> int:
     if len(args.out) != len(args.volume):
         raise ValueError(f"infer got {len(args.volume)} volumes but {len(args.out)} "
                          f"--out paths; give one --out per volume, in order")
+    # resolved input path -> the path as given
+    inputs = {Path(p).resolve(): p
+              for p in (*args.volume, args.liver_ckpt, args.lesion_ckpt, args.config)}
+    targets = set()
     for out in args.out:
         harness.check_out_dir(out)
+        target = Path(out).resolve()
+        if target in inputs:
+            raise ValueError(f"--out {out} would overwrite the input {inputs[target]}")
+        if target in targets:
+            raise ValueError(f"--out {out} is given twice; give each volume its own")
+        targets.add(target)
     cfg = _load_config(args)
     nets = harness.load_two_stage(cfg, args.liver_ckpt, args.lesion_ckpt)
     for volume_path, out in zip(args.volume, args.out):
         ct = harness.check_ct(read_mvol(volume_path), volume_path)
+        check_slice_size(ct.voxels.shape, volume_path)
         mask = harness.segment(cfg, *nets, ct)
         write_mvol(mask, out)
         print(f"out\t{out}")
@@ -118,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=4)
     p.add_argument("--dims", default="64,64,48",
-                   help="nx,ny,nz (each >= 32; nx and ny multiples of 32)")
+                   help=f"nx,ny,nz (each >= 32; nx and ny multiples of {ENCODER_STRIDE})")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("preprocess", help="HU-window a CT volume to [0,1]")

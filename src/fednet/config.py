@@ -1,5 +1,6 @@
-"""Text configuration: ``key = value`` lines, ``#`` comments, unknown keys
-rejected, missing keys defaulted, everything validated with line numbers.
+"""Text configuration: ``key = value`` lines, ``#`` comments, unknown and
+repeated keys rejected, missing keys defaulted, everything validated with
+line numbers.
 
 :class:`TrainConfig` and the :class:`~fednet.blocks.NetworkSpec` and
 :class:`~fednet.losses.LossWeights` it holds check themselves when built and
@@ -102,6 +103,7 @@ def parse_config(path) -> TrainConfig:
         lines = fh.readlines()
 
     buckets: dict[str, dict] = {"cfg": {}, "net": {}, "loss": {}}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,6 +115,10 @@ def parse_config(path) -> TrainConfig:
         value = value.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         target, caster = _SCHEMA[key]
         try:
             buckets[target][key] = caster(value)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import checkpoint, ops
 from .blocks import (DUC, RCB, DecoderBlock, Encoder, FeatureFusion, FedNet,
-                     NetworkSpec, SEBlock, UpsampleConv)
+                     NetworkSpec, SEBlock, UpsampleConv, check_slice_size)
 from .config import TrainConfig
 from .losses import (LossWeights, combined_loss, combined_loss_with_logits, dice_global,
                      dice_per_case)
@@ -31,7 +31,7 @@ from .pipeline import (flip_augment, hierarchical_postprocess, hu_window_normali
                        threshold_mask)
 from .tensor import (GradCheckReport, Tape, Tensor, backward, clip_gradients,
                      grad_check, sgd_step)
-from .volume import Volume, read_mvol
+from .volume import Volume, check_out_dir, read_mvol
 
 CT_SUFFIX = "_ct.mvol"
 SEG_SUFFIX = "_seg.mvol"
@@ -90,20 +90,12 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 
 
-def check_out_dir(path) -> None:
-    """A one-line FileNotFoundError naming ``path`` unless its directory
-    exists, so that a command fails before it computes what it cannot write."""
-    parent = Path(path).parent
-    if not parent.is_dir():
-        raise FileNotFoundError(f"cannot write {path}: directory {parent} does not exist")
-
-
 def check_ct(volume: Volume, source) -> Volume:
     """``volume`` itself if it holds int16 HU, the only input that HU
     windowing accepts; otherwise a one-line :class:`DatasetError` naming
     ``source`` and the dtype.  A float volume is most likely windowed already
     (``fednet preprocess`` output): windowing it again would squeeze every
-    voxel into [0.4444, 0.4460]."""
+    voxel into [0.4444, 0.4467]."""
     if volume.voxels.dtype != np.int16:
         raise DatasetError(f"{source}: a CT volume must hold int16 HU, got "
                            f"{volume.voxels.dtype}; a windowed volume cannot be windowed again")
@@ -111,21 +103,24 @@ def check_ct(volume: Volume, source) -> Volume:
 
 
 def load_dataset(data_dir) -> list[tuple[str, Volume, Volume]]:
-    """Load (name, ct, seg) triples from ``data_dir``; pairs are
-    ``<name>_ct.mvol`` / ``<name>_seg.mvol``, returned in sorted name order."""
+    """Load (name, ct, seg) triples from ``data_dir`` in sorted name order;
+    ``<name>`` + CT_SUFFIX pairs with ``<name>`` + SEG_SUFFIX."""
     root = Path(data_dir)
     if not root.is_dir():
         raise DatasetError(f"data directory {data_dir!r} does not exist")
-    for seg_path in sorted(root.glob(f"*{SEG_SUFFIX}")):
-        if not (root / f"{seg_path.name[:-len(SEG_SUFFIX)]}{CT_SUFFIX}").exists():
-            raise DatasetError(f"missing CT for {seg_path.name}")
+    cts = {p.name[:-len(CT_SUFFIX)]: p for p in root.glob(f"*{CT_SUFFIX}")}
+    segs = {p.name[:-len(SEG_SUFFIX)]: p for p in root.glob(f"*{SEG_SUFFIX}")}
+    for kind, files, partners in (("CT", segs, cts), ("segmentation", cts, segs)):
+        orphans = sorted(files.keys() - partners.keys())
+        if orphans:
+            raise DatasetError(f"missing {kind} for {files[orphans[0]].name}")
+    if not cts:
+        raise DatasetError(f"no *{CT_SUFFIX} volumes found in {data_dir!r}")
     out = []
-    for ct_path in sorted(root.glob(f"*{CT_SUFFIX}")):
-        name = ct_path.name[:-len(CT_SUFFIX)]
-        seg_path = root / f"{name}{SEG_SUFFIX}"
-        if not seg_path.exists():
-            raise DatasetError(f"missing segmentation for {ct_path.name}")
+    for name, ct_path in sorted(cts.items()):
         ct = check_ct(read_mvol(ct_path), ct_path)
+        check_slice_size(ct.voxels.shape, ct_path)
+        seg_path = segs[name]
         seg = read_mvol(seg_path)
         labels = seg.voxels
         if labels.dtype != np.uint8 or labels.max() > 2:
@@ -135,8 +130,6 @@ def load_dataset(data_dir) -> list[tuple[str, Volume, Volume]]:
         if ct.voxels.shape != seg.voxels.shape:
             raise DatasetError(f"{name}: ct and seg dims differ")
         out.append((name, ct, seg))
-    if not out:
-        raise DatasetError(f"no *{CT_SUFFIX} volumes found in {data_dir!r}")
     return out
 
 

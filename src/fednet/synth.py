@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .blocks import check_slice_size
 from .volume import Volume
 
 BACKGROUND_HU = (-100.0, 30.0)
@@ -30,9 +31,7 @@ def synth_generate(seed, n_volumes: int, dims: tuple[int, int, int] = (64, 64, 4
     nx, ny, nz = dims
     if min(nx, ny, nz) < 32:
         raise ValueError(f"dims must be >= 32 per axis, got {dims}")
-    if nx % 32 or ny % 32:
-        raise ValueError(
-            f"in-plane dims must be multiples of 32 so slices fit the network, got {dims}")
+    check_slice_size((ny, nx), f"dims {dims}")
     rng = np.random.default_rng(seed)
     zz, yy, xx = np.meshgrid(np.arange(nz, dtype=np.float64),
                              np.arange(ny, dtype=np.float64),

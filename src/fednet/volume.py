@@ -70,12 +70,21 @@ class Volume:
         return nx, ny, nz
 
 
+def check_out_dir(path) -> None:
+    """A one-line FileNotFoundError naming ``path`` unless its directory
+    exists, so that a command fails before it computes what it cannot write."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise FileNotFoundError(f"cannot write {path}: directory {parent} does not exist")
+
+
 @contextmanager
 def atomic_write(path):
     """Open a temporary file next to ``path`` for binary writing; when the
     block finishes, ``os.replace`` moves it onto ``path``.  A write that
     raises or is killed midway leaves any previous file at ``path`` as it was
     (a raise also deletes the temporary file)."""
+    check_out_dir(path)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -333,7 +333,7 @@ class TestEncoder:
 
     def test_indivisible_extent_rejected(self):
         enc = Encoder(3, (4, 8, 16, 32), False, rng_for(33)).astype(F64)
-        with pytest.raises(ValueError, match="divisible by 32"):
+        with pytest.raises(ValueError, match="^encoder input: .* multiples of 32 .*, got 48x64$"):
             enc(t(np.zeros((1, 3, 48, 64))))
 
     def test_rcb_only_when_enabled(self):

@@ -70,6 +70,12 @@ class TestFormat:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["kept.fedckpt"]
 
+    def test_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "x.fedckpt"
+        with pytest.raises(FileNotFoundError) as info:
+            save_checkpoint(path, {"w": np.ones((2, 2), np.float32)})
+        assert str(info.value) == f"cannot write {path}: directory {path.parent} does not exist"
+
     def test_duplicate_name_rejected(self, tmp_path):
         path = tmp_path / "dup.fedckpt"
         path.write_bytes(b"FEDCKPT1" + struct.pack("<I", 2) + entry_bytes("w", np.ones(2))

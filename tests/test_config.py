@@ -55,9 +55,11 @@ class TestParsing:
         cfg = parse_config(write(tmp_path, f"enable_rcb = {raw}\n"))
         assert cfg.network.enable_rcb is value
 
-    def test_later_assignment_wins(self, tmp_path):
-        cfg = parse_config(write(tmp_path, "lr = 0.1\nlr = 0.2\n"))
-        assert cfg.lr == 0.2
+    def test_duplicate_key_rejected(self, tmp_path):
+        path = write(tmp_path, "lr = 0.5\nseed = 1\n\nlr = 0.01\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == f"{path}:4: duplicate key 'lr' (first set on line 1)"
 
 
 class TestErrors:

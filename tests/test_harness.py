@@ -51,19 +51,32 @@ class TestLoadDataset:
         with pytest.raises(harness.DatasetError, match="does not exist"):
             harness.load_dataset(tmp_path / "nope")
 
-    def test_missing_segmentation(self, tmp_path):
-        make_dataset(tmp_path / "d", n=1)
-        (tmp_path / "d" / "case000_seg.mvol").unlink()
-        with pytest.raises(harness.DatasetError, match="missing segmentation"):
-            harness.load_dataset(tmp_path / "d")
+    @staticmethod
+    def counting_reads(monkeypatch):
+        reads = []
+        monkeypatch.setattr(harness, "read_mvol",
+                            lambda path: reads.append(path) or read_mvol(path))
+        return reads
 
-    def test_orphan_segmentation_rejected(self, tmp_path):
+    def test_missing_segmentation(self, tmp_path, monkeypatch):
+        # the orphan sorts after a complete case: it is still found before any read
+        make_dataset(tmp_path / "d", n=2)
+        (tmp_path / "d" / "case001_seg.mvol").unlink()
+        reads = self.counting_reads(monkeypatch)
+        with pytest.raises(harness.DatasetError) as info:
+            harness.load_dataset(tmp_path / "d")
+        assert str(info.value) == "missing segmentation for case001_ct.mvol"
+        assert reads == []
+
+    def test_orphan_segmentation_rejected(self, tmp_path, monkeypatch):
         make_dataset(tmp_path / "d", n=2)
         (tmp_path / "d" / "case002_seg.mvol").write_bytes(
             (tmp_path / "d" / "case000_seg.mvol").read_bytes())
+        reads = self.counting_reads(monkeypatch)
         with pytest.raises(harness.DatasetError) as info:
             harness.load_dataset(tmp_path / "d")
         assert str(info.value) == "missing CT for case002_seg.mvol"
+        assert reads == []
 
     def test_empty_directory(self, tmp_path):
         (tmp_path / "d").mkdir()
@@ -688,6 +701,96 @@ class TestCli:
         assert captured.err == (f"error: cannot write {outs[1]}: directory {outs[1].parent} "
                                 "does not exist\n")
         assert not outs[0].exists()
+
+    @pytest.mark.parametrize("collide", ["volume", "liver", "lesion", "config", "twice"])
+    def test_infer_out_that_would_overwrite_an_input_exits_one(self, dataset, tmp_path,
+                                                               monkeypatch, capsys, collide):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"data_dir = {dataset}\nbase_channels = 4\nse_reduction = 4\n"
+                            f"checkpoint_out = {tmp_path / 'unused.fedckpt'}\n")
+        cfg = parse_config(str(cfg_path))
+        inputs = {"config": cfg_path}
+        for stage in ("liver", "lesion"):
+            inputs[stage] = tmp_path / f"{stage}.fedckpt"
+            save_checkpoint(inputs[stage], state_arrays(harness.build_network(cfg, stage=stage)))
+        volumes = [tmp_path / "a.mvol", tmp_path / "b.mvol"]
+        for idx, path in enumerate(volumes):
+            path.write_bytes((dataset / f"case{idx:03d}_ct.mvol").read_bytes())
+        inputs["volume"] = volumes[1]
+        before = {path: path.read_bytes() for path in [*volumes, *inputs.values()]}
+        mask = tmp_path / "mask.mvol"
+        if collide == "twice":
+            outs = [mask, mask]
+            message = f"--out {mask} is given twice; give each volume its own"
+        else:
+            # another spelling of the input's path: the check compares resolved paths
+            (tmp_path / "sub").mkdir()
+            outs = [tmp_path / "sub" / os.pardir / inputs[collide].name, mask]
+            message = f"--out {outs[0]} would overwrite the input {inputs[collide]}"
+        reads = []
+        parse, load = cli.parse_config, harness.load_two_stage
+        monkeypatch.setattr(cli, "parse_config", lambda path: reads.append(path) or parse(path))
+        monkeypatch.setattr(harness, "load_two_stage",
+                            lambda *args: reads.append(args) or load(*args))
+        argv = ["infer", *map(str, volumes), "--config", str(cfg_path),
+                "--liver-ckpt", str(inputs["liver"]), "--lesion-ckpt", str(inputs["lesion"])]
+        for out in outs:
+            argv += ["--out", str(out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert reads == []
+        assert {path: path.read_bytes() for path in before} == before
+        assert not mask.exists()
+
+    def test_slices_that_do_not_fit_the_network_exit_one_naming_the_ct(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        # a 48x48 CT, cropped from a 64x64 phantom: train refuses it before it
+        # builds a network and infer before it segments; preprocess feeds no
+        # network and accepts it
+        data = tmp_path / "small"
+        data.mkdir()
+        ct, seg = synth_generate(5, 1, (64, 64, 32))[0]
+        for vol, suffix in ((ct, harness.CT_SUFFIX), (seg, harness.SEG_SUFFIX)):
+            write_mvol(Volume(vol.voxels[:, :48, :48], vol.spacing), data / f"case000{suffix}")
+        ct_path = data / f"case000{harness.CT_SUFFIX}"
+        cfg_path = tmp_path / "s.cfg"
+        cfg_path.write_text(f"data_dir = {data}\nbase_channels = 4\nse_reduction = 4\n"
+                            f"iterations = 1\nbatch_size = 2\n"
+                            f"checkpoint_out = {tmp_path / 's.fedckpt'}\n")
+        cfg = parse_config(str(cfg_path))
+        for stage in ("liver", "lesion"):
+            save_checkpoint(tmp_path / f"{stage}.fedckpt",
+                            state_arrays(harness.build_network(cfg, stage=stage)))
+        message = (f"error: {ct_path}: slice height and width must be multiples of 32 to fit "
+                   "the network, got 48x48\n")
+        mask = tmp_path / "mask.mvol"
+        assert cli.main(["infer", str(ct_path), "--config", str(cfg_path),
+                         "--liver-ckpt", str(tmp_path / "liver.fedckpt"),
+                         "--lesion-ckpt", str(tmp_path / "lesion.fedckpt"),
+                         "--out", str(mask)]) == 1
+        assert capsys.readouterr().err == message
+        assert not mask.exists()
+        builds = []
+        monkeypatch.setattr(harness, "build_network", lambda *args, **kw: builds.append(args))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+        assert builds == []
+        assert not (tmp_path / "s.fedckpt").exists()
+        assert cli.main(["preprocess", str(ct_path), "--out", str(tmp_path / "n.mvol")]) == 0
+        assert read_mvol(tmp_path / "n.mvol").voxels.shape == (32, 48, 48)
+
+    def test_preprocess_missing_out_directory_names_the_target(self, dataset, tmp_path,
+                                                               capsys):
+        out = tmp_path / "missing" / "x.mvol"
+        assert cli.main(["preprocess", str(dataset / "case000_ct.mvol"),
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {out}: directory {out.parent} "
+                                "does not exist\n")
 
     def test_synth_seed_defaults_to_zero(self, tmp_path):
         for name, seed in (("default", []), ("zero", ["--seed", "0"])):

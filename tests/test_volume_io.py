@@ -55,6 +55,12 @@ class TestRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["kept.mvol"]
 
+    def test_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "x.mvol"
+        with pytest.raises(FileNotFoundError) as info:
+            write_mvol(Volume(np.zeros((2, 2, 2), dtype=np.uint8)), path)
+        assert str(info.value) == f"cannot write {path}: directory {path.parent} does not exist"
+
 
 class TestHandAssembledFile:
     def test_known_bytes_parse_to_known_voxels(self, tmp_path):
