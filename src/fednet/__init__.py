@@ -8,7 +8,8 @@ from .blocks import FedNet, NetworkSpec
 from .config import ConfigError, TrainConfig, parse_config
 from .losses import (LossWeights, combined_loss, combined_loss_with_logits, dice, dice_global,
                      dice_per_case, soft_jaccard, weighted_bce)
-from .tensor import GradCheckReport, Parameter, Tape, Tensor, backward, grad_check, sgd_step
+from .tensor import (FlatParameters, GradCheckReport, Parameter, Tape, Tensor, backward,
+                     grad_check, sgd_step)
 from .volume import MVolError, Volume, read_mvol, write_mvol
 
 __all__ = [
@@ -16,7 +17,8 @@ __all__ = [
     "ConfigError", "TrainConfig", "parse_config",
     "LossWeights", "combined_loss", "combined_loss_with_logits", "dice", "dice_global",
     "dice_per_case", "soft_jaccard", "weighted_bce",
-    "GradCheckReport", "Parameter", "Tape", "Tensor", "backward", "grad_check", "sgd_step",
+    "FlatParameters", "GradCheckReport", "Parameter", "Tape", "Tensor", "backward", "grad_check",
+    "sgd_step",
     "MVolError", "Volume", "read_mvol", "write_mvol",
 ]
 

@@ -20,7 +20,7 @@ from .blocks import ENCODER_STRIDE, check_slice_size
 from .config import parse_config
 from .pipeline import hu_window_normalize
 from .synth import synth_generate
-from .volume import Volume, read_mvol, write_mvol
+from .volume import Volume, read_mvol, read_mvol_header, write_mvol
 
 # ConfigError, MVolError, CheckpointError and DatasetError all derive from ValueError
 _VALIDATION_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, harness.BlasError)
@@ -52,7 +52,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    vol = harness.check_ct(read_mvol(args.volume), args.volume)
+    vol = read_mvol(args.volume)
+    harness.check_ct(vol.voxels.dtype, args.volume)
     norm = Volume(hu_window_normalize(vol.voxels), vol.spacing)
     write_mvol(norm, args.out)
     print(f"out\t{args.out}")
@@ -83,12 +84,16 @@ def cmd_infer(args) -> int:
         if target in targets:
             raise ValueError(f"--out {out} is given twice; give each volume its own")
         targets.add(target)
+    # every volume, from its header, before a checkpoint is loaded or a mask
+    # written, so a bad later volume leaves no partial set of outputs
+    for volume_path in args.volume:
+        shape, dtype = read_mvol_header(volume_path)
+        harness.check_ct(dtype, volume_path)
+        check_slice_size(shape, volume_path)
     cfg = _load_config(args)
     nets = harness.load_two_stage(cfg, args.liver_ckpt, args.lesion_ckpt)
     for volume_path, out in zip(args.volume, args.out):
-        ct = harness.check_ct(read_mvol(volume_path), volume_path)
-        check_slice_size(ct.voxels.shape, volume_path)
-        mask = harness.segment(cfg, *nets, ct)
+        mask = harness.segment(cfg, *nets, read_mvol(volume_path))
         write_mvol(mask, out)
         print(f"out\t{out}")
         print(f"lesion_voxels\t{int(mask.voxels.sum())}")

@@ -29,8 +29,8 @@ from .losses import (LossWeights, combined_loss, combined_loss_with_logits, dice
 from .pipeline import (flip_augment, hierarchical_postprocess, hu_window_normalize,
                        largest_component, sample_slices, stack_adjacent_slices,
                        threshold_mask)
-from .tensor import (GradCheckReport, Tape, Tensor, backward, clip_gradients,
-                     grad_check, sgd_step)
+from .tensor import (FlatParameters, GradCheckReport, Tape, Tensor, backward,
+                     clip_gradients, grad_check, sgd_step)
 from .volume import Volume, check_out_dir, read_mvol
 
 CT_SUFFIX = "_ct.mvol"
@@ -90,16 +90,15 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 
 
-def check_ct(volume: Volume, source) -> Volume:
-    """``volume`` itself if it holds int16 HU, the only input that HU
-    windowing accepts; otherwise a one-line :class:`DatasetError` naming
-    ``source`` and the dtype.  A float volume is most likely windowed already
+def check_ct(dtype, source) -> None:
+    """A one-line :class:`DatasetError` naming ``source`` and ``dtype``
+    unless a CT's voxel ``dtype`` is int16 HU, the only input that HU
+    windowing accepts.  A float volume is most likely windowed already
     (``fednet preprocess`` output): windowing it again would squeeze every
     voxel into [0.4444, 0.4467]."""
-    if volume.voxels.dtype != np.int16:
+    if dtype != np.int16:
         raise DatasetError(f"{source}: a CT volume must hold int16 HU, got "
-                           f"{volume.voxels.dtype}; a windowed volume cannot be windowed again")
-    return volume
+                           f"{dtype}; a windowed volume cannot be windowed again")
 
 
 def load_dataset(data_dir) -> list[tuple[str, Volume, Volume]]:
@@ -118,7 +117,8 @@ def load_dataset(data_dir) -> list[tuple[str, Volume, Volume]]:
         raise DatasetError(f"no *{CT_SUFFIX} volumes found in {data_dir!r}")
     out = []
     for name, ct_path in sorted(cts.items()):
-        ct = check_ct(read_mvol(ct_path), ct_path)
+        ct = read_mvol(ct_path)
+        check_ct(ct.voxels.dtype, ct_path)
         check_slice_size(ct.voxels.shape, ct_path)
         seg_path = segs[name]
         seg = read_mvol(seg_path)
@@ -221,6 +221,13 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     Dice.  Returns the parameter values and writes them as a FEDCKPT1
     checkpoint unless ``save`` is False.
 
+    The optimizer state is training's own: the network's parameter values
+    move into one flat array (:class:`~fednet.tensor.FlatParameters`), and
+    the SGD momentum is one flat array beside it.  The gradients stay per
+    parameter; clipping and the update gather them a chunk at a time, after
+    backward has freed the tape's activations, so no full-size gradient
+    copy is made.
+
     The loss is :func:`~fednet.losses.combined_loss_with_logits` on the
     network's logits, so a saturated output still gets a gradient.  Aborts
     with :class:`TrainingDiverged`, naming the iteration, on a non-finite
@@ -242,8 +249,8 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     prepared = [(hu_window_normalize(ct.voxels), *stage_targets(seg.voxels, cfg.stage))
                 for _, ct, seg in volumes]
     net = build_network(cfg)
-    params = net.parameters()
-    velocity = [np.zeros(p.shape, p.dtype) for p in params]  # SGD momentum buffers
+    flat = FlatParameters(net.parameters())
+    velocity = np.zeros_like(flat.values)  # SGD momentum
     aug_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xA0]))
     stream = _sample_stream(prepared, cfg, aug_rng)
 
@@ -259,7 +266,7 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
         if not np.isfinite(value):
             raise TrainingDiverged(f"non-finite loss at iteration {it}")
         backward(loss, tape)
-        norm = clip_gradients(params, cfg.grad_clip)
+        norm = clip_gradients(flat, cfg.grad_clip)
         if not np.isfinite(norm):
             # a NaN norm skips clipping, and sgd_step would write NaN into
             # every parameter
@@ -269,7 +276,7 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
             raise TrainingDiverged(
                 f"gradient norm exactly 0 for {zero_norm_run} consecutive iterations "
                 f"at iteration {it}: the network is saturated")
-        sgd_step(params, velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
+        sgd_step(flat, velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
         curve.append(value)
 
     arrays = checkpoint.state_arrays(net)
@@ -338,7 +345,8 @@ def segment(cfg: TrainConfig, liver_net: FedNet, lesion_net: FedNet,
     empty liver yields an empty mask.  The CT must hold int16 HU
     (:func:`check_ct`).
     """
-    norm = hu_window_normalize(check_ct(volume, "segment").voxels)
+    check_ct(volume.voxels.dtype, "segment")
+    norm = hu_window_normalize(volume.voxels)
     liver_prob = predict_volume(liver_net, norm, range(norm.shape[0]))
     liver_mask = largest_component(threshold_mask(liver_prob, cfg.liver_threshold),
                                    cfg.connectivity)

@@ -339,7 +339,13 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     out = Tensor(out_data)
 
     def backward_fn(g):
-        return (g.reshape(n, c, h, factor, w, factor).sum(axis=(3, 5)),)
+        # each block's row sums, added row by row in order: numpy's
+        # sum(axis=(3, 5)) makes the same float sums, bit for bit, but slower
+        rows = g.reshape(n, c, h, factor, w, factor).sum(axis=5)
+        total = rows[:, :, :, 0].copy()
+        for i in range(1, factor):
+            total += rows[:, :, :, i]
+        return (total,)
 
     return record(out, (x,), backward_fn)
 

@@ -12,12 +12,18 @@ forward evaluation with no recording overhead.  Gradients accumulate by
 summation over all paths from the root; leaf tensors keep their accumulated
 gradient in ``Tensor.grad``.  A network parameter is such a leaf: a
 :class:`Parameter` is a named tensor; optimizer state belongs to the caller.
+
+The optimizer works on one flat array: :class:`FlatParameters` moves a
+list of parameters' values into it, leaving each ``data`` a view there, and
+:func:`clip_gradients` and :func:`sgd_step` are passes over it and the
+caller's flat momentum buffer in chunks that fit in cache, each chunk of
+the per-parameter gradients gathered as the pass reaches it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -342,33 +348,94 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={tuple(self.shape)})"
 
 
-def clip_gradients(params: Iterable[Parameter], max_norm: float) -> float:
+# Values per chunk of the optimizer's passes: a chunk of each operand and of
+# the scratch stays in cache.  Clipping and one update of the default lesion
+# net (1,063,299 values; 2-vCPU Xeon, one BLAS thread) took 3.6 ms at 32K,
+# 2.7 ms at 64K and 3.1 ms at 128K.
+OPTIMIZER_CHUNK = 1 << 16
+
+
+class FlatParameters:
+    """Parameters whose values live in one flat array, ``values``.
+
+    Building it moves each parameter's values, in order, into ``values``
+    and makes its ``data`` a view there, so writing ``values`` writes the
+    parameters.  Gradients stay per parameter, as :func:`backward` leaves
+    them; :meth:`gradient_chunks` gathers them in the same layout, one
+    chunk at a time.
+    """
+
+    __slots__ = ("params", "values")
+
+    def __init__(self, params: Iterable[Parameter]):
+        self.params = list(params)
+        check_dtypes("FlatParameters", *self.params)
+        self.values = np.empty(sum(p.size for p in self.params), self.params[0].dtype)
+        offset = 0
+        for p in self.params:
+            view = self.values[offset:offset + p.size].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            offset += p.size
+
+    def gradient_chunks(self, scratch: np.ndarray) -> Iterator[np.ndarray]:
+        """The gradients end to end, copied into ``scratch`` (in its dtype)
+        one chunk of ``scratch.size`` values at a time, so chunk k lines up
+        with ``values[k * scratch.size:]``; the last may be shorter.  Every
+        parameter must have a gradient, which is checked first."""
+        for p in self.params:
+            if p.grad is None:
+                raise RuntimeError(f"parameter {p.name!r} has no gradient; run backward first")
+        return self._chunks(scratch)
+
+    def _chunks(self, scratch: np.ndarray) -> Iterator[np.ndarray]:
+        fill = 0
+        for p in self.params:
+            grad = p.grad.reshape(-1)
+            start = 0
+            while start < grad.size:
+                n = min(grad.size - start, scratch.size - fill)
+                scratch[fill:fill + n] = grad[start:start + n]
+                fill += n
+                start += n
+                if fill == scratch.size:
+                    yield scratch
+                    fill = 0
+        if fill:
+            yield scratch[:fill]
+
+
+def clip_gradients(flat: FlatParameters, max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``;
-    returns the pre-clip norm.  A non-positive ``max_norm`` disables clipping;
-    a NaN one is rejected."""
+    returns the pre-clip norm.  A non-positive ``max_norm`` disables
+    clipping; a NaN one is rejected.
+
+    The norm sums float64 squares with BLAS ``ddot``, one chunk of
+    OPTIMIZER_CHUNK values at a time: exactly 0.0 for all-zero gradients,
+    NaN when one holds a NaN."""
     if np.isnan(max_norm):
         raise ValueError(f"max_norm must not be NaN, got {max_norm}")
-    params = list(params)
     total = 0.0
-    for p in params:
-        g = p.grad
-        if g is not None:
-            total += float((g.astype(np.float64) ** 2).sum())
+    for chunk in flat.gradient_chunks(np.empty(OPTIMIZER_CHUNK)):
+        total += float(np.dot(chunk, chunk))
     total = total ** 0.5
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
-        for p in params:
-            if p.grad is not None:
-                p.grad *= p.grad.dtype.type(scale)
+        for p in flat.params:
+            p.grad *= p.grad.dtype.type(scale)
     return total
 
 
-def sgd_step(params: Iterable[Parameter], velocity: Sequence[np.ndarray], lr: float,
-             momentum: float = 0.9, weight_decay: float = 1e-4) -> None:
-    """One SGD-with-momentum update, then gradients are zeroed.  ``velocity``
-    holds the caller's momentum buffers, one per parameter in order:
+def sgd_step(flat: FlatParameters, velocity: np.ndarray, lr: float, momentum: float = 0.9,
+             weight_decay: float = 1e-4) -> None:
+    """One SGD-with-momentum update of ``flat``'s values, then its gradients
+    are released.  ``velocity`` is the caller's momentum buffer, one flat
+    array like ``flat.values``.  Elementwise, in this operand order:
 
     buf <- momentum * buf + (grad + weight_decay * data);  data <- data - lr * buf
+
+    One pass over the values, OPTIMIZER_CHUNK at a time, with two chunks
+    of scratch; every argument is checked before anything is written.
     """
     # a comparison that NaN fails
     if not 0 < lr < np.inf:
@@ -377,19 +444,24 @@ def sgd_step(params: Iterable[Parameter], velocity: Sequence[np.ndarray], lr: fl
         raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
     if not 0 <= weight_decay < np.inf:
         raise ValueError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
-    params = list(params)
-    if len(velocity) != len(params):
-        raise ValueError(f"{len(velocity)} velocity buffers for {len(params)} parameters")
-    # every gradient and buffer is checked before any parameter is written
-    for p, buf in zip(params, velocity):
-        if p.grad is None:
-            raise RuntimeError(f"parameter {p.name!r} has no gradient; run backward first")
-        if buf.shape != p.shape:
-            raise ValueError(f"{p.name!r} has shape {p.shape}, its velocity buffer {buf.shape}")
-    for p, buf in zip(params, velocity):
+    values = flat.values
+    if velocity.shape != values.shape or velocity.dtype != values.dtype:
+        raise ValueError(f"{velocity.size} velocity values ({velocity.dtype}, shape "
+                         f"{velocity.shape}) for {values.size} parameter values "
+                         f"({values.dtype}, shape {values.shape})")
+    tmp = np.empty(OPTIMIZER_CHUNK, values.dtype)
+    start = 0
+    for grad in flat.gradient_chunks(np.empty(OPTIMIZER_CHUNK, values.dtype)):
+        stop = start + grad.size
+        data, buf, t = values[start:stop], velocity[start:stop], tmp[:grad.size]
         buf *= momentum
-        buf += p.grad + weight_decay * p.data
-        p.data -= lr * buf
+        np.multiply(data, weight_decay, out=t)
+        grad += t
+        buf += grad
+        np.multiply(buf, lr, out=t)
+        data -= t
+        start = stop
+    for p in flat.params:
         p.grad = None
 
 

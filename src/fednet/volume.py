@@ -109,29 +109,45 @@ def write_mvol(vol: Volume, path) -> None:
         fh.write(arr)
 
 
+def _read_header(fh, path) -> tuple[tuple[int, int, int], np.dtype, tuple]:
+    """(array shape (nz, ny, nx), dtype, spacing) from the header of the open
+    MVOL file ``fh``, once the header and the payload's size are checked;
+    ``fh`` is left at the payload."""
+    magic = fh.read(len(MAGIC))
+    if len(magic) < len(MAGIC):
+        raise TruncatedPayload(f"{path}: file shorter than the magic header")
+    if magic != MAGIC:
+        raise BadMagic(f"{path}: bad magic {magic!r}")
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise TruncatedPayload(f"{path}: truncated header")
+    nx, ny, nz, code, sx, sy, sz = _HEADER.unpack(head)
+    if nx == 0 or ny == 0 or nz == 0 or nx * ny * nz > _MAX_VOXELS:
+        raise DimOverflow(f"{path}: invalid dims {nx}x{ny}x{nz}")
+    dtype = _DTYPE_CODES.get(code)
+    if dtype is None:
+        raise MVolError(f"{path}: unknown dtype code {code}")
+    expected = nx * ny * nz * dtype.itemsize
+    payload = os.fstat(fh.fileno()).st_size - fh.tell()
+    if payload < expected:
+        raise TruncatedPayload(f"{path}: payload holds {payload} bytes, expected {expected}")
+    if payload > expected:
+        raise MVolError(f"{path}: {payload - expected} trailing bytes after payload")
+    return (nz, ny, nx), dtype, (sx, sy, sz)
+
+
+def read_mvol_header(path) -> tuple[tuple[int, int, int], np.dtype]:
+    """The voxel array shape (nz, ny, nx) and dtype of an MVOL file, checked
+    as :func:`read_mvol` checks them, without reading the payload."""
+    with open(path, "rb") as fh:
+        shape, dtype, _ = _read_header(fh, path)
+    return shape, dtype
+
+
 def read_mvol(path) -> Volume:
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if len(magic) < len(MAGIC):
-            raise TruncatedPayload(f"{path}: file shorter than the magic header")
-        if magic != MAGIC:
-            raise BadMagic(f"{path}: bad magic {magic!r}")
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise TruncatedPayload(f"{path}: truncated header")
-        nx, ny, nz, code, sx, sy, sz = _HEADER.unpack(head)
-        if nx == 0 or ny == 0 or nz == 0 or nx * ny * nz > _MAX_VOXELS:
-            raise DimOverflow(f"{path}: invalid dims {nx}x{ny}x{nz}")
-        dtype = _DTYPE_CODES.get(code)
-        if dtype is None:
-            raise MVolError(f"{path}: unknown dtype code {code}")
-        expected = nx * ny * nz * dtype.itemsize
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload < expected:
-            raise TruncatedPayload(f"{path}: payload holds {payload} bytes, expected {expected}")
-        if payload > expected:
-            raise MVolError(f"{path}: {payload - expected} trailing bytes after payload")
-        voxels = np.empty((nz, ny, nx), dtype=dtype)
-        if fh.readinto(voxels) != expected:
+        shape, dtype, spacing = _read_header(fh, path)
+        voxels = np.empty(shape, dtype=dtype)
+        if fh.readinto(voxels) != voxels.nbytes:
             raise TruncatedPayload(f"{path}: payload cut short while reading")
-    return Volume(voxels, (sx, sy, sz))
+    return Volume(voxels, spacing)

@@ -296,3 +296,37 @@ def sigmoid_branchwise_reference(z):
     out[~pos] = e / (1.0 + e)
     info = np.finfo(z.dtype)
     return np.clip(out, info.tiny, 1.0 - info.epsneg)
+
+
+def upsample_nearest_grad_reference(g, factor):
+    """The input gradient of a factor-``factor`` nearest upsample, as one
+    numpy reduction over both block axes."""
+    n, c, hf, wf = g.shape
+    return g.reshape(n, c, hf // factor, factor, wf // factor, factor).sum(axis=(3, 5))
+
+
+def clip_gradients_reference(params, max_norm):
+    """Per-parameter gradient clipping: the global L2 norm from a float64
+    sum of squares per parameter, then each ``.grad`` scaled in place by the
+    clip factor in its own dtype; returns the pre-clip norm."""
+    total = 0.0
+    for p in params:
+        if p.grad is not None:
+            total += float((p.grad.astype(np.float64) ** 2).sum())
+    total = total ** 0.5
+    if max_norm > 0 and total > max_norm:
+        scale = max_norm / total
+        for p in params:
+            if p.grad is not None:
+                p.grad *= p.grad.dtype.type(scale)
+    return total
+
+
+def sgd_step_reference(params, velocity, lr, momentum, weight_decay):
+    """Per-parameter SGD with momentum, one full-size expression per operand,
+    over one momentum buffer per parameter; gradients are released after."""
+    for p, buf in zip(params, velocity):
+        buf *= momentum
+        buf += p.grad + weight_decay * p.data
+        p.data -= lr * buf
+        p.grad = None

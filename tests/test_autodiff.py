@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from fednet import ops
-from fednet.tensor import (GRAD_CHECK_COPIES, GradCheckReport, Parameter, Tape, Tensor,
-                           backward, clip_gradients, grad_check, record, sgd_step)
+from fednet.blocks import FedNet, NetworkSpec
+from fednet.losses import LossWeights, combined_loss_with_logits
+from fednet.tensor import (GRAD_CHECK_COPIES, OPTIMIZER_CHUNK, FlatParameters, GradCheckReport,
+                           Parameter, Tape, Tensor, backward, clip_gradients, grad_check, record,
+                           sgd_step)
+from oracles import clip_gradients_reference, sgd_step_reference
 
 RNG = np.random.default_rng(7)
 
@@ -54,7 +58,7 @@ class TestBackward:
             s = ((a + b) * 4.0).sum()
         backward(s, tape)
         assert not np.shares_memory(a.grad, b.grad)
-        assert clip_gradients([a, b], max_norm=2.0) == 8.0
+        assert clip_gradients(FlatParameters([a, b]), max_norm=2.0) == 8.0
         np.testing.assert_array_equal(a.grad, [1.0, 1.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
@@ -132,18 +136,23 @@ class TestElementwiseBackward:
         assert grad_check(f, x, tol=1e-6).passed
 
 
+def flat_step(params, velocity, **kwargs):
+    """sgd_step on ``params`` moved into one flat array."""
+    sgd_step(FlatParameters(params), velocity, **kwargs)
+
+
 class TestSgd:
     def test_plain_descent_without_momentum(self):
         p = Parameter(np.array([1.0, 2.0], dtype=np.float64), "p")
         p.grad = np.array([0.5, -1.0])
-        sgd_step([p], [np.zeros(2)], lr=0.1, momentum=0.0, weight_decay=0.0)
+        flat_step([p], np.zeros(2), lr=0.1, momentum=0.0, weight_decay=0.0)
         np.testing.assert_allclose(p.data, [0.95, 2.1])
         assert p.grad is None
 
     def test_zero_grad_zero_buffer_no_change(self):
         p = Parameter(np.array([3.0]), "p")
         p.grad = np.zeros(1)
-        sgd_step([p], [np.zeros(1)], lr=0.5, momentum=0.9, weight_decay=0.0)
+        flat_step([p], np.zeros(1), lr=0.5, momentum=0.9, weight_decay=0.0)
         np.testing.assert_array_equal(p.data, [3.0])
 
     def test_momentum_recurrence_two_steps(self):
@@ -151,57 +160,58 @@ class TestSgd:
         p, buf = Parameter(np.array([1.0]), "p"), np.zeros(1)
         for _ in range(2):
             p.grad = np.ones(1)
-            sgd_step([p], [buf], lr=0.1, momentum=0.9, weight_decay=0.0)
+            flat_step([p], buf, lr=0.1, momentum=0.9, weight_decay=0.0)
         assert p.data[0] == pytest.approx(0.71, abs=1e-12)
         assert buf[0] == pytest.approx(1.9, abs=1e-12)
 
     def test_weight_decay_matches_scalar_simulation(self):
         value, buf = 1.5, 0.0
-        p, velocity = Parameter(np.array([1.5]), "p"), [np.zeros(1)]
+        p, velocity = Parameter(np.array([1.5]), "p"), np.zeros(1)
         for step in range(5):
             g = 0.3 * (step + 1)
             buf = 0.9 * buf + (g + 0.01 * value)
             value -= 0.05 * buf
             p.grad = np.array([g])
-            sgd_step([p], velocity, lr=0.05, momentum=0.9, weight_decay=0.01)
+            flat_step([p], velocity, lr=0.05, momentum=0.9, weight_decay=0.01)
         assert p.data[0] == pytest.approx(value, rel=1e-12)
-        assert velocity[0][0] == pytest.approx(buf, rel=1e-12)
+        assert velocity[0] == pytest.approx(buf, rel=1e-12)
 
     def test_missing_grad_rejected(self):
         p = Parameter(np.array([1.0]), "p")
         with pytest.raises(RuntimeError, match="no gradient"):
-            sgd_step([p], [np.zeros(1)], lr=0.1)
+            flat_step([p], np.zeros(1), lr=0.1)
 
     def test_bad_lr_rejected(self):
         with pytest.raises(ValueError, match="lr"):
-            sgd_step([], [], lr=0.0)
+            flat_step([Parameter(np.zeros(1), "p")], np.zeros(1), lr=0.0)
 
     def test_missing_grad_rejected_before_any_update(self):
         a, b = Parameter(np.array([1.0]), "a"), Parameter(np.array([2.0]), "b")
         a.grad = np.ones(1)
-        velocity = [np.zeros(1), np.zeros(1)]
+        velocity = np.zeros(2)
         with pytest.raises(RuntimeError, match="'b' has no gradient"):
-            sgd_step([a, b], velocity, lr=0.1)
+            flat_step([a, b], velocity, lr=0.1)
         np.testing.assert_array_equal(a.data, [1.0])
-        np.testing.assert_array_equal(velocity[0], [0.0])
+        np.testing.assert_array_equal(velocity, [0.0, 0.0])
         np.testing.assert_array_equal(a.grad, [1.0])
 
     @pytest.mark.parametrize("velocity, message", [
-        ([np.zeros(1)], "1 velocity buffers for 2 parameters"),
-        ([np.zeros(1), np.zeros(1), np.zeros(1)], "3 velocity buffers for 2 parameters"),
-        ([np.zeros(1), np.zeros(2)], r"'b' has shape \(1,\), its velocity buffer \(2,\)"),
-        ([np.zeros(1), np.zeros((1, 1))], r"'b' has shape \(1,\), its velocity buffer \(1, 1\)"),
+        (np.zeros(1), r"1 velocity values \(float64, shape \(1,\)\) for 2 parameter values"),
+        (np.zeros(3), r"3 velocity values \(float64, shape \(3,\)\) for 2 parameter values"),
+        (np.zeros((2, 1)), r"2 velocity values \(float64, shape \(2, 1\)\) for 2 parameter "
+                           r"values \(float64, shape \(2,\)\)"),
+        (np.zeros(2, np.float32), r"2 velocity values \(float32, shape \(2,\)\) for 2 "
+                                  r"parameter values \(float64, shape \(2,\)\)"),
     ])
     def test_mismatched_velocity_rejected_before_any_update(self, velocity, message):
         a, b = Parameter(np.array([1.0]), "a"), Parameter(np.array([2.0]), "b")
         a.grad, b.grad = np.ones(1), np.ones(1)
-        before = [buf.copy() for buf in velocity]
+        before = velocity.copy()
         with pytest.raises(ValueError, match=message):
-            sgd_step([a, b], velocity, lr=0.1)
+            flat_step([a, b], velocity, lr=0.1)
         np.testing.assert_array_equal(a.data, [1.0])
         np.testing.assert_array_equal(b.data, [2.0])
-        for buf, old in zip(velocity, before):
-            np.testing.assert_array_equal(buf, old)
+        np.testing.assert_array_equal(velocity, before)
         np.testing.assert_array_equal(a.grad, [1.0])
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
@@ -209,7 +219,7 @@ class TestSgd:
         p = Parameter(np.array([1.0]), "p")
         p.grad = np.ones(1)
         with pytest.raises(ValueError, match="lr must be positive and finite"):
-            sgd_step([p], [np.zeros(1)], lr=lr)
+            flat_step([p], np.zeros(1), lr=lr)
         np.testing.assert_array_equal(p.data, [1.0])
 
     @pytest.mark.parametrize("name, value", [
@@ -217,40 +227,136 @@ class TestSgd:
         ("weight_decay", float("nan")), ("weight_decay", float("inf")), ("weight_decay", -1e-4),
     ])
     def test_bad_momentum_or_weight_decay_rejected_before_any_update(self, name, value):
-        p, velocity = Parameter(np.array([1.0]), "p"), [np.zeros(1)]
+        p, velocity = Parameter(np.array([1.0]), "p"), np.zeros(1)
         p.grad = np.ones(1)
         with pytest.raises(ValueError, match=f"{name} must"):
-            sgd_step([p], velocity, lr=0.1, **{name: value})
+            flat_step([p], velocity, lr=0.1, **{name: value})
         np.testing.assert_array_equal(p.data, [1.0])
-        np.testing.assert_array_equal(velocity[0], [0.0])
+        np.testing.assert_array_equal(velocity, [0.0])
         np.testing.assert_array_equal(p.grad, [1.0])
+
+
+class TestFlatParameters:
+    def test_values_are_views_in_order(self):
+        a = Parameter(np.arange(6.0).reshape(2, 3), "a")
+        b = Parameter(np.array([7.0]), "b")
+        flat = FlatParameters([a, b])
+        np.testing.assert_array_equal(flat.values, [0, 1, 2, 3, 4, 5, 7])
+        flat.values[:] = -1.0
+        np.testing.assert_array_equal(a.data, np.full((2, 3), -1.0))
+        np.testing.assert_array_equal(b.data, [-1.0])
+
+    def test_mixed_dtypes_rejected(self):
+        a, b = Parameter(np.zeros(1, np.float32), "a"), Parameter(np.zeros(1), "b")
+        with pytest.raises(TypeError, match="FlatParameters: mixed precision"):
+            FlatParameters([a, b])
+
+    def test_gradient_chunks_span_parameters(self):
+        a, b = Parameter(np.zeros((2, 2)), "a"), Parameter(np.zeros(3), "b")
+        a.grad, b.grad = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([5.0, 6.0, 7.0])
+        chunks = [c.copy() for c in FlatParameters([a, b]).gradient_chunks(np.empty(3))]
+        assert [c.tolist() for c in chunks] == [[1, 2, 3], [4, 5, 6], [7]]
+
+
+def with_grad(grad):
+    """One parameter holding ``grad`` as its gradient, and its FlatParameters."""
+    p = Parameter(np.zeros(grad.shape, grad.dtype), "p")
+    p.grad = grad
+    return p, FlatParameters([p])
 
 
 class TestClipGradients:
     def test_scales_down_large_gradients(self):
-        p = Parameter(np.zeros(4), "p")
-        p.grad = np.full(4, 3.0)
-        norm = clip_gradients([p], max_norm=1.0)
+        p, flat = with_grad(np.full(4, 3.0))
+        norm = clip_gradients(flat, max_norm=1.0)
         assert norm == pytest.approx(6.0)
         assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-6)
 
     def test_leaves_small_gradients_alone(self):
-        p = Parameter(np.zeros(2), "p")
-        p.grad = np.array([0.1, 0.2])
-        clip_gradients([p], max_norm=5.0)
+        p, flat = with_grad(np.array([0.1, 0.2]))
+        clip_gradients(flat, max_norm=5.0)
         np.testing.assert_array_equal(p.grad, [0.1, 0.2])
 
     def test_disabled_with_nonpositive_norm(self):
-        p = Parameter(np.zeros(2), "p")
-        p.grad = np.array([10.0, 10.0])
-        clip_gradients([p], max_norm=0.0)
+        p, flat = with_grad(np.array([10.0, 10.0]))
+        clip_gradients(flat, max_norm=0.0)
         np.testing.assert_array_equal(p.grad, [10.0, 10.0])
 
     def test_nan_norm_rejected(self):
-        p = Parameter(np.zeros(2), "p")
-        p.grad = np.array([10.0, 10.0])
+        _, flat = with_grad(np.array([10.0, 10.0]))
         with pytest.raises(ValueError, match="max_norm must not be NaN"):
-            clip_gradients([p], max_norm=float("nan"))
+            clip_gradients(flat, max_norm=float("nan"))
+
+    # training's dead-network abort needs an exact 0.0, and its divergence
+    # abort a NaN; both gradients span several chunks
+    def test_zero_gradient_has_norm_exactly_zero(self):
+        _, flat = with_grad(np.zeros(2 * OPTIMIZER_CHUNK + 3, np.float32))
+        assert clip_gradients(flat, max_norm=1.0) == 0.0
+
+    def test_nan_gradient_has_nan_norm_and_is_not_scaled(self):
+        grad = np.ones(2 * OPTIMIZER_CHUNK + 3, np.float32)
+        grad[OPTIMIZER_CHUNK + 1] = np.nan
+        p, flat = with_grad(grad.copy())
+        assert np.isnan(clip_gradients(flat, max_norm=1.0))
+        np.testing.assert_array_equal(p.grad, grad)
+
+    def test_missing_grad_rejected(self):
+        a, b = Parameter(np.zeros(1), "a"), Parameter(np.zeros(1), "b")
+        a.grad = np.full(1, 5.0)
+        with pytest.raises(RuntimeError, match="'b' has no gradient"):
+            clip_gradients(FlatParameters([a, b]), max_norm=1.0)
+        np.testing.assert_array_equal(a.grad, [5.0])
+
+
+@pytest.fixture(scope="module")
+def net_state():
+    """(name, values, gradient) of each parameter of the default lesion net
+    after one backward pass of the training loss on a random batch of two."""
+    rng = np.random.default_rng(11)
+    net = FedNet(NetworkSpec(), rng=rng)
+    x = Tensor(rng.uniform(0.0, 1.0, (2, 3, 64, 64)).astype(np.float32))
+    y = Tensor((rng.uniform(size=(2, 1, 64, 64)) < 0.1).astype(np.float32))
+    with Tape() as tape:
+        loss = combined_loss_with_logits(y, net(x), LossWeights())
+    backward(loss, tape)
+    return [(p.name, p.data.copy(), p.grad.copy()) for p in net.parameters()]
+
+
+class TestFlatOptimizerAgainstOracle:
+    """The chunked flat passes against the per-parameter oracle, on a real
+    gradient of the default lesion net: parameters and momentum must match
+    byte for byte, the norm to its last bits."""
+
+    def test_chunks_split_parameters_and_one_parameter_spans_several(self, net_state):
+        sizes = [values.size for _, values, _ in net_state]
+        starts = np.cumsum([0] + sizes[:-1])
+        split = [s for s, n in zip(starts, sizes)
+                 if (s // OPTIMIZER_CHUNK) != ((s + n - 1) // OPTIMIZER_CHUNK)]
+        assert len(split) > 1
+        assert max(sizes) > 2 * OPTIMIZER_CHUNK
+
+    @pytest.mark.parametrize("clip", ["clipped", "unclipped", "disabled"])
+    def test_two_steps_match_per_parameter_update(self, net_state, clip):
+        rng = np.random.default_rng(5)
+        momentum = [rng.standard_normal(v.shape).astype(np.float32) * 1e-3
+                    for _, v, _ in net_state]
+        oracle = [Parameter(v.copy(), name) for name, v, _ in net_state]
+        flat = FlatParameters(Parameter(v.copy(), name) for name, v, _ in net_state)
+        buffers = [m.copy() for m in momentum]
+        velocity = np.concatenate([m.reshape(-1) for m in momentum])
+        for step in range(2):
+            for p, q, (_, _, g) in zip(oracle, flat.params, net_state):
+                p.grad, q.grad = g * (step + 1), g * (step + 1)
+            norm = clip_gradients_reference(oracle, 0.0)
+            max_norm = {"clipped": norm / 3, "unclipped": 2 * norm, "disabled": 0.0}[clip]
+            expected = clip_gradients_reference(oracle, max_norm)
+            sgd_step_reference(oracle, buffers, 0.02, 0.9, 1e-4)
+            assert clip_gradients(flat, max_norm) == pytest.approx(expected, rel=1e-12)
+            sgd_step(flat, velocity, 0.02, 0.9, 1e-4)
+            for p, q in zip(oracle, flat.params):
+                assert q.data.tobytes() == p.data.tobytes(), p.name
+                assert q.grad is None
+            assert velocity.tobytes() == np.concatenate([b.reshape(-1) for b in buffers]).tobytes()
 
 
 class TestGradCheck:

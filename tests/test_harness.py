@@ -4,6 +4,7 @@ gradient-check suite, and the CLI surface."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from fednet.config import TrainConfig, parse_config
 from fednet.synth import synth_generate
 from fednet.tensor import GradCheckReport, Tensor
 from fednet.volume import Volume, read_mvol, write_mvol
+from oracles import clip_gradients_reference, sgd_step_reference
 
 
 def make_dataset(root, n=2, dims=(32, 32, 32), seed=5):
@@ -230,6 +232,32 @@ class TestTrain:
             return ckpt.read_bytes()
 
         assert train_with(line, "keyed") != train_with("", "default")
+
+    def test_checkpoint_equals_per_parameter_oracle_run(self, dataset, tmp_path, monkeypatch):
+        # the default net, so the flat passes split parameters across chunks,
+        # and a clip norm that its first step exceeds and the next two do not
+        cfg = replace(micro_config(dataset, tmp_path / "flat.fedckpt", iterations=3),
+                      network=NetworkSpec(), grad_clip=0.5)
+        norms = []
+        clip = harness.clip_gradients
+        monkeypatch.setattr(harness, "clip_gradients",
+                            lambda flat, max_norm: norms.append(clip(flat, max_norm)) or norms[-1])
+        harness.train(cfg)
+
+        def per_parameter_step(flat, velocity, lr, momentum, weight_decay):
+            buffers, offset = [], 0
+            for p in flat.params:
+                buffers.append(velocity[offset:offset + p.size].reshape(p.shape))
+                offset += p.size
+            sgd_step_reference(flat.params, buffers, lr, momentum, weight_decay)
+
+        monkeypatch.setattr(harness, "clip_gradients",
+                            lambda flat, max_norm: clip_gradients_reference(flat.params, max_norm))
+        monkeypatch.setattr(harness, "sgd_step", per_parameter_step)
+        harness.train(replace(cfg, checkpoint_out=str(tmp_path / "oracle.fedckpt")))
+        assert min(norms) < cfg.grad_clip < max(norms)
+        flat, oracle = (tmp_path / f"{name}.fedckpt" for name in ("flat", "oracle"))
+        assert flat.read_bytes() == oracle.read_bytes()
 
     def test_loss_decreases(self, dataset, tmp_path):
         cfg = micro_config(dataset, tmp_path / "long.fedckpt", iterations=60, batch_size=4)
@@ -781,6 +809,41 @@ class TestCli:
         assert not (tmp_path / "s.fedckpt").exists()
         assert cli.main(["preprocess", str(ct_path), "--out", str(tmp_path / "n.mvol")]) == 0
         assert read_mvol(tmp_path / "n.mvol").voxels.shape == (32, 48, 48)
+
+    @pytest.mark.parametrize("bad", ["small48", "windowed"])
+    def test_infer_checks_every_volume_before_writing_any_mask(self, dataset, tmp_path,
+                                                               monkeypatch, capsys, bad):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"data_dir = {dataset}\nbase_channels = 4\nse_reduction = 4\n"
+                            f"checkpoint_out = {tmp_path / 'unused.fedckpt'}\n")
+        cfg = parse_config(str(cfg_path))
+        for stage in ("liver", "lesion"):
+            save_checkpoint(tmp_path / f"{stage}.fedckpt",
+                            state_arrays(harness.build_network(cfg, stage=stage)))
+        ct, _ = synth_generate(5, 1, (64, 64, 32))[0]
+        good, bad_path = tmp_path / "good.mvol", tmp_path / f"{bad}.mvol"
+        write_mvol(ct, good)
+        if bad == "small48":
+            write_mvol(Volume(ct.voxels[:, :48, :48], ct.spacing), bad_path)
+            message = (f"{bad_path}: slice height and width must be multiples of 32 to fit "
+                       "the network, got 48x48")
+        else:
+            write_mvol(Volume(pipeline.hu_window_normalize(ct.voxels), ct.spacing), bad_path)
+            message = (f"{bad_path}: a CT volume must hold int16 HU, got float32; a windowed "
+                       "volume cannot be windowed again")
+        loads = []
+        load = harness.load_two_stage
+        monkeypatch.setattr(harness, "load_two_stage",
+                            lambda *args: loads.append(args) or load(*args))
+        outs = [tmp_path / "a.mvol", tmp_path / "b.mvol"]
+        assert cli.main(["infer", str(good), str(bad_path), "--config", str(cfg_path),
+                         "--liver-ckpt", str(tmp_path / "liver.fedckpt"),
+                         "--lesion-ckpt", str(tmp_path / "lesion.fedckpt"),
+                         "--out", str(outs[0]), "--out", str(outs[1])]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert loads == []
+        assert not any(out.exists() for out in outs)
 
     def test_preprocess_missing_out_directory_names_the_target(self, dataset, tmp_path,
                                                                capsys):

@@ -14,7 +14,8 @@ from oracles import (conv2d_adjoint_nchw, conv2d_grad_reference, conv2d_referenc
                      dense_reference, fold_1x1_reference, global_avg_pool_reference,
                      pixel_shuffle_reference,
                      sigmoid_branchwise_reference, sigmoid_scalar,
-                     subpixel_fold_reference, upsample_nearest_reference)
+                     subpixel_fold_reference, upsample_nearest_grad_reference,
+                     upsample_nearest_reference)
 
 RNG = np.random.default_rng(20240811)
 
@@ -388,7 +389,54 @@ class TestGlobalAvgPool:
         np.testing.assert_allclose(out.data, global_avg_pool_reference(x), atol=1e-12, rtol=0)
 
 
+def _net_upsamples(specs) -> list:
+    """(input shape without the batch axis, factor) of each distinct call of
+    ``ops.upsample_nearest`` in one forward pass of each default 64-px
+    network built from ``specs``."""
+    seen = []
+    op = ops.upsample_nearest
+
+    def spy(x, factor):
+        if (x.shape[1:], factor) not in seen:
+            seen.append((x.shape[1:], factor))
+        return op(x, factor)
+
+    ops.upsample_nearest = spy
+    try:
+        for spec in specs:
+            FedNet(spec)(Tensor(np.zeros((1, 3, 64, 64), np.float32)))
+    finally:
+        ops.upsample_nearest = op
+    return seen
+
+
+# feature fusion's upsamples in the lesion net, then the upsample-convs of
+# the liver (baseline) net
+NET_UPSAMPLES = _net_upsamples([NetworkSpec(), NetworkSpec().baseline()])
+
+
 class TestUpsampleNearest:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cshape,factor", NET_UPSAMPLES,
+                             ids=["x{}-f{}".format("x".join(map(str, c)), f)
+                                  for c, f in NET_UPSAMPLES])
+    def test_input_grad_equals_one_reduction(self, cshape, factor, dtype):
+        # the backward sums each block's rows and then adds them in order,
+        # which is how numpy reduces axes (3, 5): the same bits, signed zeros
+        # included
+        rng = np.random.default_rng(391)
+        x = Tensor(rng.standard_normal((8,) + cshape).astype(dtype), requires_grad=True)
+        with Tape() as tape:
+            out = ops.upsample_nearest(x, factor)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        g[..., ::3] = -0.0
+        g[:, :, ::2, 1::3] = -0.0
+        (entry,) = tape.entries
+        (dx,) = entry.backward_fn(g)
+        expected = upsample_nearest_grad_reference(g, factor)
+        assert dx.dtype == expected.dtype and dx.shape == expected.shape
+        assert dx.tobytes() == expected.tobytes()
+
     def test_factor_one_identity(self):
         x = RNG.standard_normal((1, 2, 3, 3))
         np.testing.assert_array_equal(ops.upsample_nearest(t(x), 1).data, x)

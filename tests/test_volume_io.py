@@ -8,7 +8,7 @@ import pytest
 
 from fednet import volume
 from fednet.volume import (MAGIC, BadMagic, DimOverflow, MVolError,
-                           TruncatedPayload, Volume, read_mvol, write_mvol)
+                           TruncatedPayload, Volume, read_mvol, read_mvol_header, write_mvol)
 
 RNG = np.random.default_rng(11)
 
@@ -34,6 +34,16 @@ class TestRoundTrip:
         write_mvol(vol, a)
         write_mvol(read_mvol(a), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_header_gives_the_voxels_shape_and_dtype(self, tmp_path):
+        vol = Volume(RNG.integers(0, 3, (5, 4, 3)).astype(np.uint8))
+        path = tmp_path / "vol.mvol"
+        write_mvol(vol, path)
+        assert read_mvol_header(path) == ((5, 4, 3), np.dtype(np.uint8))
+        # the header reader checks the payload's size as read_mvol does
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(TruncatedPayload, match="payload holds"):
+            read_mvol_header(path)
 
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(MVolError, match="unsupported"):
