@@ -27,10 +27,13 @@ _VALIDATION_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, harness
 
 
 def _parse_dims(raw: str) -> tuple[int, int, int]:
-    parts = [int(p) for p in raw.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"dims must be 'nx,ny,nz', got {raw!r}")
-    return tuple(parts)
+    try:
+        dims = tuple(int(p) for p in raw.split(","))
+    except ValueError:
+        dims = ()
+    if len(dims) != 3:
+        raise ValueError(f"--dims must be three integers nx,ny,nz, got {raw!r}")
+    return dims
 
 
 def _load_config(args, **overrides) -> "harness.TrainConfig":

@@ -469,11 +469,12 @@ def sgd_step(flat: FlatParameters, velocity: np.ndarray, lr: float, momentum: fl
 # Finite-difference gradient checking
 # ---------------------------------------------------------------------------
 
-# When set to a list, ops with non-smooth points (relu) append their boolean
-# active-set mask here on every forward call.  grad_check uses this to detect
-# finite-difference windows that straddle a kink, where the central-difference
-# quotient converges to the average of the two one-sided slopes instead of the
-# derivative and is therefore not a valid estimate.
+# When set to a list, relu appends its boolean active-set mask x > 0 here on
+# every forward call (log_kink_pattern); otherwise no mask is built.
+# grad_check uses this to detect finite-difference windows that straddle a
+# kink, where the central-difference quotient converges to the average of the
+# two one-sided slopes instead of the derivative and is therefore not a valid
+# estimate.
 _KINK_LOG: Optional[list] = None
 
 # Perturbed copies of the input that grad_check stacks into one call of a
@@ -488,9 +489,10 @@ _KINK_LOG: Optional[list] = None
 GRAD_CHECK_COPIES = 8
 
 
-def log_kink_pattern(mask: np.ndarray) -> None:
+def log_kink_pattern(x: np.ndarray) -> None:
+    """While grad_check is logging, append relu's active set for input x."""
     if _KINK_LOG is not None:
-        _KINK_LOG.append(mask)
+        _KINK_LOG.append(x > 0)
 
 
 def _stacked(shape: tuple, copies: int) -> tuple:

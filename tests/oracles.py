@@ -29,6 +29,26 @@ def conv2d_reference(x, w, b, stride=1, pad=1):
     return out
 
 
+def im2col_reference(x, kh, kw, stride, pad):
+    """[N, C*kh*kw, OH*OW] patch matrix of x:[N,C,H,W], one entry at a time:
+    row c*kh*kw + i*kw + j, column oy*OW + ox holds the zero-padded input at
+    (c, oy*stride + i, ox*stride + j).  Every entry is copied, never computed,
+    so the result is bit-exact for any values, NaN and -0.0 included."""
+    n, c, h, width = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (width + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.empty((n, c * kh * kw, oh * ow), dtype=x.dtype)
+    for ci in range(c):
+        for i in range(kh):
+            for j in range(kw):
+                for oy in range(oh):
+                    for ox in range(ow):
+                        out[:, (ci * kh + i) * kw + j, oy * ow + ox] = \
+                            xp[:, ci, oy * stride + i, ox * stride + j]
+    return out
+
+
 def conv2d_grad_reference(x, w, g, stride=1, pad=1):
     """Gradients (dx, dw, db) of sum(g * conv2d(x, w, b)), by scattering each
     output position's upstream gradient over its receptive field."""

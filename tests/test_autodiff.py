@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fednet import ops
+from fednet import ops, tensor
 from fednet.blocks import FedNet, NetworkSpec
 from fednet.losses import LossWeights, combined_loss_with_logits
 from fednet.tensor import (GRAD_CHECK_COPIES, OPTIMIZER_CHUNK, FlatParameters, GradCheckReport,
@@ -425,6 +425,33 @@ class TestGradCheck:
 
         report = grad_check(f, leaf([x0, 0.7]))
         assert report.passed and report.kink_coords_skipped == 1
+
+    def test_kink_log_gets_one_mask_per_relu_call_only_inside_grad_check(self, monkeypatch):
+        relu, calls = ops.relu, []
+
+        def spy(v):
+            log = tensor._KINK_LOG
+            before = None if log is None else len(log)
+            out = relu(v)
+            after = None if log is None else len(log)
+            calls.append((log, before, after, v.data.copy()))
+            return out
+
+        monkeypatch.setattr(ops, "relu", spy)
+        ops.relu(leaf([-1.0, 0.0, 2.0]))
+        assert tensor._KINK_LOG is None and calls[0][0] is None
+        calls.clear()
+        x = np.random.default_rng(41).uniform(-1, 1, (2, 3, 4))
+        grad_check(lambda v: ops.relu(ops.relu(v) - 0.25), leaf(x), samplewise=True)
+        # the analytic pass runs outside the log
+        assert [c[0] for c in calls[:2]] == [None, None]
+        inside = calls[2:]
+        assert inside and all(log is not None for log, *_ in inside)
+        for log, before, after, v in inside:
+            assert after == before + 1
+            assert log[before].dtype == bool
+            np.testing.assert_array_equal(log[before], v > 0)
+        assert tensor._KINK_LOG is None
 
     def test_samplewise_stacks_copies_into_fewer_calls(self):
         shapes = []

@@ -695,6 +695,16 @@ class TestCli:
             assert read_mvol(multi).voxels.any()
             assert single.read_bytes() == multi.read_bytes()
 
+    @pytest.mark.parametrize("dims", ["64,64,x", "64,64", "64,64,48,2", ""])
+    def test_synth_bad_dims_names_the_flag(self, tmp_path, capsys, dims):
+        out = tmp_path / "never_written"
+        assert cli.main(["synth", "--out", str(out), "--dims", dims]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --dims must be three integers nx,ny,nz, "
+                                f"got {dims!r}\n")
+        assert not out.exists()
+
     def test_infer_cli_out_count_mismatch_exits_one(self, dataset, tmp_path, capsys):
         missing = str(tmp_path / "never_read.fedckpt")
         assert cli.main(["infer", str(dataset / "case000_ct.mvol"),

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fednet import losses, ops, tensor
+from fednet import harness, losses, ops, tensor
 from fednet.blocks import FedNet, NetworkSpec
-from fednet.tensor import Tape, Tensor, backward
+from fednet.tensor import GradCheckReport, Tape, Tensor, backward
 
 from oracles import (conv2d_adjoint_nchw, conv2d_grad_reference, conv2d_reference,
                      conv_transpose2d_grad_reference, conv_transpose2d_reference,
                      dense_reference, fold_1x1_reference, global_avg_pool_reference,
-                     pixel_shuffle_reference,
+                     im2col_reference, pixel_shuffle_reference,
                      sigmoid_branchwise_reference, sigmoid_scalar,
                      subpixel_fold_reference, upsample_nearest_grad_reference,
                      upsample_nearest_reference)
@@ -163,6 +163,99 @@ NET_CONV_TRANSPOSES = _net_convs("conv_transpose2d", [NetworkSpec().baseline(), 
     ((3, 4, 5), (3, 4, 2, 2), 2, 0),
     ((3, 4, 4), (3, 4, 3, 3), 2, 1),
 ]
+
+
+def _im2col_geometries() -> list:
+    """(C, H, W, kh, kw, stride, pad) of every distinct ``ops._im2col`` call
+    in one forward and backward pass of the default lesion and liver networks
+    (conv2d's forward and conv_transpose2d's backward) and of each check of
+    ``harness.gradcheck_suite``, whose f is run once, forward and backward."""
+    seen = []
+    im2col, grad_check = ops._im2col, harness.grad_check
+
+    def spy(x, kh, kw, stride, pad):
+        if (*x.shape[1:], kh, kw, stride, pad) not in seen:
+            seen.append((*x.shape[1:], kh, kw, stride, pad))
+        return im2col(x, kh, kw, stride, pad)
+
+    def forward_backward(f, x, *_, **__):
+        with Tape() as tape:
+            loss = f(x).sum()
+        backward(loss, tape)
+        return GradCheckReport(0.0, True)
+
+    ops._im2col, harness.grad_check = spy, forward_backward
+    try:
+        for spec in (NetworkSpec(), NetworkSpec().baseline()):
+            forward_backward(FedNet(spec), Tensor(np.zeros((1, 3, 64, 64), np.float32)))
+        harness.gradcheck_suite()
+    finally:
+        ops._im2col, harness.grad_check = im2col, grad_check
+    return seen
+
+
+IM2COL_GEOMETRIES = _im2col_geometries()
+
+
+def _im2col_path(c, h, w, kh, kw, stride, pad) -> str:
+    ow = (w + 2 * pad - kw) // stride + 1
+    if kh == kw == stride == 1 and not pad:
+        return "view"
+    if ow <= ops.NARROW_OW:
+        return "gather"
+    return "two-stage" if stride == 1 else "strided"
+
+
+def _with_specials(shape, dtype, rng) -> np.ndarray:
+    """Normal values with -0.0, NaN, +-inf and subnormals scattered in."""
+    x = rng.standard_normal(shape).astype(dtype)
+    sub = np.finfo(dtype).smallest_subnormal
+    specials = np.array([-0.0, np.nan, np.inf, -np.inf, sub, -3 * sub], dtype=dtype)
+    flat = x.reshape(-1)
+    at = rng.choice(flat.size, size=min(flat.size, 3 * specials.size), replace=False)
+    flat[at] = np.resize(specials, at.size)
+    return x
+
+
+class TestIm2col:
+    """The patch matrix is pure data movement: bit for bit the loop oracle,
+    on every geometry the networks and the gradient-check suite reach."""
+
+    def test_geometries_reach_every_path(self):
+        paths = {_im2col_path(*geom) for geom in IM2COL_GEOMETRIES}
+        assert paths == {"view", "gather", "two-stage", "strided"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geom", IM2COL_GEOMETRIES,
+                             ids=["c{}h{}w{}-k{}x{}-s{}p{}".format(*g) for g in IM2COL_GEOMETRIES])
+    def test_bytes_equal_reference(self, geom, dtype):
+        c, h, w, kh, kw, stride, pad = geom
+        x = _with_specials((8, c, h, w), dtype, np.random.default_rng(list(geom)))
+        ref = im2col_reference(x, kh, kw, stride, pad)
+
+        def lookups():
+            info = ops._gather_index.cache_info()
+            return info.hits + info.misses
+
+        gathers = []
+        for n in (1, 8):
+            before = lookups()
+            cols = ops._im2col(x[:n], kh, kw, stride, pad)
+            gathers.append(lookups() - before)
+            assert cols.dtype == dtype and cols.flags.c_contiguous
+            assert cols.shape == ref[:n].shape
+            assert cols.tobytes() == ref[:n].tobytes()
+        # the batch size does not choose the path
+        assert gathers == [int(_im2col_path(*geom) == "gather")] * 2
+
+    def test_gather_index_cache_is_bounded(self):
+        # 1x1 pad-1 windows on a 2-wide map: OW = 4, every height its own geometry
+        limit = ops._gather_index.cache_info().maxsize
+        for h in range(1, limit + 10):
+            ops._im2col(np.zeros((1, 1, h, 2), np.float32), 1, 1, 1, 1)
+        assert ops._gather_index.cache_info().currsize <= limit
+        index = ops._gather_index(2, 3, 3, 3, 3, 1, 1)
+        assert index.dtype == np.intp and not index.flags.writeable
 
 
 class TestConv2dInputGrad:
@@ -331,6 +424,23 @@ class TestActivations:
     def test_relu_values(self):
         out = ops.relu(t([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_input_gradient_is_g_times_active_set(self, dtype):
+        sub = np.finfo(dtype).smallest_subnormal
+        x = np.array([-1.5, -0.0, 0.0, 2.0, np.nan, -np.inf, np.inf, sub, -sub], dtype=dtype)
+        g = np.array([0.5, -2.0, 3.0, -0.0, -1.0, 7.0, np.nan, 0.25, -4.0], dtype=dtype)
+        xt = Tensor(x.copy(), requires_grad=True)
+        with Tape() as tape:
+            ops.relu(xt)
+        (entry,) = tape.entries
+        (dx,) = entry.backward_fn(g)
+        assert dx.dtype == dtype
+        assert dx.tobytes() == (g * (x > 0)).tobytes()
+        # the active set is read from the input at backward time: the
+        # forward kept no boolean mask of its own
+        cells = [cell.cell_contents for cell in entry.backward_fn.__closure__]
+        assert not [c for c in cells if isinstance(c, np.ndarray) and c.dtype == bool]
 
     def test_sigmoid_at_zero(self):
         assert ops.sigmoid(t([0.0])).data[0] == 0.5
