@@ -23,7 +23,8 @@ from .synth import synth_generate
 from .volume import Volume, read_mvol, read_mvol_header, write_mvol
 
 # ConfigError, MVolError, CheckpointError and DatasetError all derive from ValueError
-_VALIDATION_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, harness.BlasError)
+_VALIDATION_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
+                      harness.BlasError)
 
 
 def _parse_dims(raw: str) -> tuple[int, int, int]:
@@ -43,8 +44,14 @@ def _load_config(args, **overrides) -> "harness.TrainConfig":
 
 
 def cmd_synth(args) -> int:
-    pairs = synth_generate(args.seed, args.count, _parse_dims(args.dims))
     out = Path(args.out)
+    # the nearest existing path must be a directory, or mkdir fails only
+    # after every phantom is generated; nothing is created before the
+    # arguments are checked
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"cannot write phantoms to {out}: {existing} is not a directory")
+    pairs = synth_generate(args.seed, args.count, _parse_dims(args.dims))
     out.mkdir(parents=True, exist_ok=True)
     for idx, (ct, seg) in enumerate(pairs):
         write_mvol(ct, out / f"case{idx:03d}{harness.CT_SUFFIX}")
@@ -55,6 +62,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    harness.check_out_dir(args.out)
     vol = read_mvol(args.volume)
     harness.check_ct(vol.voxels.dtype, args.volume)
     norm = Volume(hu_window_normalize(vol.voxels), vol.spacing)

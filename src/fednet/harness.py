@@ -26,9 +26,9 @@ from .blocks import (DUC, RCB, DecoderBlock, Encoder, FeatureFusion, FedNet,
 from .config import TrainConfig
 from .losses import (LossWeights, combined_loss, combined_loss_with_logits, dice_global,
                      dice_per_case)
-from .pipeline import (flip_augment, hierarchical_postprocess, hu_window_normalize,
-                       largest_component, sample_slices, stack_adjacent_slices,
-                       threshold_mask)
+from .pipeline import (check_slice_indices, flip_augment, hierarchical_postprocess,
+                       hu_window_normalize, largest_component, sample_slices,
+                       stack_adjacent_slices, threshold_mask)
 from .tensor import (FlatParameters, GradCheckReport, Tape, Tensor, backward,
                      clip_gradients, grad_check, sgd_step)
 from .volume import Volume, check_out_dir, read_mvol
@@ -48,9 +48,25 @@ OPENBLAS_GLOB = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.lib
 OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                         "openblas_set_num_threads")
 
-# Slices per forward pass in predict_volume.  Every op computes each sample
-# on its own, so the chunk bounds memory and does not change any result.
-PREDICT_BATCH = 8
+# Pixels per forward pass in predict_volume: a pass holds
+# max(1, PREDICT_PIXELS // (ny * nx)) slices, 32 at 64 px, 8 at 128 px (the
+# memory per pass of the former fixed 8 slices), 2 at 256 px and 1 at 512 px.
+# Every op computes each sample on its own, so the pass size bounds memory
+# and does not change any result.  Each pass pays the same per-op overhead
+# of about 110 op calls, so fewer, larger passes are faster until one
+# spills the cache.  ms per cascade stage at 64 px on a 2-vCPU Xeon, one
+# BLAS thread, 30-iteration checkpoints: the median of 15 interleaved rounds,
+# then the range of the medians of three later runs of 30 rounds each:
+#   slices/pass   liver, 48 slices                lesion, 27 slices
+#    8            33.3   30.4-31.2                37.7   36.1-38.2
+#   16            28.0   28.4-29.4                32.5   31.0-33.3
+#   24            27.8   24.5-28.6                32.9   31.1-33.9
+#   32            27.7   27.3-29.4 (32 + 16)      30.1   29.6-31.7 (one pass)
+#   48            35.2   31.3-34.0 (cache spill)  30.1   34.3-37.0
+# Balanced passes (48 -> 24 + 24) measured the same as 32 + 16.  The later
+# runs' 48-slice lesion figure is the same single pass as at 32, slowed by
+# the 48-slice liver pass run just before it.
+PREDICT_PIXELS = 32 * 64 * 64
 
 
 class TrainingDiverged(RuntimeError):
@@ -279,6 +295,9 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
         sgd_step(flat, velocity, cfg.lr, cfg.momentum, cfg.weight_decay)
         curve.append(value)
 
+    # the momentum is training state only; freed, its memory serves the
+    # Dice passes' larger forward passes
+    del velocity
     arrays = checkpoint.state_arrays(net)
     if save:
         checkpoint.save_checkpoint(cfg.checkpoint_out, arrays)
@@ -290,15 +309,17 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
 
 def predict_volume(net: FedNet, norm: np.ndarray, z_indices: Sequence[int]) -> np.ndarray:
     """Per-slice probabilities, the sigmoid of the network's logits, over
-    the listed z indices; other slices are 0."""
+    the listed z indices; other slices are 0.  Every index is checked before
+    the first forward pass, and a pass holds as many slices as fit in
+    ``PREDICT_PIXELS`` pixels, at least one."""
+    nz, ny, nx = norm.shape
+    z_indices = np.asarray(z_indices)
+    check_slice_indices(z_indices, nz)
     probs = np.zeros(norm.shape, dtype=np.float32)
-    z_indices = list(z_indices)
-    for start in range(0, len(z_indices), PREDICT_BATCH):
-        chunk = z_indices[start:start + PREDICT_BATCH]
-        xb = Tensor(np.stack([stack_adjacent_slices(norm, z) for z in chunk]))
-        out = ops.sigmoid(net(xb)).data[:, 0]
-        for z, sl in zip(chunk, out):
-            probs[z] = sl
+    per_pass = max(1, PREDICT_PIXELS // (ny * nx))
+    for start in range(0, z_indices.size, per_pass):
+        chunk = z_indices[start:start + per_pass]
+        probs[chunk] = ops.sigmoid(net(Tensor(stack_adjacent_slices(norm, chunk)))).data[:, 0]
     return probs
 
 

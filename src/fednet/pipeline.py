@@ -32,14 +32,30 @@ def hu_window_normalize(voxels: np.ndarray) -> np.ndarray:
     return (np.clip(x, lo, hi) - lo) / (hi - lo)
 
 
-def stack_adjacent_slices(volume: np.ndarray, z: int) -> np.ndarray:
-    """[nz,H,W] -> [3,H,W] with channels (z-1, z, z+1), edges replicated."""
+# offsets of the three input channels' slices from the centre slice
+_ADJACENT = np.array([-1, 0, 1])
+
+
+def check_slice_indices(z, nz: int) -> None:
+    """An IndexError naming the first slice index in ``z``, one index or an
+    array of them, that lies outside [0, nz).  One index is compared in
+    Python: training stacks its samples one at a time."""
+    if np.ndim(z) == 0:
+        bad = [] if 0 <= z < nz else [z]
+    else:
+        z = np.asarray(z)
+        bad = z[(z < 0) | (z >= nz)]
+    if len(bad):
+        raise IndexError(f"slice index {bad[0]} out of range for nz={nz}")
+
+
+def stack_adjacent_slices(volume: np.ndarray, z) -> np.ndarray:
+    """[nz,H,W] -> [3,H,W] with channels (z-1, z, z+1), edges replicated.
+    An index array ``z`` of shape [n] gives [n,3,H,W], gathered in one
+    copy."""
     nz = volume.shape[0]
-    if not 0 <= z < nz:
-        raise IndexError(f"slice index {z} out of range for nz={nz}")
-    lo = max(z - 1, 0)
-    hi = min(z + 1, nz - 1)
-    return np.stack([volume[lo], volume[z], volume[hi]])
+    check_slice_indices(z, nz)
+    return volume[np.minimum(np.maximum(np.add.outer(z, _ADJACENT), 0), nz - 1)]
 
 
 def sample_slices(target_volume: np.ndarray, seed, p_pos: float = 0.9, p_neg: float = 0.1,

@@ -72,10 +72,13 @@ class Volume:
 
 def check_out_dir(path) -> None:
     """A one-line FileNotFoundError naming ``path`` unless its directory
-    exists, so that a command fails before it computes what it cannot write."""
+    exists, or IsADirectoryError if ``path`` is a directory itself, so that a
+    command fails before it computes what it cannot write."""
     parent = Path(path).parent
     if not parent.is_dir():
         raise FileNotFoundError(f"cannot write {path}: directory {parent} does not exist")
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
 
 
 @contextmanager

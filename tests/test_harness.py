@@ -362,19 +362,84 @@ class TestTrain:
         assert len(report.loss_curve) == 2 * k + 2
 
 
+@pytest.fixture(scope="module")
+def phantom64():
+    """A normalized 64x64x48 phantom, the benchmark's volume size."""
+    ct, _ = synth_generate(11, 1, (64, 64, 48))[0]
+    return pipeline.hu_window_normalize(ct.voxels)
+
+
+def one_slice_passes(net, norm, z_indices):
+    """The reference: each slice's probabilities from a forward pass of its own."""
+    return {z: ops.sigmoid(net(Tensor(pipeline.stack_adjacent_slices(norm, z)[None]))).data[0, 0]
+            for z in set(z_indices)}
+
+
+def pass_sizes():
+    """(sizes, net): a stand-in network that records the batch size of every
+    forward pass in ``sizes`` and returns zero logits of the right shape."""
+    sizes = []
+
+    def net(x):
+        sizes.append(x.shape[0])
+        return Tensor(np.zeros((x.shape[0], 1) + x.shape[2:], dtype=np.float32))
+
+    return sizes, net
+
+
 class TestPredictVolume:
+    # index lists of 1, 3, 8, 27, 32 and 48 slices, and one unsorted with
+    # repeats, on a 48-slice volume: up to 32 slices fit one pass, and 48
+    # take a full pass and a remainder
+    INDEX_SETS = [[17], [0, 24, 47], list(range(20, 28)), list(range(10, 37)),
+                  list(range(32)), list(range(48)), [40, 2, 17, 2, 47, 0, 40, 31, 5]]
+
     @pytest.mark.parametrize("baseline", [False, True])
-    def test_lone_last_chunk_matches_full_batch(self, dataset, baseline):
-        # slice 8 is predicted alone as the last chunk of 0..8 and as the last
-        # of a full chunk of PREDICT_BATCH = 8 in 1..8; its probabilities must
-        # not move
+    def test_probabilities_match_one_slice_passes(self, phantom64, baseline):
         spec = NetworkSpec()
         net = FedNet(spec.baseline() if baseline else spec, rng=np.random.default_rng(3))
-        _, ct, _ = harness.load_dataset(dataset)[0]
+        expected = one_slice_passes(net, phantom64, range(48))
+        for z_indices in self.INDEX_SETS:
+            probs = harness.predict_volume(net, phantom64, z_indices)
+            for z in z_indices:
+                assert probs[z].tobytes() == expected[z].tobytes(), (len(z_indices), z)
+            assert not np.delete(probs, z_indices, axis=0).any()
+
+    def test_probabilities_match_one_slice_passes_at_128_px(self):
+        # 8 slices per pass at 128 px: 10 slices take a full pass and a pass of 2
+        ct, _ = synth_generate(12, 1, (128, 128, 32))[0]
         norm = pipeline.hu_window_normalize(ct.voxels)
-        alone = harness.predict_volume(net, norm, range(9))
-        batched = harness.predict_volume(net, norm, range(1, 9))
-        assert alone[8].tobytes() == batched[8].tobytes()
+        net = FedNet(NetworkSpec(), rng=np.random.default_rng(5))
+        z_indices = [31, *range(9), 0]
+        probs = harness.predict_volume(net, norm, z_indices)
+        expected = one_slice_passes(net, norm, z_indices)
+        for z in z_indices:
+            assert probs[z].tobytes() == expected[z].tobytes(), z
+
+    @pytest.mark.parametrize("ny, nx, count, passes", [
+        (64, 64, 27, [27]), (64, 64, 48, [32, 16]), (64, 64, 1, [1]), (32, 32, 64, [64]),
+        (128, 128, 20, [8, 8, 4]), (64, 128, 20, [16, 4]), (256, 256, 5, [2, 2, 1]),
+        (512, 512, 2, [1, 1])])
+    def test_pass_holds_the_slices_that_fit_the_pixel_budget(self, ny, nx, count, passes):
+        sizes, net = pass_sizes()
+        harness.predict_volume(net, np.zeros((count, ny, nx), dtype=np.float32), range(count))
+        assert sizes == passes
+        # one slice per pass once a slice alone exceeds the budget
+        assert all(n * ny * nx <= max(harness.PREDICT_PIXELS, ny * nx) for n in sizes)
+
+    @pytest.mark.parametrize("z_indices, bad", [
+        ([*range(40), 48], 48), ([*range(40), -1], -1), ([-3], -3), ([0, 5, 100, 2], 100)])
+    def test_bad_index_raises_before_any_pass(self, z_indices, bad):
+        # the bad index of the first two lists lies in the second pass
+        sizes, net = pass_sizes()
+        with pytest.raises(IndexError, match=f"^slice index {bad} out of range for nz=48$"):
+            harness.predict_volume(net, np.zeros((48, 64, 64), dtype=np.float32), z_indices)
+        assert sizes == []
+
+    def test_no_slices_no_pass(self):
+        sizes, net = pass_sizes()
+        probs = harness.predict_volume(net, np.ones((4, 32, 32), dtype=np.float32), [])
+        assert sizes == [] and probs.shape == (4, 32, 32) and not probs.any()
 
     def test_probabilities_are_sigmoid_of_logits(self, dataset):
         net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=np.random.default_rng(4))
@@ -864,6 +929,49 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: cannot write {out}: directory {out.parent} "
                                 "does not exist\n")
+
+    @pytest.mark.parametrize("command", ["infer", "train", "preprocess"])
+    def test_out_that_is_a_directory_exits_one_before_loading(self, dataset, tmp_path,
+                                                             monkeypatch, capsys, command):
+        # neither the config's checkpoints nor its data are read: the --out
+        # check comes first
+        out = tmp_path / "taken"
+        out.mkdir()
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(f"data_dir = {dataset}\nbase_channels = 4\nse_reduction = 4\n"
+                            f"iterations = 1\nbatch_size = 2\n"
+                            f"checkpoint_out = {tmp_path / 'unused.fedckpt'}\n")
+        reads = []
+        for module, name in ((harness, "load_two_stage"), (harness, "load_dataset"),
+                             (harness, "read_mvol"), (cli, "read_mvol")):
+            monkeypatch.setattr(module, name, lambda *args, **kw: reads.append(args))
+        ct = str(dataset / "case000_ct.mvol")
+        missing = str(tmp_path / "never_read.fedckpt")
+        argv = {"infer": ["infer", ct, "--config", str(cfg_path), "--liver-ckpt", missing,
+                          "--lesion-ckpt", missing, "--out", str(out)],
+                "train": ["train", "--config", str(cfg_path), "--out", str(out)],
+                "preprocess": ["preprocess", ct, "--out", str(out)]}[command]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: cannot write {out}: it is a "
+                                                    "directory\n")
+        assert reads == []
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_synth_out_that_is_a_file_exits_one_before_generating(self, tmp_path, monkeypatch,
+                                                                  capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"kept")
+        out = taken / "sub" if under else taken
+        calls = []
+        monkeypatch.setattr(cli, "synth_generate", lambda *args: calls.append(args))
+        assert cli.main(["synth", "--out", str(out), "--count", "1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: cannot write phantoms to {out}: {taken} is not a directory\n")
+        assert calls == []
+        assert taken.read_bytes() == b"kept"
 
     def test_synth_seed_defaults_to_zero(self, tmp_path):
         for name, seed in (("default", []), ("zero", ["--seed", "0"])):

@@ -66,6 +66,20 @@ class TestStackAdjacentSlices:
         with pytest.raises(IndexError):
             stack_adjacent_slices(np.zeros((3, 2, 2)), 3)
 
+    def test_index_array_stacks_each_slice(self):
+        vol = RNG.uniform(size=(5, 2, 3)).astype(np.float32)
+        z = np.array([4, 0, 2, 2, 1])
+        out = stack_adjacent_slices(vol, z)
+        assert out.shape == (5, 3, 2, 3)
+        assert out.tobytes() == np.stack([stack_adjacent_slices(vol, k) for k in z]).tobytes()
+        assert stack_adjacent_slices(vol, np.array([], dtype=np.intp)).shape == (0, 3, 2, 3)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_index_array_out_of_range_rejected(self, bad):
+        # a negative index would otherwise wrap, and clamping would hide it
+        with pytest.raises(IndexError, match=f"slice index {bad} out of range for nz=5"):
+            stack_adjacent_slices(np.zeros((5, 2, 2)), np.array([0, 3, bad, 1]))
+
 
 class TestSampleSlices:
     def _target(self, nz=20, positive_every=2):

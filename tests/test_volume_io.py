@@ -71,6 +71,15 @@ class TestRoundTrip:
             write_mvol(Volume(np.zeros((2, 2, 2), dtype=np.uint8)), path)
         assert str(info.value) == f"cannot write {path}: directory {path.parent} does not exist"
 
+    def test_directory_target_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "taken.mvol"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            write_mvol(Volume(np.zeros((2, 2, 2), dtype=np.uint8)), path)
+        assert str(info.value) == f"cannot write {path}: it is a directory"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken.mvol"]
+        assert not any(path.iterdir())
+
 
 class TestHandAssembledFile:
     def test_known_bytes_parse_to_known_voxels(self, tmp_path):
