@@ -5,6 +5,12 @@ Everything here is deterministic for a given (config, seed) under one
 OpenBLAS kernel: data sampling, augmentation, initialization and batch order
 are all driven by streams derived from the config seed, and BLAS runs on one
 thread, so identical runs produce byte-identical checkpoints.
+
+Inference uses up to two CPUs: :func:`predict_volume` runs each round of
+slices as two forward passes at once, one on the calling thread and one on a
+worker thread, and ``PREDICT_PIXELS`` bounds the slices of both passes
+together.  Every op computes each slice on its own, so neither the split nor
+the thread that runs a pass changes any probability.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +39,9 @@ from .tensor import (FlatParameters, GradCheckReport, Tape, Tensor, backward,
                      clip_gradients, grad_check, sgd_step)
 from .volume import Volume, check_out_dir, read_mvol
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 CT_SUFFIX = "_ct.mvol"
 SEG_SUFFIX = "_seg.mvol"
 
@@ -48,15 +57,18 @@ OPENBLAS_GLOB = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.lib
 OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                         "openblas_set_num_threads")
 
-# Pixels per forward pass in predict_volume: a pass holds
+# Pixels per round of predict_volume: a round holds at most
 # max(1, PREDICT_PIXELS // (ny * nx)) slices, 32 at 64 px, 8 at 128 px (the
-# memory per pass of the former fixed 8 slices), 2 at 256 px and 1 at 512 px.
-# Every op computes each sample on its own, so the pass size bounds memory
-# and does not change any result.  Each pass pays the same per-op overhead
-# of about 110 op calls, so fewer, larger passes are faster until one
-# spills the cache.  ms per cascade stage at 64 px on a 2-vCPU Xeon, one
-# BLAS thread, 30-iteration checkpoints: the median of 15 interleaved rounds,
-# then the range of the medians of three later runs of 30 rounds each:
+# memory of the former fixed 8-slice pass), 2 at 256 px and 1 at 512 px.
+# With the worker, a round's two halves run as two passes at once, so the
+# budget covers the passes running at once.  Every op computes each sample
+# on its own, so round and pass sizes bound memory and do not change any
+# result.  Each pass pays the same per-op overhead of about 110 op calls, so
+# fewer, larger passes are faster until one spills the cache.  ms per
+# cascade stage at 64 px, fixed chunks run one at a time on one thread, on a
+# 2-vCPU Xeon, one BLAS thread, 30-iteration checkpoints: the median of 15
+# interleaved rounds, then the range of the medians of three later runs of
+# 30 rounds each:
 #   slices/pass   liver, 48 slices                lesion, 27 slices
 #    8            33.3   30.4-31.2                37.7   36.1-38.2
 #   16            28.0   28.4-29.4                32.5   31.0-33.3
@@ -67,6 +79,9 @@ OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_t
 # runs' 48-slice lesion figure is the same single pass as at 32, slowed by
 # the 48-slice liver pass run just before it.
 PREDICT_PIXELS = 32 * 64 * 64
+
+# glibc's mallopt parameter for the most malloc arenas a process may use
+M_ARENA_MAX = -8
 
 
 class TrainingDiverged(RuntimeError):
@@ -307,19 +322,66 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     return arrays, report
 
 
+@functools.cache
+def _predict_worker() -> Optional[ThreadPoolExecutor]:
+    """The one worker thread of :func:`predict_volume`, made on first use;
+    None where this process may run on one CPU only.
+
+    Before the worker exists, malloc is held to one arena, so the worker
+    allocates from the caller's heap: in an arena of its own, the freed
+    buffers of its passes stayed resident and raised the peak RSS of
+    inference by 5-16 MB."""
+    if len(os.sched_getaffinity(0)) < 2:
+        return None
+    # imported here: concurrent.futures loads logging, 0.5 MB of RSS that a
+    # process which never predicts need not pay
+    from concurrent.futures import ThreadPoolExecutor
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_ARENA_MAX, 1)
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="fednet-predict")
+
+
+# a forked child has no thread behind its parent's worker, so it makes its own
+os.register_at_fork(after_in_child=_predict_worker.cache_clear)
+
+
+def _probabilities(net: FedNet, x: np.ndarray) -> np.ndarray:
+    return ops.sigmoid(net(Tensor(x))).data[:, 0]
+
+
 def predict_volume(net: FedNet, norm: np.ndarray, z_indices: Sequence[int]) -> np.ndarray:
     """Per-slice probabilities, the sigmoid of the network's logits, over
     the listed z indices; other slices are 0.  Every index is checked before
-    the first forward pass, and a pass holds as many slices as fit in
-    ``PREDICT_PIXELS`` pixels, at least one."""
+    the first forward pass.
+
+    The slices go through in the fewest rounds of balanced size that each
+    hold at most the slices that fit in ``PREDICT_PIXELS`` pixels, at least
+    one.  The calling thread stacks a round's input while no pass runs.
+    Where :func:`_predict_worker` gives a worker, it runs the second half of
+    a round of two slices or more while the caller runs the first half; the
+    round ends only once both passes have ended, also when one raises."""
     nz, ny, nx = norm.shape
     z_indices = np.asarray(z_indices)
     check_slice_indices(z_indices, nz)
     probs = np.zeros(norm.shape, dtype=np.float32)
-    per_pass = max(1, PREDICT_PIXELS // (ny * nx))
-    for start in range(0, z_indices.size, per_pass):
-        chunk = z_indices[start:start + per_pass]
-        probs[chunk] = ops.sigmoid(net(Tensor(stack_adjacent_slices(norm, chunk)))).data[:, 0]
+    n = z_indices.size
+    rounds = -(-n // max(1, PREDICT_PIXELS // (ny * nx)))
+    worker = _predict_worker()
+    for r in range(rounds):
+        chunk = z_indices[r * n // rounds:(r + 1) * n // rounds]
+        x = stack_adjacent_slices(norm, chunk)
+        if worker is None or chunk.size == 1:
+            probs[chunk] = _probabilities(net, x)
+            continue
+        half = (chunk.size + 1) // 2
+        theirs = worker.submit(_probabilities, net, x[half:])
+        try:
+            probs[chunk[:half]] = _probabilities(net, x[:half])
+        finally:
+            theirs.exception()  # waits for the worker's pass, raising nothing
+        probs[chunk[half:]] = theirs.result()
     return probs
 
 

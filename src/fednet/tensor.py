@@ -7,11 +7,12 @@ A tensor takes the precision of its data (other numeric data becomes float64);
 network parameters are float32 unless ``Block.astype`` converts them.
 
 Differentiable ops record onto a ``Tape`` (an execution-ordered list of
-operations) when one is active.  With no tape active, the same calls are plain
-forward evaluation with no recording overhead.  Gradients accumulate by
-summation over all paths from the root; leaf tensors keep their accumulated
-gradient in ``Tensor.grad``.  A network parameter is such a leaf: a
-:class:`Parameter` is a named tensor; optimizer state belongs to the caller.
+operations) when one is active on the thread that runs them.  With no tape
+active, the same calls are plain forward evaluation with no recording
+overhead.  Gradients accumulate by summation over all paths from the root;
+leaf tensors keep their accumulated gradient in ``Tensor.grad``.  A network
+parameter is such a leaf: a :class:`Parameter` is a named tensor; optimizer
+state belongs to the caller.
 
 The optimizer works on one flat array: :class:`FlatParameters` moves a
 list of parameters' values into it, leaving each ``data`` a view there, and
@@ -22,6 +23,7 @@ the per-parameter gradients gathered as the pass reaches it.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -141,11 +143,11 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         if popped is not self:
             raise RuntimeError("tape stack corrupted")
         return False
@@ -154,11 +156,20 @@ class Tape:
         return len(self.entries)
 
 
-_TAPE_STACK: list[Tape] = []
+class _TapeStack(threading.local):
+    """The open tapes of one thread, innermost last: an op records onto the
+    innermost tape of the thread that runs it, never onto another thread's."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 def active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:

@@ -1,5 +1,7 @@
 """Tape recording, the reverse pass, SGD updates, and the gradient checker."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,48 @@ class TestBackward:
         x = Tensor(np.ones(3))
         with Tape() as tape:
             (x * 2.0).sum()
+        assert len(tape) == 0
+
+    def test_tape_records_only_its_own_threads_ops(self):
+        # each thread has a tape open while the other runs a conv on a
+        # requires_grad input: the worker's conv must not reach the main
+        # thread's tape, nor the main thread's conv the worker's
+        x = Tensor(RNG.standard_normal((1, 2, 6, 6)), requires_grad=True)
+        w = Tensor(RNG.standard_normal((3, 2, 3, 3)))
+        b = Tensor(np.zeros(3))
+        opened, ran = threading.Event(), threading.Event()
+        outs = {}
+
+        def worker():
+            with Tape() as tape:
+                opened.set()
+                assert ran.wait(timeout=60)
+                outs["worker"] = ops.conv2d(x, w, b, pad=1)
+            outs["worker_tape"] = tape
+
+        with Tape() as tape:
+            thread = threading.Thread(target=worker)
+            thread.start()
+            assert opened.wait(timeout=60)
+            outs["main"] = ops.conv2d(x, w, b, pad=1)
+            ran.set()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert len(tape) == 1 and tape.entries[0].out is outs["main"]
+        worker_tape = outs["worker_tape"]
+        assert len(worker_tape) == 1 and worker_tape.entries[0].out is outs["worker"]
+
+    def test_tape_open_on_main_thread_stays_empty_while_another_thread_runs_ops(self):
+        x = Tensor(RNG.standard_normal((1, 2, 6, 6)), requires_grad=True)
+        w = Tensor(RNG.standard_normal((3, 2, 3, 3)))
+        b = Tensor(np.zeros(3))
+        outs = []
+        with Tape() as tape:
+            thread = threading.Thread(target=lambda: outs.append(ops.conv2d(x, w, b, pad=1)))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(outs) == 1 and outs[0].requires_grad
         assert len(tape) == 0
 
     def test_leaf_grad_accumulates_across_passes(self):

@@ -2,8 +2,11 @@
 gradient-check suite, and the CLI surface."""
 
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -375,22 +378,52 @@ def one_slice_passes(net, norm, z_indices):
             for z in set(z_indices)}
 
 
-def pass_sizes():
-    """(sizes, net): a stand-in network that records the batch size of every
-    forward pass in ``sizes`` and returns zero logits of the right shape."""
-    sizes = []
+class PassFailed(RuntimeError):
+    pass
 
-    def net(x):
-        sizes.append(x.shape[0])
-        return Tensor(np.zeros((x.shape[0], 1) + x.shape[2:], dtype=np.float32))
 
-    return sizes, net
+class PassRecorder:
+    """A stand-in network that returns zero logits of the right shape and
+    records, under a lock, every forward pass's batch size and thread and the
+    most slices in passes running at once.  A pass lasts ``delay`` seconds,
+    so the two passes of a round overlap; a pass on the thread named by
+    ``fail_on`` ("caller" or "worker") raises :class:`PassFailed` at once."""
+
+    def __init__(self, delay=0.0, fail_on=None):
+        self.delay, self.fail_on = delay, fail_on
+        self.caller = threading.get_ident()
+        self.lock = threading.Lock()
+        self.sizes, self.threads = [], []
+        self.running = self.peak = 0
+
+    def __call__(self, x):
+        n = x.shape[0]
+        thread = "caller" if threading.get_ident() == self.caller else "worker"
+        with self.lock:
+            self.sizes.append(n)
+            self.threads.append(threading.get_ident())
+            self.running += n
+            self.peak = max(self.peak, self.running)
+        try:
+            if thread == self.fail_on:
+                raise PassFailed(thread)
+            time.sleep(self.delay)
+            return Tensor(np.zeros((n, 1) + x.shape[2:], dtype=np.float32))
+        finally:
+            with self.lock:
+                self.running -= n
+
+
+def needs_worker():
+    if harness._predict_worker() is None:
+        pytest.skip("predict_volume makes no worker where the process has one CPU")
 
 
 class TestPredictVolume:
     # index lists of 1, 3, 8, 27, 32 and 48 slices, and one unsorted with
-    # repeats, on a 48-slice volume: up to 32 slices fit one pass, and 48
-    # take a full pass and a remainder
+    # repeats, on a 48-slice volume: up to 32 slices fit one round, and 48
+    # take two rounds of 24; where the worker exists, a round of two slices
+    # or more runs as two passes at once
     INDEX_SETS = [[17], [0, 24, 47], list(range(20, 28)), list(range(10, 37)),
                   list(range(32)), list(range(48)), [40, 2, 17, 2, 47, 0, 40, 31, 5]]
 
@@ -406,7 +439,7 @@ class TestPredictVolume:
             assert not np.delete(probs, z_indices, axis=0).any()
 
     def test_probabilities_match_one_slice_passes_at_128_px(self):
-        # 8 slices per pass at 128 px: 10 slices take a full pass and a pass of 2
+        # 8 slices per round at 128 px: 10 slices take two rounds of 5
         ct, _ = synth_generate(12, 1, (128, 128, 32))[0]
         norm = pipeline.hu_window_normalize(ct.voxels)
         net = FedNet(NetworkSpec(), rng=np.random.default_rng(5))
@@ -416,30 +449,91 @@ class TestPredictVolume:
         for z in z_indices:
             assert probs[z].tobytes() == expected[z].tobytes(), z
 
+    # (ny, nx, slices, (pass sizes on one thread, pass sizes with the
+    # worker)): balanced rounds of at most the budget's slices, each split
+    # in halves where the worker exists
     @pytest.mark.parametrize("ny, nx, count, passes", [
-        (64, 64, 27, [27]), (64, 64, 48, [32, 16]), (64, 64, 1, [1]), (32, 32, 64, [64]),
-        (128, 128, 20, [8, 8, 4]), (64, 128, 20, [16, 4]), (256, 256, 5, [2, 2, 1]),
-        (512, 512, 2, [1, 1])])
+        (64, 64, 27, ([27], [14, 13])), (64, 64, 48, ([24, 24], [12, 12, 12, 12])),
+        (64, 64, 1, ([1], [1])), (32, 32, 64, ([64], [32, 32])),
+        (128, 128, 20, ([6, 7, 7], [3, 3, 4, 3, 4, 3])),
+        (64, 128, 20, ([10, 10], [5, 5, 5, 5])), (256, 256, 5, ([1, 2, 2], [1, 1, 1, 1, 1])),
+        (512, 512, 2, ([1, 1], [1, 1])), (100, 100, 26, ([13, 13], [7, 6, 7, 6]))])
     def test_pass_holds_the_slices_that_fit_the_pixel_budget(self, ny, nx, count, passes):
-        sizes, net = pass_sizes()
+        worker = harness._predict_worker() is not None
+        net = PassRecorder(delay=0.005)
         harness.predict_volume(net, np.zeros((count, ny, nx), dtype=np.float32), range(count))
-        assert sizes == passes
-        # one slice per pass once a slice alone exceeds the budget
-        assert all(n * ny * nx <= max(harness.PREDICT_PIXELS, ny * nx) for n in sizes)
+        one, two = passes
+        assert sorted(net.sizes) == sorted(two if worker else one)
+        # one worker thread where a round splits, and none without a worker
+        assert len(set(net.threads) - {net.caller}) == (worker and one != two)
+        # the passes running at once stay within the budget, or are one slice
+        # where a slice alone exceeds it
+        assert net.peak * ny * nx <= harness.PREDICT_PIXELS or net.peak == 1
+
+    def test_worker_only_where_two_cpus_are_allowed(self):
+        worker = harness._predict_worker()
+        assert (worker is None) == (len(os.sched_getaffinity(0)) < 2)
+        assert harness._predict_worker() is worker
+
+    def test_forked_child_makes_its_own_worker(self):
+        needs_worker()
+        ones = np.ones((4, 32, 32), dtype=np.float32)
+        harness.predict_volume(PassRecorder(), ones, range(4))  # starts the worker's thread
+        # a forked child has no thread behind its parent's worker: submitting
+        # to it would wait forever, so an alarm ends a child that hangs
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(30)
+                probs = harness.predict_volume(PassRecorder(), ones, range(4))
+                code = 0 if np.all(probs == 0.5) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_inputs_stacked_on_the_calling_thread_while_no_pass_runs(self, monkeypatch):
+        # the benchmark's pacer times its reference kernels inside this call
+        net = PassRecorder(delay=0.005)
+        stack = pipeline.stack_adjacent_slices
+        calls = []
+
+        def recording(norm, z):
+            calls.append((threading.get_ident(), net.running))
+            return stack(norm, z)
+
+        monkeypatch.setattr(harness, "stack_adjacent_slices", recording)
+        harness.predict_volume(net, np.zeros((48, 64, 64), dtype=np.float32), range(48))
+        assert calls == [(net.caller, 0)] * 2 and net.running == 0
+
+    @pytest.mark.parametrize("fail_on", ["worker", "caller"])
+    def test_failing_pass_raises_after_both_passes_end(self, fail_on):
+        needs_worker()
+        # the failing pass raises at once; the other lasts 50 ms
+        net = PassRecorder(delay=0.05, fail_on=fail_on)
+        with pytest.raises(PassFailed, match=f"^{fail_on}$"):
+            harness.predict_volume(net, np.zeros((27, 64, 64), dtype=np.float32), range(27))
+        assert net.running == 0 and sorted(net.sizes) == [13, 14]
+        # the worker survives a failed pass
+        probs = harness.predict_volume(PassRecorder(), np.ones((4, 32, 32), dtype=np.float32),
+                                       range(4))
+        assert probs.shape == (4, 32, 32) and np.all(probs == 0.5)
 
     @pytest.mark.parametrize("z_indices, bad", [
         ([*range(40), 48], 48), ([*range(40), -1], -1), ([-3], -3), ([0, 5, 100, 2], 100)])
     def test_bad_index_raises_before_any_pass(self, z_indices, bad):
-        # the bad index of the first two lists lies in the second pass
-        sizes, net = pass_sizes()
+        # the bad index of the first two lists lies in the second round
+        net = PassRecorder()
         with pytest.raises(IndexError, match=f"^slice index {bad} out of range for nz=48$"):
             harness.predict_volume(net, np.zeros((48, 64, 64), dtype=np.float32), z_indices)
-        assert sizes == []
+        assert net.sizes == []
 
     def test_no_slices_no_pass(self):
-        sizes, net = pass_sizes()
+        # no pass on either thread
+        net = PassRecorder()
         probs = harness.predict_volume(net, np.ones((4, 32, 32), dtype=np.float32), [])
-        assert sizes == [] and probs.shape == (4, 32, 32) and not probs.any()
+        assert net.sizes == [] and probs.shape == (4, 32, 32) and not probs.any()
 
     def test_probabilities_are_sigmoid_of_logits(self, dataset):
         net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=np.random.default_rng(4))
@@ -451,6 +545,18 @@ class TestPredictVolume:
         assert probs[[3, 5]].tobytes() == expected.tobytes()
         assert np.all(probs[[3, 5]] > 0) and np.all(probs[[3, 5]] < 1)
         assert not np.delete(probs, [3, 5], axis=0).any()
+
+
+class TestPredictVolumeOnOneCpu(TestPredictVolume):
+    """Every test above in a process allowed one CPU, where predict_volume
+    makes no worker and runs each round as one pass on the calling thread."""
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        harness._predict_worker.cache_clear()
+        yield
+        harness._predict_worker.cache_clear()
 
 
 class TestInfer:
