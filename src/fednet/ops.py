@@ -194,27 +194,49 @@ def sum_matmul_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_conv(op: str, x: Tensor, w: Tensor, b: Tensor, stride: int,
-                pad: int, cin_axis: int) -> tuple[tuple, tuple]:
-    """Operand checks shared by both convolutions: ranks, dtypes, stride,
-    pad, the input channels against weight axis ``cin_axis``, and the bias
-    against the other leading weight axis.  Returns (x.shape, w.shape)."""
-    xs, ws = x.data.shape, w.data.shape
+@functools.lru_cache(maxsize=512, typed=True)
+def _conv_extents(op: str, xs: tuple, ws: tuple, bs: tuple, dtypes: tuple,
+                  stride: int, pad: int) -> tuple[int, int]:
+    """Operand checks of both convolutions, run once per geometry: ranks,
+    dtypes, stride, pad, the input channels against the weight's input
+    channel axis (1 for conv2d, 0 transposed), the bias against its other
+    leading axis, and the output extents.  Returns the output (height,
+    width).  The arguments are all that the checks read, so a cached result
+    stands for passing checks; a failing check raises on every call, since
+    ``lru_cache`` keeps results, not exceptions."""
     _check_rank(op, xs, 4, "input")
     _check_rank(op, ws, 4, "weight")
-    check_dtypes(op, x, w, b)
+    for dtype in dtypes[1:]:
+        if dtype != dtypes[0]:
+            raise TypeError(f"{op}: mixed precision {dtypes[0]} vs {dtype}")
     if stride < 1:
         raise ValueError(f"{op}: stride must be >= 1, got {stride}")
     if pad < 0:
         raise ValueError(f"{op}: pad must be >= 0, got {pad}")
+    transposed = op == "conv_transpose2d"
+    cin_axis = 0 if transposed else 1
     if xs[1] != ws[cin_axis]:
         raise ValueError(
             f"{op}: channel axis mismatch: input has {xs[1]} channels (axis 1), "
             f"weight expects {ws[cin_axis]} (axis {cin_axis})")
     cout = ws[1 - cin_axis]
-    if b.data.shape != (cout,):
-        raise ValueError(f"{op}: bias must have shape ({cout},), got {b.data.shape}")
-    return xs, ws
+    if bs != (cout,):
+        raise ValueError(f"{op}: bias must have shape ({cout},), got {bs}")
+    _, _, h, width = xs
+    _, _, kh, kw = ws
+    if transposed:
+        hp = (h - 1) * stride - 2 * pad + kh
+        wp = (width - 1) * stride - 2 * pad + kw
+        if hp < 1:
+            raise ValueError(f"{op}: height axis collapses to {hp}")
+        if wp < 1:
+            raise ValueError(f"{op}: width axis collapses to {wp}")
+        return hp, wp
+    if h + 2 * pad < kh:
+        raise ValueError(f"{op}: height axis too small: H+2*pad={h + 2 * pad} < kh={kh}")
+    if width + 2 * pad < kw:
+        raise ValueError(f"{op}: width axis too small: W+2*pad={width + 2 * pad} < kw={kw}")
+    return (h + 2 * pad - kh) // stride + 1, (width + 2 * pad - kw) // stride + 1
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -222,16 +244,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
 
     Output spatial extents: floor((H + 2*pad - kh) / stride) + 1, same for W.
     """
-    xs, ws = _check_conv("conv2d", x, w, b, stride, pad, 1)
+    xs, ws = x.data.shape, w.data.shape
+    oh, ow = _conv_extents("conv2d", xs, ws, b.data.shape,
+                           (x.data.dtype, w.data.dtype, b.data.dtype), stride, pad)
     n, cin, h, width = xs
     cout, _, kh, kw = ws
-    if h + 2 * pad < kh:
-        raise ValueError(f"conv2d: height axis too small: H+2*pad={h + 2 * pad} < kh={kh}")
-    if width + 2 * pad < kw:
-        raise ValueError(f"conv2d: width axis too small: W+2*pad={width + 2 * pad} < kw={kw}")
-
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (width + 2 * pad - kw) // stride + 1
     cols = _im2col(x.data, kh, kw, stride, pad)
     w2 = w.data.reshape(cout, cin * kh * kw)
     out_data = np.matmul(w2, cols).reshape(n, cout, oh, ow)
@@ -260,15 +277,11 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1,
     matching geometry and zero biases this is the exact adjoint of
     :func:`conv2d`: dot(conv2d(x, w, 0), y) == dot(x, conv_transpose2d(y, w, 0)).
     """
-    xs, ws = _check_conv("conv_transpose2d", x, w, b, stride, pad, 0)
+    xs, ws = x.data.shape, w.data.shape
+    hp, wp = _conv_extents("conv_transpose2d", xs, ws, b.data.shape,
+                           (x.data.dtype, w.data.dtype, b.data.dtype), stride, pad)
     n, cin, h, width = xs
     _, cout, kh, kw = ws
-    hp = (h - 1) * stride - 2 * pad + kh
-    wp = (width - 1) * stride - 2 * pad + kw
-    if hp < 1:
-        raise ValueError(f"conv_transpose2d: height axis collapses to {hp}")
-    if wp < 1:
-        raise ValueError(f"conv_transpose2d: width axis collapses to {wp}")
 
     # w:[Cin, Cout, kh, kw] is the weight of the conv2d from [N, Cout, Hp, Wp]
     # to x's shape, so this is that conv's adjoint applied to x

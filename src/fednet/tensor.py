@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 SUPPORTED_DTYPES = (np.float32, np.float64)
+_FLOAT32, _FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
 
 
 class Tensor:
@@ -42,13 +43,16 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in SUPPORTED_DTYPES:
-            if np.issubdtype(arr.dtype, np.number) or arr.dtype == np.bool_:
-                arr = arr.astype(np.float64)
-            else:
-                raise TypeError(f"unsupported tensor dtype {arr.dtype}")
-        self.data = arr
+        # an op's output, a float32 or float64 ndarray, is taken as it is
+        if type(data) is not np.ndarray or (
+                (dtype := data.dtype) is not _FLOAT32 and dtype is not _FLOAT64):
+            data = np.asarray(data)
+            if data.dtype not in SUPPORTED_DTYPES:
+                if np.issubdtype(data.dtype, np.number) or data.dtype == np.bool_:
+                    data = data.astype(np.float64)
+                else:
+                    raise TypeError(f"unsupported tensor dtype {data.dtype}")
+        self.data = data
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
 
@@ -181,10 +185,14 @@ def record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tens
     never copies them either, except into a leaf's ``.grad``, so
     ``backward_fn`` must not write to ``grad_out``.
     """
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    tape = active_tape()
-    if tape is not None and out.requires_grad:
-        tape.entries.append(TapeEntry(out, inputs, backward_fn))
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            tape = active_tape()
+            if tape is not None:
+                tape.entries.append(TapeEntry(out, inputs, backward_fn))
+            return out
+    out.requires_grad = False
     return out
 
 

@@ -2,6 +2,8 @@
 thresholding, connected components vs a flood-fill oracle, bounding boxes,
 the two-stage merge, and the synthetic phantoms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,21 @@ class TestHuWindowNormalize:
         out = hu_window_normalize(vol)
         assert out.dtype == np.float32
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    def test_every_int16_matches_the_window_formula_bytewise(self):
+        lo, hi = -200.0, 250.0
+        hu = np.arange(-2 ** 15, 2 ** 15, dtype=np.int16).reshape(16, 64, 64)
+        out = hu_window_normalize(hu)
+        expected = (np.clip(np.asarray(hu, dtype=np.float32), lo, hi) - lo) / (hi - lo)
+        assert out.dtype == np.float32 and expected.dtype == np.float32
+        assert out.tobytes() == expected.tobytes()
+
+    def test_float32_input_left_unchanged(self):
+        vol = RNG.uniform(-1000, 1000, (3, 4, 5)).astype(np.float32)
+        before = vol.copy()
+        out = hu_window_normalize(vol)
+        assert out is not vol and not np.shares_memory(out, vol)
+        assert vol.tobytes() == before.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(-1500, 1500), st.integers(0, 500))
@@ -280,6 +297,28 @@ class TestConnectedComponents:
         with pytest.raises(ValueError, match="connectivity"):
             connected_components_3d(np.zeros((2, 2, 2)), connectivity=18)
 
+    @pytest.mark.parametrize("fn", [connected_components_3d, largest_component, bbox_of_mask])
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4, 5), ()], ids=["2-d", "4-d", "0-d"])
+    def test_mask_not_3d_rejected(self, fn, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            fn(np.ones(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    @pytest.mark.parametrize("foreground", [np.uint8(2), True, np.float32(0.5)],
+                             ids=["uint8-2", "bool", "float32-0.5"])
+    def test_any_nonzero_voxel_is_foreground(self, connectivity, foreground):
+        for mask in self._oracle_inputs():
+            other = np.where(mask.astype(bool), foreground, np.zeros((), type(foreground)))
+            labels, sizes = connected_components_3d(other, connectivity)
+            expected_labels, expected_sizes = connected_components_3d(mask, connectivity)
+            np.testing.assert_array_equal(labels, expected_labels)
+            np.testing.assert_array_equal(sizes, expected_sizes)
+            kept = largest_component(other, connectivity)
+            assert kept.dtype == np.uint8
+            np.testing.assert_array_equal(kept, largest_component(mask, connectivity))
+            if mask.any():
+                assert bbox_of_mask(other) == bbox_of_mask(mask)
+
 
 class TestLargestComponent:
     def test_single_component_unchanged(self):
@@ -304,6 +343,20 @@ class TestLargestComponent:
     def test_empty_stays_empty(self):
         out = largest_component(np.zeros((2, 2, 2), dtype=np.uint8))
         assert out.shape == (2, 2, 2) and not out.any()
+
+    @pytest.mark.parametrize("connectivity", [6, 26])
+    def test_matches_flood_fill_oracle(self, connectivity):
+        for mask in TestConnectedComponents._oracle_inputs():
+            expected = flood_fill_labels(mask, connectivity)
+            sizes = np.bincount(expected.ravel())[1:]
+            out = largest_component(mask, connectivity)
+            assert out.dtype == np.uint8 and out.shape == mask.shape
+            if sizes.size == 0:
+                assert not out.any()
+                continue
+            # np.argmax takes the first of equal sizes: the earliest label
+            keep = int(np.argmax(sizes)) + 1
+            np.testing.assert_array_equal(out, (expected == keep).astype(np.uint8))
 
 
 class TestBbox:
@@ -346,6 +399,13 @@ class TestBbox:
     def test_invalid_corners_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             Bbox3((2, 0, 0), (1, 3, 3))
+
+    @pytest.mark.parametrize("lo,hi", [((0,), (1,)), ((0, 0), (1, 1)), ((0, 0, 0, 0), (1, 1, 1, 1)),
+                                       ((0, 0, 0), (1, 1)), ((0, 0, 0), (1.0, 1, 1)),
+                                       ([0, 0, 0], (1, 1, 1))])
+    def test_corners_must_be_three_ints(self, lo, hi):
+        with pytest.raises(ValueError, match="three ints"):
+            Bbox3(lo, hi)
 
 
 class TestHierarchicalPostprocess:

@@ -362,6 +362,74 @@ class TestConvTranspose2d:
                                  t(np.zeros(1)), 1, 0)
 
 
+# every error the convolutions' operand and extent checks raise:
+# (op, x shape, w shape, b shape, stride, pad, error type, message)
+CONV_CHECK_ERRORS = [
+    ("conv2d", (2, 4, 4), (3, 2, 3, 3), (3,), 1, 1, ValueError,
+     "conv2d: input must be 4-d, got shape (2, 4, 4)"),
+    ("conv2d", (1, 2, 4, 4), (3, 2, 3), (3,), 1, 1, ValueError,
+     "conv2d: weight must be 4-d, got shape (3, 2, 3)"),
+    ("conv2d", (1, 2, 4, 4), (3, 2, 3, 3), (3,), 0, 1, ValueError,
+     "conv2d: stride must be >= 1, got 0"),
+    ("conv2d", (1, 2, 4, 4), (3, 2, 3, 3), (3,), 1, -1, ValueError,
+     "conv2d: pad must be >= 0, got -1"),
+    ("conv2d", (1, 2, 4, 4), (3, 1, 3, 3), (3,), 1, 1, ValueError,
+     "conv2d: channel axis mismatch: input has 2 channels (axis 1), weight expects 1 (axis 1)"),
+    ("conv2d", (1, 2, 4, 4), (3, 2, 3, 3), (2,), 1, 1, ValueError,
+     "conv2d: bias must have shape (3,), got (2,)"),
+    ("conv2d", (1, 2, 2, 8), (3, 2, 3, 3), (3,), 1, 0, ValueError,
+     "conv2d: height axis too small: H+2*pad=2 < kh=3"),
+    ("conv2d", (1, 2, 8, 2), (3, 2, 3, 3), (3,), 1, 0, ValueError,
+     "conv2d: width axis too small: W+2*pad=2 < kw=3"),
+    ("conv_transpose2d", (2, 2, 2), (2, 3, 3, 3), (3,), 1, 0, ValueError,
+     "conv_transpose2d: input must be 4-d, got shape (2, 2, 2)"),
+    ("conv_transpose2d", (1, 2, 2, 2), (2, 3, 3), (3,), 1, 0, ValueError,
+     "conv_transpose2d: weight must be 4-d, got shape (2, 3, 3)"),
+    ("conv_transpose2d", (1, 2, 2, 2), (2, 3, 3, 3), (3,), 0, 0, ValueError,
+     "conv_transpose2d: stride must be >= 1, got 0"),
+    ("conv_transpose2d", (1, 2, 2, 2), (2, 3, 3, 3), (3,), 1, -1, ValueError,
+     "conv_transpose2d: pad must be >= 0, got -1"),
+    ("conv_transpose2d", (1, 2, 2, 2), (3, 3, 3, 3), (3,), 1, 0, ValueError,
+     "conv_transpose2d: channel axis mismatch: input has 2 channels (axis 1), "
+     "weight expects 3 (axis 0)"),
+    ("conv_transpose2d", (1, 2, 2, 2), (2, 3, 3, 3), (2, 1), 1, 0, ValueError,
+     "conv_transpose2d: bias must have shape (3,), got (2, 1)"),
+    ("conv_transpose2d", (1, 2, 1, 4), (2, 3, 2, 2), (3,), 1, 1, ValueError,
+     "conv_transpose2d: height axis collapses to 0"),
+    ("conv_transpose2d", (1, 2, 4, 1), (2, 3, 2, 2), (3,), 1, 1, ValueError,
+     "conv_transpose2d: width axis collapses to 0"),
+]
+
+
+class TestConvChecks:
+    """The convolutions check each geometry once and keep the result: a
+    failing check must still raise, with the same message, every time."""
+
+    @pytest.mark.parametrize("op,xs,ws,bs,stride,pad,error,message", CONV_CHECK_ERRORS,
+                             ids=[c[-1] for c in CONV_CHECK_ERRORS])
+    def test_error_raised_on_every_call(self, op, xs, ws, bs, stride, pad, error, message):
+        operands = [t(np.zeros(shape)) for shape in (xs, ws, bs)]
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                getattr(ops, op)(*operands, stride, pad)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("op,shapes", [
+        ("conv2d", [(1, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+        ("conv_transpose2d", [(1, 2, 2, 2), (2, 3, 3, 3), (3,)]),
+    ])
+    @pytest.mark.parametrize("odd", [0, 1, 2])
+    def test_dtype_change_after_a_valid_call_rejected(self, op, shapes, odd):
+        fn = getattr(ops, op)
+        fn(*[t(np.zeros(shape)) for shape in shapes], 2, 1)
+        operands = [Tensor(np.zeros(shape, dtype=np.float32 if i == odd else np.float64))
+                    for i, shape in enumerate(shapes)]
+        with pytest.raises(TypeError) as info:
+            fn(*operands, 2, 1)
+        first, other = ("float32", "float64") if odd == 0 else ("float64", "float32")
+        assert str(info.value) == f"{op}: mixed precision {first} vs {other}"
+
+
 class TestSumMatmulT:
     # (a shape [N,M,P], b shape [N,K,P], folded): one GEMM over the batch
     # exactly where M*K > P*(M+K)
