@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: synth, preprocess, train, infer, evaluate, ablate, gradcheck.
+Subcommands: synth, train, infer, evaluate, ablate, gradcheck.
 Exit codes: 0 success, 1 validation error (bad config, bad file, mismatched
 checkpoint, no OpenBLAS to set to one thread), 2 internal failure (including
 failed gradient checks).
@@ -18,9 +18,8 @@ from pathlib import Path
 from . import harness
 from .blocks import ENCODER_STRIDE, check_slice_size
 from .config import parse_config
-from .pipeline import hu_window_normalize
 from .synth import synth_generate
-from .volume import Volume, read_mvol, read_mvol_header, write_mvol
+from .volume import read_mvol, read_mvol_header, write_mvol
 
 # ConfigError, MVolError, CheckpointError and DatasetError all derive from ValueError
 _VALIDATION_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError,
@@ -58,16 +57,6 @@ def cmd_synth(args) -> int:
         write_mvol(seg, out / f"case{idx:03d}{harness.SEG_SUFFIX}")
     print(f"volumes\t{len(pairs)}")
     print(f"out_dir\t{out}")
-    return 0
-
-
-def cmd_preprocess(args) -> int:
-    harness.check_out_dir(args.out)
-    vol = read_mvol(args.volume)
-    harness.check_ct(vol.voxels.dtype, args.volume)
-    norm = Volume(hu_window_normalize(vol.voxels), vol.spacing)
-    write_mvol(norm, args.out)
-    print(f"out\t{args.out}")
     return 0
 
 
@@ -148,11 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="64,64,48",
                    help=f"nx,ny,nz (each >= 32; nx and ny multiples of {ENCODER_STRIDE})")
     p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("preprocess", help="HU-window a CT volume to [0,1]")
-    p.add_argument("volume")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("train", help="train one stage from a config file")
     p.add_argument("--config", required=True)

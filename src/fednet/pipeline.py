@@ -90,7 +90,7 @@ def flip_augment(image: np.ndarray, target: np.ndarray, rng: np.random.Generator
 
 def threshold_mask(prob: np.ndarray, t: float) -> np.ndarray:
     """Probability >= t becomes foreground."""
-    return (np.asarray(prob) >= t).astype(np.uint8)
+    return (np.asarray(prob) >= t).view(np.uint8)
 
 
 def _volume_shape(mask) -> tuple[int, int, int]:

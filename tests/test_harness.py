@@ -1,7 +1,9 @@
 """Training loop, two-stage inference, evaluation, ablation table, the
 gradient-check suite, and the CLI surface."""
 
+import argparse
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -783,23 +785,22 @@ class TestGradcheckSuite:
 
 
 class TestCli:
-    def test_synth_preprocess_evaluate_flow(self, tmp_path, capsys):
+    def test_synth_evaluate_flow(self, tmp_path, capsys):
+        # the lesion labels of a synthesized segmentation, as a mask, score
+        # Dice 1 against that segmentation at --gt-label 2
         out = tmp_path / "cli_data"
         assert cli.main(["synth", "--out", str(out), "--count", "1",
                          "--dims", "32,32,32", "--seed", "4"]) == 0
         assert (out / "case000_ct.mvol").exists()
-        assert cli.main(["preprocess", str(out / "case000_ct.mvol"),
-                         "--out", str(tmp_path / "norm.mvol")]) == 0
-        norm = read_mvol(tmp_path / "norm.mvol")
-        assert norm.voxels.dtype == np.float32
-        assert float(norm.voxels.min()) >= 0.0 and float(norm.voxels.max()) <= 1.0
+        seg = read_mvol(out / "case000_seg.mvol")
+        assert (seg.voxels == 2).any()
         pred = tmp_path / "p"
         gt = tmp_path / "g"
         pred.mkdir()
         gt.mkdir()
-        write_mvol(Volume(np.ones((2, 2, 2), dtype=np.uint8)), pred / "x.mvol")
-        write_mvol(Volume(np.ones((2, 2, 2), dtype=np.uint8)), gt / "x.mvol")
-        assert cli.main(["evaluate", str(pred), str(gt)]) == 0
+        write_mvol(Volume((seg.voxels == 2).view(np.uint8), seg.spacing), pred / "x.mvol")
+        (gt / "x.mvol").write_bytes((out / "case000_seg.mvol").read_bytes())
+        assert cli.main(["evaluate", str(pred), str(gt), "--gt-label", "2"]) == 0
         captured = capsys.readouterr().out
         assert "per_case_dice\t1.000000" in captured
 
@@ -956,8 +957,7 @@ class TestCli:
     def test_slices_that_do_not_fit_the_network_exit_one_naming_the_ct(self, tmp_path,
                                                                         monkeypatch, capsys):
         # a 48x48 CT, cropped from a 64x64 phantom: train refuses it before it
-        # builds a network and infer before it segments; preprocess feeds no
-        # network and accepts it
+        # builds a network and infer before it segments
         data = tmp_path / "small"
         data.mkdir()
         ct, seg = synth_generate(5, 1, (64, 64, 32))[0]
@@ -988,8 +988,6 @@ class TestCli:
         assert (captured.out, captured.err) == ("", message)
         assert builds == []
         assert not (tmp_path / "s.fedckpt").exists()
-        assert cli.main(["preprocess", str(ct_path), "--out", str(tmp_path / "n.mvol")]) == 0
-        assert read_mvol(tmp_path / "n.mvol").voxels.shape == (32, 48, 48)
 
     @pytest.mark.parametrize("bad", ["small48", "windowed"])
     def test_infer_checks_every_volume_before_writing_any_mask(self, dataset, tmp_path,
@@ -1026,17 +1024,7 @@ class TestCli:
         assert loads == []
         assert not any(out.exists() for out in outs)
 
-    def test_preprocess_missing_out_directory_names_the_target(self, dataset, tmp_path,
-                                                               capsys):
-        out = tmp_path / "missing" / "x.mvol"
-        assert cli.main(["preprocess", str(dataset / "case000_ct.mvol"),
-                         "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: cannot write {out}: directory {out.parent} "
-                                "does not exist\n")
-
-    @pytest.mark.parametrize("command", ["infer", "train", "preprocess"])
+    @pytest.mark.parametrize("command", ["infer", "train"])
     def test_out_that_is_a_directory_exits_one_before_loading(self, dataset, tmp_path,
                                                              monkeypatch, capsys, command):
         # neither the config's checkpoints nor its data are read: the --out
@@ -1055,8 +1043,7 @@ class TestCli:
         missing = str(tmp_path / "never_read.fedckpt")
         argv = {"infer": ["infer", ct, "--config", str(cfg_path), "--liver-ckpt", missing,
                           "--lesion-ckpt", missing, "--out", str(out)],
-                "train": ["train", "--config", str(cfg_path), "--out", str(out)],
-                "preprocess": ["preprocess", ct, "--out", str(out)]}[command]
+                "train": ["train", "--config", str(cfg_path), "--out", str(out)]}[command]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: cannot write {out}: it is a "
@@ -1088,11 +1075,11 @@ class TestCli:
                     == (tmp_path / "zero" / f"case000{suffix}").read_bytes())
 
     def test_windowed_ct_exits_one_naming_file_and_dtype(self, dataset, tmp_path, capsys):
-        # a `fednet preprocess` output is windowed already: infer, train and
-        # preprocess each refuse it instead of windowing it a second time
+        # a float32 CT is windowed already: infer and train each refuse it
+        # instead of windowing it a second time
         norm = tmp_path / "norm.mvol"
-        assert cli.main(["preprocess", str(dataset / "case000_ct.mvol"),
-                         "--out", str(norm)]) == 0
+        ct = read_mvol(dataset / "case000_ct.mvol")
+        write_mvol(Volume(pipeline.hu_window_normalize(ct.voxels), ct.spacing), norm)
         cfg_path = tmp_path / "w.cfg"
         cfg_path.write_text(f"data_dir = {tmp_path / 'windowed'}\nbase_channels = 4\n"
                             f"se_reduction = 4\niterations = 1\nbatch_size = 2\n"
@@ -1112,7 +1099,6 @@ class TestCli:
               "--lesion-ckpt", str(tmp_path / "lesion.fedckpt"),
               "--out", str(tmp_path / "mask.mvol")], "norm.mvol"),
             (["train", "--config", str(cfg_path)], "case000_ct.mvol"),
-            (["preprocess", str(norm), "--out", str(tmp_path / "twice.mvol")], "norm.mvol"),
         ]
         for argv, name in commands:
             assert cli.main(argv) == 1
@@ -1121,7 +1107,6 @@ class TestCli:
             assert name in err and "float32" in err and "int16" in err
         assert not (tmp_path / "mask.mvol").exists()
         assert not (tmp_path / "w.fedckpt").exists()
-        assert not (tmp_path / "twice.mvol").exists()
 
     def test_evaluate_rejects_a_ct_as_prediction(self, dataset, tmp_path, capsys):
         pred, gt = tmp_path / "pred", tmp_path / "gt"
@@ -1159,9 +1144,39 @@ class TestCli:
         bad_cfg.write_text("nonsense_key = 1\n")
         assert cli.main(["train", "--config", str(bad_cfg)]) == 1
         assert "unknown key" in capsys.readouterr().err
-        assert cli.main(["preprocess", str(tmp_path / "missing.mvol"),
+        ckpt = str(tmp_path / "missing.fedckpt")
+        assert cli.main(["infer", str(tmp_path / "missing.mvol"), "--config", str(bad_cfg),
+                         "--liver-ckpt", ckpt, "--lesion-ckpt", ckpt,
                          "--out", str(tmp_path / "o.mvol")]) == 1
+        assert "missing.mvol" in capsys.readouterr().err
         assert cli.main(["synth", "--out", str(tmp_path / "s"), "--dims", "8,8,8"]) == 1
+
+    @staticmethod
+    def _commands(parser) -> set[str]:
+        return set(next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction)))
+
+    def test_parser_has_exactly_the_six_commands(self, capsys):
+        assert self._commands(cli.build_parser()) == {"synth", "train", "infer", "evaluate",
+                                                      "ablate", "gradcheck"}
+        # a removed command is an argparse usage error, exit 2
+        with pytest.raises(SystemExit) as info:
+            cli.main(["preprocess", "ct.mvol", "--out", "norm.mvol"])
+        assert info.value.code == 2
+        assert "invalid choice: 'preprocess'" in capsys.readouterr().err
+
+    def test_readme_quickstart_commands_parse(self):
+        # every `fednet ...` line of the Quickstart block, with its
+        # backslash-continued lines joined, parses; together they use every command
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Quickstart (CLI)", 1)[1].split("```bash\n", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("fednet ")]
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
+        assert {argv[0] for argv in commands} == self._commands(parser)
 
     def test_seed_flag_overrides_config(self, dataset, tmp_path):
         cfg_path = tmp_path / "seeded.cfg"
