@@ -350,21 +350,23 @@ def _probabilities(net: FedNet, x: np.ndarray) -> np.ndarray:
     return ops.sigmoid(net(Tensor(x))).data[:, 0]
 
 
-def predict_volume(net: FedNet, norm: np.ndarray, z_indices: Sequence[int]) -> np.ndarray:
-    """Per-slice probabilities, the sigmoid of the network's logits, over
-    the listed z indices; other slices are 0.  Every index is checked before
+def predict_volume(net: FedNet, norm: np.ndarray, z_indices: Sequence[int],
+                   threshold: float) -> np.ndarray:
+    """uint8 mask of the listed z indices: the sigmoid of the network's
+    logits at ``threshold``, other slices 0.  Every index is checked before
     the first forward pass.
 
     The slices go through in the fewest rounds of balanced size that each
     hold at most the slices that fit in ``PREDICT_PIXELS`` pixels, at least
-    one.  The calling thread stacks a round's input while no pass runs.
+    one.  The calling thread stacks a round's input while no pass runs, and
+    thresholds each pass (:func:`threshold_mask`) in ``z_indices`` order.
     Where :func:`_predict_worker` gives a worker, it runs the second half of
     a round of two slices or more while the caller runs the first half; the
     round ends only once both passes have ended, also when one raises."""
     nz, ny, nx = norm.shape
     z_indices = np.asarray(z_indices)
     check_slice_indices(z_indices, nz)
-    probs = np.zeros(norm.shape, dtype=np.float32)
+    mask = np.zeros(norm.shape, dtype=np.uint8)
     n = z_indices.size
     rounds = -(-n // max(1, PREDICT_PIXELS // (ny * nx)))
     worker = _predict_worker()
@@ -372,16 +374,16 @@ def predict_volume(net: FedNet, norm: np.ndarray, z_indices: Sequence[int]) -> n
         chunk = z_indices[r * n // rounds:(r + 1) * n // rounds]
         x = stack_adjacent_slices(norm, chunk)
         if worker is None or chunk.size == 1:
-            probs[chunk] = _probabilities(net, x)
+            mask[chunk] = threshold_mask(_probabilities(net, x), threshold)
             continue
         half = (chunk.size + 1) // 2
         theirs = worker.submit(_probabilities, net, x[half:])
         try:
-            probs[chunk[:half]] = _probabilities(net, x[:half])
+            mask[chunk[:half]] = threshold_mask(_probabilities(net, x[:half]), threshold)
         finally:
             theirs.exception()  # waits for the worker's pass, raising nothing
-        probs[chunk[half:]] = theirs.result()
-    return probs
+        mask[chunk[half:]] = threshold_mask(theirs.result(), threshold)
+    return mask
 
 
 def training_set_dice(net: FedNet, prepared, cfg: TrainConfig) -> tuple[float, float]:
@@ -393,10 +395,8 @@ def training_set_dice(net: FedNet, prepared, cfg: TrainConfig) -> tuple[float, f
     all slices at the liver threshold versus the organ labels.
     """
     threshold = cfg.liver_threshold if cfg.stage == "liver" else cfg.lesion_threshold
-    cases = []
-    for norm, target, eligible in prepared:
-        probs = predict_volume(net, norm, np.nonzero(eligible)[0])
-        cases.append((threshold_mask(probs, threshold), target))
+    cases = [(predict_volume(net, norm, np.nonzero(eligible)[0], threshold), target)
+             for norm, target, eligible in prepared]
     return dice_per_case(cases), dice_global(cases)
 
 
@@ -429,13 +429,12 @@ def segment(cfg: TrainConfig, liver_net: FedNet, lesion_net: FedNet,
     """
     check_ct(volume.voxels.dtype, "segment")
     norm = hu_window_normalize(volume.voxels)
-    liver_prob = predict_volume(liver_net, norm, range(norm.shape[0]))
-    liver_mask = largest_component(threshold_mask(liver_prob, cfg.liver_threshold),
-                                   cfg.connectivity)
+    liver_mask = largest_component(
+        predict_volume(liver_net, norm, range(norm.shape[0]), cfg.liver_threshold),
+        cfg.connectivity)
     liver_z = np.nonzero(liver_mask.any(axis=(1, 2)))[0]
-    lesion_prob = predict_volume(lesion_net, norm, liver_z)
-    final = hierarchical_postprocess(liver_mask, lesion_prob, cfg.lesion_threshold)
-    return Volume(final, volume.spacing)
+    lesion_mask = predict_volume(lesion_net, norm, liver_z, cfg.lesion_threshold)
+    return Volume(hierarchical_postprocess(liver_mask, lesion_mask), volume.spacing)
 
 
 def infer(cfg: TrainConfig, liver_ckpt, lesion_ckpt, volume: Volume) -> Volume:

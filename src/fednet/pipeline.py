@@ -127,6 +127,7 @@ def connected_components_3d(mask: np.ndarray, connectivity: int = 6):
     padded = np.zeros(nz * ny * (nx + 1) + 1, dtype=bool)
     padded[1:].reshape(nz * ny, nx + 1)[:, :nx] = np.asarray(mask).reshape(nz * ny, nx)
     change = np.flatnonzero(padded[1:] != padded[:-1])
+    del padded  # a volume-sized copy, freed before the labels are made
     row, start = np.divmod(change[0::2], nx + 1)  # run = [start, end) in row z*ny + y
     end = change[1::2] - row * (nx + 1)
 
@@ -172,14 +173,15 @@ def connected_components_3d(mask: np.ndarray, connectivity: int = 6):
     length = end - start
     sizes = np.bincount(component, weights=length).astype(np.int64)
 
-    # each run's label painted over its voxels, at flat indices counted on
-    # from the run's start
+    # In flat order the volume is background, run 0, background, ..., so one
+    # repeat of [0, label 0, 0, label 1, ..., 0] over the gap and run lengths
+    # paints every voxel; runs that abut across rows leave a gap of 0.
     run_first = row * nx + start
-    painted = np.arange(length.sum()) + np.repeat(run_first - (np.cumsum(length) - length), length)
-    labels = np.zeros(nz * ny * nx, dtype=np.int32)
-    labels[painted] = np.repeat(component.astype(np.int32) + 1, length)
-    labels = labels.reshape(nz, ny, nx)
-    return labels, sizes
+    edges = np.stack([run_first, run_first + length], axis=1).ravel()
+    values = np.zeros(edges.size + 1, dtype=np.int32)
+    values[1::2] = component + 1
+    labels = np.repeat(values, np.diff(edges, prepend=0, append=nz * ny * nx))
+    return labels.reshape(nz, ny, nx), sizes
 
 
 def largest_component(mask: np.ndarray, connectivity: int = 6) -> np.ndarray:
@@ -236,23 +238,21 @@ def bbox_of_mask(mask: np.ndarray) -> Bbox3:
     return Bbox3(tuple(int(e[0]) for e in extents), tuple(int(e[-1]) for e in extents))
 
 
-def hierarchical_postprocess(liver_mask: np.ndarray, lesion_prob: np.ndarray,
-                             lesion_threshold: float = 0.3) -> np.ndarray:
-    """Two-stage merge: intersect the lesion mask, ``lesion_prob`` thresholded
-    at ``lesion_threshold``, with the bounding box of ``liver_mask``, the kept
-    liver component (the largest component of the liver probabilities at the
-    configured liver threshold, which ``harness.segment`` computes once).  An
-    empty liver yields an empty result."""
+def hierarchical_postprocess(liver_mask: np.ndarray, lesion_mask: np.ndarray) -> np.ndarray:
+    """Two-stage merge: ``lesion_mask`` inside the bounding box of
+    ``liver_mask``, the liver component ``harness.segment`` kept; an empty
+    liver yields an empty result.  The lesion mask must be bool or uint8:
+    probabilities cast into the uint8 result would lose every value below 1."""
     liver_mask = np.asarray(liver_mask)
-    lesion_prob = np.asarray(lesion_prob)
-    if liver_mask.shape != lesion_prob.shape:
+    lesion_mask = np.asarray(lesion_mask)
+    if lesion_mask.dtype not in (np.bool_, np.uint8):
+        raise ValueError(f"lesion mask must be bool or uint8, got {lesion_mask.dtype}")
+    if liver_mask.shape != lesion_mask.shape:
         raise ValueError(
-            f"volume dims mismatch: liver {liver_mask.shape} vs lesion {lesion_prob.shape}")
+            f"volume dims mismatch: liver {liver_mask.shape} vs lesion {lesion_mask.shape}")
     final = np.zeros(liver_mask.shape, dtype=np.uint8)
     if not liver_mask.any():
         return final
-    box = bbox_of_mask(liver_mask)
-    lesion = threshold_mask(lesion_prob, lesion_threshold)
-    sl = box.slices()
-    final[sl] = lesion[sl]
+    sl = bbox_of_mask(liver_mask).slices()
+    final[sl] = lesion_mask[sl]
     return final

@@ -15,7 +15,7 @@ from fednet.blocks import FeatureFusion, NetworkSpec
 from fednet.config import TrainConfig
 from fednet.losses import CLAMP_DELTA, LossWeights, combined_loss, soft_jaccard
 from fednet.pipeline import (bbox_of_mask, connected_components_3d,
-                             hu_window_normalize, largest_component, threshold_mask)
+                             hu_window_normalize, largest_component)
 from fednet.synth import synth_generate
 from fednet.tensor import Tensor
 from fednet.volume import read_mvol, write_mvol
@@ -265,8 +265,8 @@ def test_criterion_9_end_to_end(tmp_path):
         # voxelwise containment in the stage-1 liver bounding box
         mask = read_mvol(out_path).voxels
         norm = hu_window_normalize(read_mvol(ct_path).voxels)
-        liver_prob = harness.predict_volume(liver_net, norm, range(norm.shape[0]))
-        liver_mask = largest_component(threshold_mask(liver_prob, cfg.liver_threshold))
+        liver_mask = largest_component(
+            harness.predict_volume(liver_net, norm, range(norm.shape[0]), cfg.liver_threshold))
         if mask.any():
             assert liver_mask.any(), "nonempty lesion mask without a liver"
             assert bbox_of_mask(liver_mask).contains_mask(mask), \

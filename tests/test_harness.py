@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -366,6 +367,33 @@ class TestTrain:
         _, report = harness.train(cfg, save=False)
         assert len(report.loss_curve) == 2 * k + 2
 
+    @pytest.mark.parametrize("stage", ["liver", "lesion"])
+    def test_training_set_dice_matches_one_slice_passes(self, dataset, tmp_path, stage):
+        cfg = micro_config(dataset, tmp_path / "unused.fedckpt", stage=stage)
+        net = harness.build_network(cfg)
+        prepared = [(pipeline.hu_window_normalize(ct.voxels),
+                     *harness.stage_targets(seg.voxels, stage))
+                    for _, ct, seg in harness.load_dataset(dataset)]
+        probs = [{z: harness._probabilities(net, pipeline.stack_adjacent_slices(norm, z)[None])[0]
+                  for z in np.nonzero(eligible)[0]} for norm, _, eligible in prepared]
+        # the stage's threshold at the median probability, the other stage's
+        # above every probability
+        t = float(np.median([p for case in probs for p in case.values()]))
+        cfg = replace(cfg, liver_threshold=t if stage == "liver" else 1.0,
+                      lesion_threshold=t if stage == "lesion" else 1.0)
+        scores, inter, total = [], 0, 0
+        for (_, target, _), case in zip(prepared, probs):
+            pred = np.zeros(target.shape, dtype=bool)
+            for z, p in case.items():
+                pred[z] = p >= t
+            i = int(np.count_nonzero(pred & (target == 1)))
+            n = int(np.count_nonzero(pred)) + int(np.count_nonzero(target))
+            scores.append(2 * i / n if n else 1.0)
+            inter, total = inter + i, total + n
+        per_case, global_ = harness.training_set_dice(net, prepared, cfg)
+        assert (per_case, global_) == (float(np.mean(scores)), 2 * inter / total)
+        assert 0 < global_ < 1
+
 
 @pytest.fixture(scope="module")
 def phantom64():
@@ -421,6 +449,33 @@ def needs_worker():
         pytest.skip("predict_volume makes no worker where the process has one CPU")
 
 
+def thresholded_passes(monkeypatch, net, norm, z_indices, threshold=0.5):
+    """``predict_volume``'s mask, and the probabilities of each pass that
+    reached ``harness.threshold_mask``, in call order.  Every call must come
+    from the calling thread."""
+    caller = threading.get_ident()
+    passes = []
+
+    def recording(prob, t):
+        assert threading.get_ident() == caller and t == threshold
+        passes.append(prob)
+        return pipeline.threshold_mask(prob, t)
+
+    monkeypatch.setattr(harness, "threshold_mask", recording)
+    return harness.predict_volume(net, norm, z_indices, threshold), passes
+
+
+def assert_mask_of_passes(mask, passes, expected, z_indices, threshold=0.5):
+    """The passes' probabilities, joined, equal ``expected``'s one-slice
+    passes over ``z_indices`` by bytes, the mask's listed slices are their
+    threshold, and every slice not listed is 0."""
+    probs = np.concatenate(passes)
+    assert mask.dtype == np.uint8
+    assert probs.tobytes() == np.stack([expected[z] for z in z_indices]).tobytes()
+    assert mask[z_indices].tobytes() == pipeline.threshold_mask(probs, threshold).tobytes()
+    assert not np.delete(mask, z_indices, axis=0).any()
+
+
 class TestPredictVolume:
     # index lists of 1, 3, 8, 27, 32 and 48 slices, and one unsorted with
     # repeats, on a 48-slice volume: up to 32 slices fit one round, and 48
@@ -430,26 +485,25 @@ class TestPredictVolume:
                   list(range(32)), list(range(48)), [40, 2, 17, 2, 47, 0, 40, 31, 5]]
 
     @pytest.mark.parametrize("baseline", [False, True])
-    def test_probabilities_match_one_slice_passes(self, phantom64, baseline):
+    def test_probabilities_match_one_slice_passes(self, phantom64, baseline, monkeypatch):
         spec = NetworkSpec()
         net = FedNet(spec.baseline() if baseline else spec, rng=np.random.default_rng(3))
         expected = one_slice_passes(net, phantom64, range(48))
+        # a threshold near the median, so each mask holds both values
+        threshold = float(np.median(np.stack(list(expected.values()))))
         for z_indices in self.INDEX_SETS:
-            probs = harness.predict_volume(net, phantom64, z_indices)
-            for z in z_indices:
-                assert probs[z].tobytes() == expected[z].tobytes(), (len(z_indices), z)
-            assert not np.delete(probs, z_indices, axis=0).any()
+            mask, passes = thresholded_passes(monkeypatch, net, phantom64, z_indices, threshold)
+            assert_mask_of_passes(mask, passes, expected, z_indices, threshold)
+            assert 0 < mask[z_indices].sum() < mask[z_indices].size
 
-    def test_probabilities_match_one_slice_passes_at_128_px(self):
+    def test_probabilities_match_one_slice_passes_at_128_px(self, monkeypatch):
         # 8 slices per round at 128 px: 10 slices take two rounds of 5
         ct, _ = synth_generate(12, 1, (128, 128, 32))[0]
         norm = pipeline.hu_window_normalize(ct.voxels)
         net = FedNet(NetworkSpec(), rng=np.random.default_rng(5))
         z_indices = [31, *range(9), 0]
-        probs = harness.predict_volume(net, norm, z_indices)
-        expected = one_slice_passes(net, norm, z_indices)
-        for z in z_indices:
-            assert probs[z].tobytes() == expected[z].tobytes(), z
+        mask, passes = thresholded_passes(monkeypatch, net, norm, z_indices)
+        assert_mask_of_passes(mask, passes, one_slice_passes(net, norm, z_indices), z_indices)
 
     # (ny, nx, slices, (pass sizes on one thread, pass sizes with the
     # worker)): balanced rounds of at most the budget's slices, each split
@@ -463,7 +517,8 @@ class TestPredictVolume:
     def test_pass_holds_the_slices_that_fit_the_pixel_budget(self, ny, nx, count, passes):
         worker = harness._predict_worker() is not None
         net = PassRecorder(delay=0.005)
-        harness.predict_volume(net, np.zeros((count, ny, nx), dtype=np.float32), range(count))
+        harness.predict_volume(net, np.zeros((count, ny, nx), dtype=np.float32), range(count),
+                               0.5)
         one, two = passes
         assert sorted(net.sizes) == sorted(two if worker else one)
         # one worker thread where a round splits, and none without a worker
@@ -480,7 +535,7 @@ class TestPredictVolume:
     def test_forked_child_makes_its_own_worker(self):
         needs_worker()
         ones = np.ones((4, 32, 32), dtype=np.float32)
-        harness.predict_volume(PassRecorder(), ones, range(4))  # starts the worker's thread
+        harness.predict_volume(PassRecorder(), ones, range(4), 0.5)  # starts the worker's thread
         # a forked child has no thread behind its parent's worker: submitting
         # to it would wait forever, so an alarm ends a child that hangs
         pid = os.fork()
@@ -488,8 +543,9 @@ class TestPredictVolume:
             code = 1
             try:
                 signal.alarm(30)
-                probs = harness.predict_volume(PassRecorder(), ones, range(4))
-                code = 0 if np.all(probs == 0.5) else 1
+                # zero logits: probability 0.5, foreground at threshold 0.5
+                mask = harness.predict_volume(PassRecorder(), ones, range(4), 0.5)
+                code = 0 if np.all(mask == 1) else 1
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
@@ -506,7 +562,7 @@ class TestPredictVolume:
             return stack(norm, z)
 
         monkeypatch.setattr(harness, "stack_adjacent_slices", recording)
-        harness.predict_volume(net, np.zeros((48, 64, 64), dtype=np.float32), range(48))
+        harness.predict_volume(net, np.zeros((48, 64, 64), dtype=np.float32), range(48), 0.5)
         assert calls == [(net.caller, 0)] * 2 and net.running == 0
 
     @pytest.mark.parametrize("fail_on", ["worker", "caller"])
@@ -515,12 +571,12 @@ class TestPredictVolume:
         # the failing pass raises at once; the other lasts 50 ms
         net = PassRecorder(delay=0.05, fail_on=fail_on)
         with pytest.raises(PassFailed, match=f"^{fail_on}$"):
-            harness.predict_volume(net, np.zeros((27, 64, 64), dtype=np.float32), range(27))
+            harness.predict_volume(net, np.zeros((27, 64, 64), dtype=np.float32), range(27), 0.5)
         assert net.running == 0 and sorted(net.sizes) == [13, 14]
         # the worker survives a failed pass
-        probs = harness.predict_volume(PassRecorder(), np.ones((4, 32, 32), dtype=np.float32),
-                                       range(4))
-        assert probs.shape == (4, 32, 32) and np.all(probs == 0.5)
+        mask = harness.predict_volume(PassRecorder(), np.ones((4, 32, 32), dtype=np.float32),
+                                      range(4), 0.5)
+        assert mask.shape == (4, 32, 32) and np.all(mask == 1)
 
     @pytest.mark.parametrize("z_indices, bad", [
         ([*range(40), 48], 48), ([*range(40), -1], -1), ([-3], -3), ([0, 5, 100, 2], 100)])
@@ -528,25 +584,26 @@ class TestPredictVolume:
         # the bad index of the first two lists lies in the second round
         net = PassRecorder()
         with pytest.raises(IndexError, match=f"^slice index {bad} out of range for nz=48$"):
-            harness.predict_volume(net, np.zeros((48, 64, 64), dtype=np.float32), z_indices)
+            harness.predict_volume(net, np.zeros((48, 64, 64), dtype=np.float32), z_indices, 0.5)
         assert net.sizes == []
 
-    def test_no_slices_no_pass(self):
-        # no pass on either thread
+    def test_no_slices_no_pass(self, monkeypatch):
+        # no pass on either thread, and nothing to threshold
         net = PassRecorder()
-        probs = harness.predict_volume(net, np.ones((4, 32, 32), dtype=np.float32), [])
-        assert net.sizes == [] and probs.shape == (4, 32, 32) and not probs.any()
+        mask, passes = thresholded_passes(monkeypatch, net, np.ones((4, 32, 32), np.float32), [])
+        assert net.sizes == [] and passes == []
+        assert mask.shape == (4, 32, 32) and mask.dtype == np.uint8 and not mask.any()
 
-    def test_probabilities_are_sigmoid_of_logits(self, dataset):
+    def test_probabilities_are_sigmoid_of_logits(self, dataset, monkeypatch):
         net = FedNet(NetworkSpec(base_channels=4, se_reduction=4), rng=np.random.default_rng(4))
         _, ct, _ = harness.load_dataset(dataset)[0]
         norm = pipeline.hu_window_normalize(ct.voxels)
-        probs = harness.predict_volume(net, norm, [3, 5])
         x = Tensor(np.stack([pipeline.stack_adjacent_slices(norm, z) for z in (3, 5)]))
         expected = ops.sigmoid(net(x)).data[:, 0]
-        assert probs[[3, 5]].tobytes() == expected.tobytes()
-        assert np.all(probs[[3, 5]] > 0) and np.all(probs[[3, 5]] < 1)
-        assert not np.delete(probs, [3, 5], axis=0).any()
+        threshold = float(np.median(expected))
+        mask, passes = thresholded_passes(monkeypatch, net, norm, [3, 5], threshold)
+        assert_mask_of_passes(mask, passes, dict(zip((3, 5), expected)), [3, 5], threshold)
+        assert all(np.all(p > 0) and np.all(p < 1) for p in passes)
 
 
 class TestPredictVolumeOnOneCpu(TestPredictVolume):
@@ -601,6 +658,34 @@ class TestInfer:
         mask = harness.infer(cfg, liver_ckpt, lesion_ckpt, ct)
         assert mask.voxels.shape == ct.voxels.shape
         assert len(calls) == 1 and calls[0].all()
+
+    def test_segment_memory_per_voxel_at_512_px(self, tmp_path):
+        # every voxel is liver, so the lesion network sees every slice; the
+        # traced peak's growth between two slice counts is what each voxel
+        # costs: the float32 window, the two masks and the int32 labels
+        cfg = micro_config(tmp_path, tmp_path / "unused.fedckpt")
+        liver_net = harness.build_network(cfg, stage="liver")
+        for p in liver_net.parameters():
+            p.data[...] = 0.0
+        liver_net.head_out.b.data[...] = 2.0  # logits 2 -> prob 0.88: all liver
+        lesion_net = harness.build_network(cfg, stage="lesion")
+        volumes = {nz: Volume(np.zeros((nz, 512, 512), dtype=np.int16)) for nz in (8, 24)}
+        harness.segment(cfg, liver_net, lesion_net, volumes[8])  # one-time allocations
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            peaks = {}
+            for nz, volume in volumes.items():
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                harness.segment(cfg, liver_net, lesion_net, volume)
+                peaks[nz] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        per_voxel = (peaks[24] - peaks[8]) / (16 * 512 * 512)
+        assert per_voxel <= 12, per_voxel
 
     def test_checkpoint_spec_mismatch_rejected(self, dataset, tmp_path):
         cfg = micro_config(dataset, tmp_path / "unused2.fedckpt")

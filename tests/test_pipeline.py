@@ -265,6 +265,11 @@ class TestConnectedComponents:
             yield (rng.uniform(size=shape) > 0.5).astype(np.uint8)
         yield np.zeros((4, 5, 6), dtype=np.uint8)
         yield np.ones((4, 5, 6), dtype=np.uint8)
+        # the first and last voxels alone: no background before the first run
+        # or after the last
+        ends = np.zeros((4, 5, 6), dtype=np.uint8)
+        ends[0, 0, 0] = ends[-1, -1, -1] = 1
+        yield ends
         for density in (0.1, 0.3, 0.5, 0.7, 0.9):
             yield (rng.uniform(size=(9, 10, 11)) < density).astype(np.uint8)
         # diagonal chains, across z and y and beyond, that only 26-connectivity joins
@@ -410,47 +415,59 @@ class TestBbox:
 
 class TestHierarchicalPostprocess:
     def test_lesions_outside_box_erased(self):
-        liver = np.zeros((6, 6, 6), dtype=np.float32)
-        liver[2:4, 2:4, 2:4] = 0.9
-        lesion = np.zeros((6, 6, 6), dtype=np.float32)
-        lesion[2, 2, 2] = 0.9   # inside box
-        lesion[5, 5, 5] = 0.9   # outside box
-        final = hierarchical_postprocess(largest_component(threshold_mask(liver, 0.5)), lesion)
+        liver = np.zeros((6, 6, 6), dtype=np.uint8)
+        liver[2:4, 2:4, 2:4] = 1
+        lesion = np.zeros((6, 6, 6), dtype=np.uint8)
+        lesion[2, 2, 2] = 1   # inside box
+        lesion[5, 5, 5] = 1   # outside box
+        final = hierarchical_postprocess(largest_component(liver), lesion)
         assert final[2, 2, 2] == 1 and final[5, 5, 5] == 0
 
     def test_empty_liver_short_circuits(self):
-        lesion = np.ones((4, 4, 4), dtype=np.float32)
-        liver = np.zeros((4, 4, 4), dtype=np.float32)
-        final = hierarchical_postprocess(largest_component(threshold_mask(liver, 0.5)), lesion)
+        lesion = np.ones((4, 4, 4), dtype=np.uint8)
+        liver = np.zeros((4, 4, 4), dtype=np.uint8)
+        final = hierarchical_postprocess(largest_component(liver), lesion)
         assert not final.any()
 
     def test_matches_step_by_step_recomputation(self):
         rng = np.random.default_rng(55)
         liver = rng.uniform(size=(8, 8, 8)).astype(np.float32)
-        lesion = rng.uniform(size=(8, 8, 8)).astype(np.float32)
-        final = hierarchical_postprocess(largest_component(threshold_mask(liver, 0.5)), lesion)
+        lesion = threshold_mask(rng.uniform(size=(8, 8, 8)).astype(np.float32), 0.3)
         liver_mask = largest_component(threshold_mask(liver, 0.5))
+        final = hierarchical_postprocess(liver_mask, lesion)
+        assert final.dtype == np.uint8
         expected = np.zeros_like(final)
         if liver_mask.any():
             box = bbox_of_mask(liver_mask)
             sl = box.slices()
-            expected[sl] = threshold_mask(lesion, 0.3)[sl]
+            expected[sl] = lesion[sl]
         np.testing.assert_array_equal(final, expected)
+        # a bool lesion mask merges to the same bytes
+        assert hierarchical_postprocess(liver_mask, lesion.view(bool)).tobytes() == final.tobytes()
 
     def test_output_contained_in_liver_bbox(self):
         rng = np.random.default_rng(56)
         liver = rng.uniform(size=(8, 8, 8)).astype(np.float32)
         lesion = rng.uniform(size=(8, 8, 8)).astype(np.float32)
-        final = hierarchical_postprocess(largest_component(threshold_mask(liver, 0.5)), lesion)
         liver_mask = largest_component(threshold_mask(liver, 0.5))
+        final = hierarchical_postprocess(liver_mask, threshold_mask(lesion, 0.3))
         if liver_mask.any():
             assert bbox_of_mask(liver_mask).contains_mask(final)
 
     def test_dim_mismatch_rejected(self):
-        liver = np.zeros((2, 2, 2))
         with pytest.raises(ValueError, match="dims mismatch"):
-            hierarchical_postprocess(largest_component(threshold_mask(liver, 0.5)),
-                                     np.zeros((2, 2, 3)))
+            hierarchical_postprocess(np.zeros((2, 2, 2), dtype=np.uint8),
+                                     np.zeros((2, 2, 3), dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_lesion_that_is_not_a_mask_rejected(self, dtype):
+        # probabilities cast into the uint8 result would become 0 below 1
+        liver = np.ones((2, 2, 2), dtype=np.uint8)
+        lesion = np.full((2, 2, 2), 0.9).astype(dtype)
+        with pytest.raises(ValueError) as info:
+            hierarchical_postprocess(liver, lesion)
+        assert str(info.value) == (f"lesion mask must be bool or uint8, "
+                                   f"got {np.dtype(dtype)}")
 
 
 class TestSynthGenerate:
