@@ -114,7 +114,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = harness.gradcheck_suite(tol=args.tol)
+    results = harness.gradcheck_suite()
     for check in results:
         print(check)
     failed = [c for c in results if not c.passed]
@@ -166,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of every op and block")
-    p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(fn=cmd_gradcheck)
 
     return parser

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import itertools
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -185,24 +186,26 @@ def _sample_stream(prepared, cfg: TrainConfig, aug_rng: np.random.Generator) -> 
     """Endless deterministic stream of augmented (image [3,H,W], target
     [1,H,W]) samples from (normalized CT, target, eligible) triples.
 
-    Each epoch re-runs the per-volume Bernoulli sampling with a seed derived
-    from (config seed, epoch, volume index); within an epoch the order is
-    volumes sorted by name, slices ascending.  A sample is built only when it
-    is drawn.
+    Each volume gets one vector of keep probabilities, built once: ``p_pos``
+    for an eligible slice whose target contains foreground, ``p_neg`` for
+    another eligible slice, and 0 for an ineligible one.  Each epoch draws
+    every volume's slices against its vector with a seed derived from
+    (config seed, epoch, volume index); within an epoch the order is volumes
+    sorted by name, slices ascending.  A sample is built only when it is
+    drawn.  If every probability is 0, the first draw raises a
+    :class:`DatasetError` instead.
     """
-    epoch = 0
-    empty_epochs = 0
-    while True:
-        produced = 0
-        for vol_idx, (norm, target, eligible) in enumerate(prepared):
+    keep_ps = [np.where(eligible, np.where(target.any(axis=(1, 2)), cfg.p_pos, cfg.p_neg), 0.0)
+               for _, target, eligible in prepared]
+    if not any(keep_p.any() for keep_p in keep_ps):
+        n_eligible = sum(int(eligible.sum()) for _, _, eligible in prepared)
+        raise DatasetError(f"no slice can be drawn: p_pos={cfg.p_pos} and p_neg={cfg.p_neg} "
+                           f"over {n_eligible} eligible slices")
+    for epoch in itertools.count():
+        for vol_idx, ((norm, target, _), keep_p) in enumerate(zip(prepared, keep_ps)):
             seed = np.random.SeedSequence([cfg.seed, epoch, vol_idx])
-            for z in sample_slices(target, seed, cfg.p_pos, cfg.p_neg, eligible):
-                produced += 1
+            for z in sample_slices(keep_p, seed):
                 yield flip_augment(stack_adjacent_slices(norm, z), target[z][None], aug_rng)
-        empty_epochs = empty_epochs + 1 if produced == 0 else 0
-        if empty_epochs >= 8:
-            raise DatasetError("sampling produced no slices for 8 consecutive epochs")
-        epoch += 1
 
 
 @functools.cache

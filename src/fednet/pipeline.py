@@ -61,21 +61,16 @@ def stack_adjacent_slices(volume: np.ndarray, z) -> np.ndarray:
     return volume[np.minimum(np.maximum(np.add.outer(z, _ADJACENT), 0), nz - 1)]
 
 
-def sample_slices(target_volume: np.ndarray, seed, p_pos: float = 0.9, p_neg: float = 0.1,
-                  eligible: np.ndarray | None = None) -> np.ndarray:
-    """Ascending z indices of the slices kept: each slice independently with
-    probability p_pos if its target contains foreground, else p_neg;
-    deterministic for a given seed.
+def sample_slices(keep_p: np.ndarray, seed) -> np.ndarray:
+    """Ascending z indices of the slices kept: slice z independently with
+    probability ``keep_p[z]``; deterministic for a given seed.
 
-    One uniform draw is consumed per slice in ascending z, whether or not the
-    slice is eligible, so the kept pattern does not depend on the eligibility
-    mask.
+    One uniform draw u in [0, 1) is consumed per slice in ascending z, and
+    the slice is kept when u < keep_p[z].  A slice of probability 0 is never
+    kept but still uses up its draw, so the other slices' outcomes do not
+    depend on which slices are excluded.
     """
-    positive = target_volume.any(axis=(1, 2))
-    keep = np.random.default_rng(seed).random(positive.size) < np.where(positive, p_pos, p_neg)
-    if eligible is not None:
-        keep &= eligible
-    return np.nonzero(keep)[0]
+    return np.nonzero(np.random.default_rng(seed).random(len(keep_p)) < keep_p)[0]
 
 
 def flip_augment(image: np.ndarray, target: np.ndarray, rng: np.random.Generator

@@ -447,8 +447,8 @@ def clip_gradients(flat: FlatParameters, max_norm: float) -> float:
     return total
 
 
-def sgd_step(flat: FlatParameters, velocity: np.ndarray, lr: float, momentum: float = 0.9,
-             weight_decay: float = 1e-4) -> None:
+def sgd_step(flat: FlatParameters, velocity: np.ndarray, lr: float, momentum: float,
+             weight_decay: float) -> None:
     """One SGD-with-momentum update of ``flat``'s values, then its gradients
     are released.  ``velocity`` is the caller's momentum buffer, one flat
     array like ``flat.values``.  Elementwise, in this operand order:

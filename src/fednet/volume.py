@@ -50,8 +50,9 @@ class DimOverflow(MVolError):
 class Volume:
     """A voxel grid with physical spacing.
 
-    ``voxels`` has shape (nz, ny, nx): int16 for HU data, float32 for
-    normalized or probability data, uint8 for label masks.
+    ``voxels`` has shape (nz, ny, nx): int16 for HU data, uint8 for label
+    masks.  No command writes float32, but it is still read, so that
+    ``train`` and ``infer`` can name a windowed CT in their error.
     """
 
     voxels: np.ndarray

@@ -223,18 +223,19 @@ class TestSgd:
     def test_missing_grad_rejected(self):
         p = Parameter(np.array([1.0]), "p")
         with pytest.raises(RuntimeError, match="no gradient"):
-            flat_step([p], np.zeros(1), lr=0.1)
+            flat_step([p], np.zeros(1), lr=0.1, momentum=0.9, weight_decay=1e-4)
 
     def test_bad_lr_rejected(self):
         with pytest.raises(ValueError, match="lr"):
-            flat_step([Parameter(np.zeros(1), "p")], np.zeros(1), lr=0.0)
+            flat_step([Parameter(np.zeros(1), "p")], np.zeros(1), lr=0.0, momentum=0.9,
+                      weight_decay=1e-4)
 
     def test_missing_grad_rejected_before_any_update(self):
         a, b = Parameter(np.array([1.0]), "a"), Parameter(np.array([2.0]), "b")
         a.grad = np.ones(1)
         velocity = np.zeros(2)
         with pytest.raises(RuntimeError, match="'b' has no gradient"):
-            flat_step([a, b], velocity, lr=0.1)
+            flat_step([a, b], velocity, lr=0.1, momentum=0.9, weight_decay=1e-4)
         np.testing.assert_array_equal(a.data, [1.0])
         np.testing.assert_array_equal(velocity, [0.0, 0.0])
         np.testing.assert_array_equal(a.grad, [1.0])
@@ -252,7 +253,7 @@ class TestSgd:
         a.grad, b.grad = np.ones(1), np.ones(1)
         before = velocity.copy()
         with pytest.raises(ValueError, match=message):
-            flat_step([a, b], velocity, lr=0.1)
+            flat_step([a, b], velocity, lr=0.1, momentum=0.9, weight_decay=1e-4)
         np.testing.assert_array_equal(a.data, [1.0])
         np.testing.assert_array_equal(b.data, [2.0])
         np.testing.assert_array_equal(velocity, before)
@@ -263,7 +264,7 @@ class TestSgd:
         p = Parameter(np.array([1.0]), "p")
         p.grad = np.ones(1)
         with pytest.raises(ValueError, match="lr must be positive and finite"):
-            flat_step([p], np.zeros(1), lr=lr)
+            flat_step([p], np.zeros(1), lr=lr, momentum=0.9, weight_decay=1e-4)
         np.testing.assert_array_equal(p.data, [1.0])
 
     @pytest.mark.parametrize("name, value", [
@@ -274,7 +275,8 @@ class TestSgd:
         p, velocity = Parameter(np.array([1.0]), "p"), np.zeros(1)
         p.grad = np.ones(1)
         with pytest.raises(ValueError, match=f"{name} must"):
-            flat_step([p], velocity, lr=0.1, **{name: value})
+            flat_step([p], velocity, lr=0.1,
+                      **{"momentum": 0.9, "weight_decay": 1e-4, name: value})
         np.testing.assert_array_equal(p.data, [1.0])
         np.testing.assert_array_equal(velocity, [0.0])
         np.testing.assert_array_equal(p.grad, [1.0])

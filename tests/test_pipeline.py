@@ -99,53 +99,43 @@ class TestStackAdjacentSlices:
 
 
 class TestSampleSlices:
-    def _target(self, nz=20, positive_every=2):
-        target = np.zeros((nz, 4, 4), dtype=np.uint8)
-        target[::positive_every, 1, 1] = 1
-        return target
-
     def test_all_positive_kept_at_probability_one(self):
-        out = sample_slices(self._target(positive_every=1), seed=0, p_pos=1.0, p_neg=0.0)
-        assert out.tolist() == list(range(20))
+        assert sample_slices(np.ones(20), seed=0).tolist() == list(range(20))
 
     def test_zero_probabilities_keep_nothing(self):
-        assert sample_slices(self._target(), seed=0, p_pos=0.0, p_neg=0.0).size == 0
+        assert sample_slices(np.zeros(20), seed=0).size == 0
 
     def test_deterministic_per_seed(self):
-        target = self._target()
-        a = sample_slices(target, seed=9).tolist()
-        b = sample_slices(target, seed=9).tolist()
-        c = sample_slices(target, seed=10).tolist()
+        keep_p = np.where(np.arange(20) % 2 == 0, 0.9, 0.1)
+        a = sample_slices(keep_p, seed=9).tolist()
+        b = sample_slices(keep_p, seed=9).tolist()
+        c = sample_slices(keep_p, seed=10).tolist()
         assert a == b
         assert a == sorted(a)
         assert a != c
 
     def test_eligibility_mask_restricts_and_keeps_draw_stream(self):
-        target = self._target()
         eligible = np.zeros(20, dtype=bool)
         eligible[5:10] = True
-        out = sample_slices(target, seed=3, p_pos=1.0, p_neg=1.0, eligible=eligible)
-        assert out.tolist() == list(range(5, 10))
-        # an ineligible slice still consumes its draw: the kept eligible
-        # slices are those kept without the mask
-        full = sample_slices(target, seed=3)
-        masked = sample_slices(target, seed=3, eligible=eligible)
+        assert sample_slices(eligible.astype(float), seed=3).tolist() == list(range(5, 10))
+        # an ineligible slice, of probability 0, still uses up its draw: the
+        # kept eligible slices are those kept without the mask
+        keep_p = np.where(np.arange(20) % 2 == 0, 0.9, 0.1)
+        full = sample_slices(keep_p, seed=3)
+        masked = sample_slices(np.where(eligible, keep_p, 0.0), seed=3)
         assert masked.tolist() == [z for z in full.tolist() if eligible[z]]
 
     def test_bernoulli_statistics(self):
         nz = 10000
-        target = np.zeros((nz, 2, 2), dtype=np.uint8)
-        target[:, 0, 0] = 1  # every slice positive
-        kept = sample_slices(target, seed=1234, p_pos=0.9, p_neg=0.0).size
-        assert abs(kept / nz - 0.9) <= 0.01
-        target[...] = 0  # every slice negative
-        kept = sample_slices(target, seed=1234, p_pos=0.0, p_neg=0.1).size
-        assert abs(kept / nz - 0.1) <= 0.01
+        for p in (0.9, 0.1):
+            kept = sample_slices(np.full(nz, p), seed=1234).size
+            assert abs(kept / nz - p) <= 0.01
 
     def test_channel_structure(self):
         # training stacks each drawn index with its neighbours, in draw order
         image = RNG.uniform(size=(20, 4, 4)).astype(np.float32)
-        target = self._target()
+        target = np.zeros((20, 4, 4), dtype=np.uint8)
+        target[::2, 1, 1] = 1
         cfg = TrainConfig(seed=0, p_pos=1.0, p_neg=1.0)
         prepared = [(image, target, np.ones(20, dtype=bool))]
         stream = harness._sample_stream(prepared, cfg, _FixedRng([0.9] * 8))  # no flips
@@ -158,18 +148,12 @@ class TestSampleSlices:
     def test_matches_one_scalar_draw_per_slice(self):
         # the vectorized draw consumes the stream as one rng.random() per
         # slice in ascending z, the order the sampling has always used
-        target = self._target(nz=30, positive_every=3)
-        eligible = np.arange(30) % 4 != 1
+        keep_p = np.where(np.arange(30) % 3 == 0, 0.7, 0.2)
+        keep_p[np.arange(30) % 4 == 1] = 0.0
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            expected = []
-            for z in range(30):
-                u = rng.random()
-                p = 0.7 if target[z].any() else 0.2
-                if eligible[z] and u < p:
-                    expected.append(z)
-            got = sample_slices(target, seed, p_pos=0.7, p_neg=0.2, eligible=eligible)
-            assert got.tolist() == expected
+            expected = [z for z in range(30) if rng.random() < keep_p[z]]
+            assert sample_slices(keep_p, seed).tolist() == expected
 
 
 class _FixedRng:
