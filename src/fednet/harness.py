@@ -184,7 +184,7 @@ def stage_targets(seg: np.ndarray, stage: str):
 
 def _sample_stream(prepared, cfg: TrainConfig, aug_rng: np.random.Generator) -> Iterator:
     """Endless deterministic stream of augmented (image [3,H,W], target
-    [1,H,W]) samples from (normalized CT, target, eligible) triples.
+    [1,H,W]) samples of HU from (int16 CT, target, eligible) triples.
 
     Each volume gets one vector of keep probabilities, built once: ``p_pos``
     for an eligible slice whose target contains foreground, ``p_neg`` for
@@ -202,10 +202,10 @@ def _sample_stream(prepared, cfg: TrainConfig, aug_rng: np.random.Generator) -> 
         raise DatasetError(f"no slice can be drawn: p_pos={cfg.p_pos} and p_neg={cfg.p_neg} "
                            f"over {n_eligible} eligible slices")
     for epoch in itertools.count():
-        for vol_idx, ((norm, target, _), keep_p) in enumerate(zip(prepared, keep_ps)):
+        for vol_idx, ((ct, target, _), keep_p) in enumerate(zip(prepared, keep_ps)):
             seed = np.random.SeedSequence([cfg.seed, epoch, vol_idx])
             for z in sample_slices(keep_p, seed):
-                yield flip_augment(stack_adjacent_slices(norm, z), target[z][None], aug_rng)
+                yield flip_augment(stack_adjacent_slices(ct, z), target[z][None], aug_rng)
 
 
 @functools.cache
@@ -259,7 +259,7 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     the SGD momentum is one flat array beside it.  The gradients stay per
     parameter; clipping and the update gather them a chunk at a time, after
     backward has freed the tape's activations, so no full-size gradient
-    copy is made.
+    copy is made.  The CTs stay int16 HU: a batch is windowed as it is stacked.
 
     The loss is :func:`~fednet.losses.combined_loss_with_logits` on the
     network's logits, so a saturated output still gets a gradient.  Aborts
@@ -278,9 +278,8 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     if len(planes) > 1:
         raise DatasetError(f"training batches need uniform volume dims in-plane "
                            f"(nx, ny), got {sorted(planes)}")
-    # (normalized CT, stage target, eligible slices) per volume
-    prepared = [(hu_window_normalize(ct.voxels), *stage_targets(seg.voxels, cfg.stage))
-                for _, ct, seg in volumes]
+    # (int16 CT, stage target, eligible slices) per volume
+    prepared = [(ct.voxels, *stage_targets(seg.voxels, cfg.stage)) for _, ct, seg in volumes]
     net = build_network(cfg)
     flat = FlatParameters(net.parameters())
     velocity = np.zeros_like(flat.values)  # SGD momentum
@@ -291,7 +290,7 @@ def train(cfg: TrainConfig, save: bool = True) -> tuple[dict[str, np.ndarray], M
     zero_norm_run = 0
     for it in range(cfg.iterations):
         batch = [next(stream) for _ in range(cfg.batch_size)]
-        xb = Tensor(np.stack([image for image, _ in batch]))
+        xb = Tensor(hu_window_normalize(np.stack([image for image, _ in batch])))
         yb = Tensor(np.stack([target for _, target in batch], dtype=np.float32))
         with Tape() as tape:
             loss = combined_loss_with_logits(yb, net(xb), cfg.loss)
@@ -353,29 +352,32 @@ def _probabilities(net: FedNet, x: np.ndarray) -> np.ndarray:
     return ops.sigmoid(net(Tensor(x))).data[:, 0]
 
 
-def predict_volume(net: FedNet, norm: np.ndarray, z_indices: Sequence[int],
+def predict_volume(net: FedNet, ct: np.ndarray, z_indices: Sequence[int],
                    threshold: float) -> np.ndarray:
-    """uint8 mask of the listed z indices: the sigmoid of the network's
-    logits at ``threshold``, other slices 0.  Every index is checked before
-    the first forward pass.
+    """uint8 mask of the listed z indices of an int16 HU ``ct``: the sigmoid
+    of the network's logits at ``threshold``, other slices 0.  The dtype
+    (:func:`check_ct`) and every index are checked before the first forward
+    pass.
 
     The slices go through in the fewest rounds of balanced size that each
     hold at most the slices that fit in ``PREDICT_PIXELS`` pixels, at least
-    one.  The calling thread stacks a round's input while no pass runs, and
-    thresholds each pass (:func:`threshold_mask`) in ``z_indices`` order.
+    one.  The calling thread stacks and windows a round's input
+    (:func:`hu_window_normalize`) while no pass runs, and thresholds each
+    pass (:func:`threshold_mask`) in ``z_indices`` order.
     Where :func:`_predict_worker` gives a worker, it runs the second half of
     a round of two slices or more while the caller runs the first half; the
     round ends only once both passes have ended, also when one raises."""
-    nz, ny, nx = norm.shape
+    check_ct(ct.dtype, "predict_volume")
+    nz, ny, nx = ct.shape
     z_indices = np.asarray(z_indices)
     check_slice_indices(z_indices, nz)
-    mask = np.zeros(norm.shape, dtype=np.uint8)
+    mask = np.zeros(ct.shape, dtype=np.uint8)
     n = z_indices.size
     rounds = -(-n // max(1, PREDICT_PIXELS // (ny * nx)))
     worker = _predict_worker()
     for r in range(rounds):
         chunk = z_indices[r * n // rounds:(r + 1) * n // rounds]
-        x = stack_adjacent_slices(norm, chunk)
+        x = hu_window_normalize(stack_adjacent_slices(ct, chunk))
         if worker is None or chunk.size == 1:
             mask[chunk] = threshold_mask(_probabilities(net, x), threshold)
             continue
@@ -391,15 +393,15 @@ def predict_volume(net: FedNet, norm: np.ndarray, z_indices: Sequence[int],
 
 def training_set_dice(net: FedNet, prepared, cfg: TrainConfig) -> tuple[float, float]:
     """Stage-appropriate Dice of the network against its training targets,
-    from the training set's (normalized CT, target, eligible) triples.
+    from the training set's (int16 CT, target, eligible) triples.
 
     Lesion stage: predictions on ground-truth liver slices thresholded at the
     lesion threshold versus the lesion labels.  Liver stage: predictions on
     all slices at the liver threshold versus the organ labels.
     """
     threshold = cfg.liver_threshold if cfg.stage == "liver" else cfg.lesion_threshold
-    cases = [(predict_volume(net, norm, np.nonzero(eligible)[0], threshold), target)
-             for norm, target, eligible in prepared]
+    cases = [(predict_volume(net, ct, np.nonzero(eligible)[0], threshold), target)
+             for ct, target, eligible in prepared]
     return dice_per_case(cases), dice_global(cases)
 
 
@@ -427,16 +429,14 @@ def segment(cfg: TrainConfig, liver_net: FedNet, lesion_net: FedNet,
     Stage 1 runs the baseline liver network on every slice; the thresholded
     largest component selects the slices the lesion network sees.  The final
     mask is the lesion mask restricted to that component's bounding box; an
-    empty liver yields an empty mask.  The CT must hold int16 HU
-    (:func:`check_ct`).
+    empty liver yields an empty mask.  The CT must hold int16 HU, which
+    :func:`predict_volume` checks before its first pass.
     """
-    check_ct(volume.voxels.dtype, "segment")
-    norm = hu_window_normalize(volume.voxels)
     liver_mask = largest_component(
-        predict_volume(liver_net, norm, range(norm.shape[0]), cfg.liver_threshold),
+        predict_volume(liver_net, volume.voxels, range(len(volume.voxels)), cfg.liver_threshold),
         cfg.connectivity)
     liver_z = np.nonzero(liver_mask.any(axis=(1, 2)))[0]
-    lesion_mask = predict_volume(lesion_net, norm, liver_z, cfg.lesion_threshold)
+    lesion_mask = predict_volume(lesion_net, volume.voxels, liver_z, cfg.lesion_threshold)
     return Volume(hierarchical_postprocess(liver_mask, lesion_mask), volume.spacing)
 
 

@@ -212,7 +212,7 @@ class Bbox3:
 
     def contains_mask(self, mask: np.ndarray) -> bool:
         """True when every foreground voxel of ``mask`` lies inside the box."""
-        outside = np.asarray(mask).astype(bool).copy()
+        outside = np.array(mask, dtype=bool)  # one copy, cleared inside the box
         outside[self.slices()] = False
         return not outside.any()
 

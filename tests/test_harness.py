@@ -173,8 +173,7 @@ class TestSampleStream:
         # a lesion-free volume has 4 eligible slices at p_neg = 0.1: most
         # epochs draw nothing, yet some slice can always be drawn
         ((_, ct, seg),) = harness.load_dataset(short_liver_dataset)
-        prepared = [(harness.hu_window_normalize(ct.voxels),
-                     *harness.stage_targets(seg.voxels, "lesion"))]
+        prepared = [(ct.voxels, *harness.stage_targets(seg.voxels, "lesion"))]
         assert prepared[0][2].sum() == 4 and not prepared[0][1].any()
         for seed in range(20):
             cfg = micro_config(short_liver_dataset, "unused.fedckpt", seed=seed)
@@ -436,11 +435,10 @@ class TestTrain:
     def test_training_set_dice_matches_one_slice_passes(self, dataset, tmp_path, stage):
         cfg = micro_config(dataset, tmp_path / "unused.fedckpt", stage=stage)
         net = harness.build_network(cfg)
-        prepared = [(pipeline.hu_window_normalize(ct.voxels),
-                     *harness.stage_targets(seg.voxels, stage))
+        prepared = [(ct.voxels, *harness.stage_targets(seg.voxels, stage))
                     for _, ct, seg in harness.load_dataset(dataset)]
-        probs = [{z: harness._probabilities(net, pipeline.stack_adjacent_slices(norm, z)[None])[0]
-                  for z in np.nonzero(eligible)[0]} for norm, _, eligible in prepared]
+        probs = [one_slice_passes(net, ct, np.nonzero(eligible)[0])
+                 for ct, _, eligible in prepared]
         # the stage's threshold at the median probability, the other stage's
         # above every probability
         t = float(np.median([p for case in probs for p in case.values()]))
@@ -462,13 +460,15 @@ class TestTrain:
 
 @pytest.fixture(scope="module")
 def phantom64():
-    """A normalized 64x64x48 phantom, the benchmark's volume size."""
+    """A 64x64x48 int16 phantom, the benchmark's volume size."""
     ct, _ = synth_generate(11, 1, (64, 64, 48))[0]
-    return pipeline.hu_window_normalize(ct.voxels)
+    return ct.voxels
 
 
-def one_slice_passes(net, norm, z_indices):
-    """The reference: each slice's probabilities from a forward pass of its own."""
+def one_slice_passes(net, ct, z_indices):
+    """The reference: each slice's probabilities from a forward pass of its
+    own, stacked from the whole CT windowed at once."""
+    norm = pipeline.hu_window_normalize(ct)
     return {z: ops.sigmoid(net(Tensor(pipeline.stack_adjacent_slices(norm, z)[None]))).data[0, 0]
             for z in set(z_indices)}
 
@@ -514,7 +514,7 @@ def needs_worker():
         pytest.skip("predict_volume makes no worker where the process has one CPU")
 
 
-def thresholded_passes(monkeypatch, net, norm, z_indices, threshold=0.5):
+def thresholded_passes(monkeypatch, net, ct, z_indices, threshold=0.5):
     """``predict_volume``'s mask, and the probabilities of each pass that
     reached ``harness.threshold_mask``, in call order.  Every call must come
     from the calling thread."""
@@ -527,7 +527,7 @@ def thresholded_passes(monkeypatch, net, norm, z_indices, threshold=0.5):
         return pipeline.threshold_mask(prob, t)
 
     monkeypatch.setattr(harness, "threshold_mask", recording)
-    return harness.predict_volume(net, norm, z_indices, threshold), passes
+    return harness.predict_volume(net, ct, z_indices, threshold), passes
 
 
 def assert_mask_of_passes(mask, passes, expected, z_indices, threshold=0.5):
@@ -564,11 +564,11 @@ class TestPredictVolume:
     def test_probabilities_match_one_slice_passes_at_128_px(self, monkeypatch):
         # 8 slices per round at 128 px: 10 slices take two rounds of 5
         ct, _ = synth_generate(12, 1, (128, 128, 32))[0]
-        norm = pipeline.hu_window_normalize(ct.voxels)
         net = FedNet(NetworkSpec(), rng=np.random.default_rng(5))
         z_indices = [31, *range(9), 0]
-        mask, passes = thresholded_passes(monkeypatch, net, norm, z_indices)
-        assert_mask_of_passes(mask, passes, one_slice_passes(net, norm, z_indices), z_indices)
+        mask, passes = thresholded_passes(monkeypatch, net, ct.voxels, z_indices)
+        assert_mask_of_passes(mask, passes, one_slice_passes(net, ct.voxels, z_indices),
+                              z_indices)
 
     # (ny, nx, slices, (pass sizes on one thread, pass sizes with the
     # worker)): balanced rounds of at most the budget's slices, each split
@@ -582,8 +582,7 @@ class TestPredictVolume:
     def test_pass_holds_the_slices_that_fit_the_pixel_budget(self, ny, nx, count, passes):
         worker = harness._predict_worker() is not None
         net = PassRecorder(delay=0.005)
-        harness.predict_volume(net, np.zeros((count, ny, nx), dtype=np.float32), range(count),
-                               0.5)
+        harness.predict_volume(net, np.zeros((count, ny, nx), dtype=np.int16), range(count), 0.5)
         one, two = passes
         assert sorted(net.sizes) == sorted(two if worker else one)
         # one worker thread where a round splits, and none without a worker
@@ -599,7 +598,7 @@ class TestPredictVolume:
 
     def test_forked_child_makes_its_own_worker(self):
         needs_worker()
-        ones = np.ones((4, 32, 32), dtype=np.float32)
+        ones = np.ones((4, 32, 32), dtype=np.int16)
         harness.predict_volume(PassRecorder(), ones, range(4), 0.5)  # starts the worker's thread
         # a forked child has no thread behind its parent's worker: submitting
         # to it would wait forever, so an alarm ends a child that hangs
@@ -617,18 +616,24 @@ class TestPredictVolume:
         assert os.waitstatus_to_exitcode(status) == 0
 
     def test_inputs_stacked_on_the_calling_thread_while_no_pass_runs(self, monkeypatch):
-        # the benchmark's pacer times its reference kernels inside this call
+        # the benchmark's pacer times its reference kernels inside the stack
+        # call; each round's int16 stack is windowed next, also while no
+        # pass runs
         net = PassRecorder(delay=0.005)
-        stack = pipeline.stack_adjacent_slices
         calls = []
 
-        def recording(norm, z):
-            calls.append((threading.get_ident(), net.running))
-            return stack(norm, z)
+        def recording(name, fn):
+            def wrapped(*args):
+                calls.append((name, threading.get_ident(), net.running))
+                return fn(*args)
+            return wrapped
 
-        monkeypatch.setattr(harness, "stack_adjacent_slices", recording)
-        harness.predict_volume(net, np.zeros((48, 64, 64), dtype=np.float32), range(48), 0.5)
-        assert calls == [(net.caller, 0)] * 2 and net.running == 0
+        for name in ("stack_adjacent_slices", "hu_window_normalize"):
+            monkeypatch.setattr(harness, name, recording(name, getattr(pipeline, name)))
+        harness.predict_volume(net, np.zeros((48, 64, 64), dtype=np.int16), range(48), 0.5)
+        assert calls == [("stack_adjacent_slices", net.caller, 0),
+                         ("hu_window_normalize", net.caller, 0)] * 2
+        assert net.running == 0
 
     @pytest.mark.parametrize("fail_on", ["worker", "caller"])
     def test_failing_pass_raises_after_both_passes_end(self, fail_on):
@@ -636,10 +641,10 @@ class TestPredictVolume:
         # the failing pass raises at once; the other lasts 50 ms
         net = PassRecorder(delay=0.05, fail_on=fail_on)
         with pytest.raises(PassFailed, match=f"^{fail_on}$"):
-            harness.predict_volume(net, np.zeros((27, 64, 64), dtype=np.float32), range(27), 0.5)
+            harness.predict_volume(net, np.zeros((27, 64, 64), dtype=np.int16), range(27), 0.5)
         assert net.running == 0 and sorted(net.sizes) == [13, 14]
         # the worker survives a failed pass
-        mask = harness.predict_volume(PassRecorder(), np.ones((4, 32, 32), dtype=np.float32),
+        mask = harness.predict_volume(PassRecorder(), np.ones((4, 32, 32), dtype=np.int16),
                                       range(4), 0.5)
         assert mask.shape == (4, 32, 32) and np.all(mask == 1)
 
@@ -649,13 +654,25 @@ class TestPredictVolume:
         # the bad index of the first two lists lies in the second round
         net = PassRecorder()
         with pytest.raises(IndexError, match=f"^slice index {bad} out of range for nz=48$"):
-            harness.predict_volume(net, np.zeros((48, 64, 64), dtype=np.float32), z_indices, 0.5)
+            harness.predict_volume(net, np.zeros((48, 64, 64), dtype=np.int16), z_indices, 0.5)
+        assert net.sizes == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_non_int16_ct_raises_before_any_pass(self, dtype):
+        # a float32 CT is most likely windowed already; windowing it again
+        # would squeeze every voxel into [0.4444, 0.4467]
+        net = PassRecorder()
+        name = np.dtype(dtype).name
+        with pytest.raises(harness.DatasetError,
+                           match=f"^predict_volume: a CT volume must hold int16 HU, got {name};"
+                                 " a windowed volume cannot be windowed again$"):
+            harness.predict_volume(net, np.zeros((48, 64, 64), dtype=dtype), range(48), 0.5)
         assert net.sizes == []
 
     def test_no_slices_no_pass(self, monkeypatch):
         # no pass on either thread, and nothing to threshold
         net = PassRecorder()
-        mask, passes = thresholded_passes(monkeypatch, net, np.ones((4, 32, 32), np.float32), [])
+        mask, passes = thresholded_passes(monkeypatch, net, np.ones((4, 32, 32), np.int16), [])
         assert net.sizes == [] and passes == []
         assert mask.shape == (4, 32, 32) and mask.dtype == np.uint8 and not mask.any()
 
@@ -666,7 +683,7 @@ class TestPredictVolume:
         x = Tensor(np.stack([pipeline.stack_adjacent_slices(norm, z) for z in (3, 5)]))
         expected = ops.sigmoid(net(x)).data[:, 0]
         threshold = float(np.median(expected))
-        mask, passes = thresholded_passes(monkeypatch, net, norm, [3, 5], threshold)
+        mask, passes = thresholded_passes(monkeypatch, net, ct.voxels, [3, 5], threshold)
         assert_mask_of_passes(mask, passes, dict(zip((3, 5), expected)), [3, 5], threshold)
         assert all(np.all(p > 0) and np.all(p < 1) for p in passes)
 
@@ -727,7 +744,7 @@ class TestInfer:
     def test_segment_memory_per_voxel_at_512_px(self, tmp_path):
         # every voxel is liver, so the lesion network sees every slice; the
         # traced peak's growth between two slice counts is what each voxel
-        # costs: the float32 window, the two masks and the int32 labels
+        # costs: the two masks and the int32 labels
         cfg = micro_config(tmp_path, tmp_path / "unused.fedckpt")
         liver_net = harness.build_network(cfg, stage="liver")
         for p in liver_net.parameters():
@@ -750,7 +767,7 @@ class TestInfer:
             if not tracing:
                 tracemalloc.stop()
         per_voxel = (peaks[24] - peaks[8]) / (16 * 512 * 512)
-        assert per_voxel <= 12, per_voxel
+        assert per_voxel <= 6, per_voxel
 
     def test_checkpoint_spec_mismatch_rejected(self, dataset, tmp_path):
         cfg = micro_config(dataset, tmp_path / "unused2.fedckpt")

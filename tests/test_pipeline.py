@@ -91,6 +91,28 @@ class TestStackAdjacentSlices:
         assert out.tobytes() == np.stack([stack_adjacent_slices(vol, k) for k in z]).tobytes()
         assert stack_adjacent_slices(vol, np.array([], dtype=np.intp)).shape == (0, 3, 2, 3)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_windowing_commutes_with_stacking_and_flipping(self, seed):
+        # training and inference window only the stacked network input:
+        # windowing is elementwise, so it gives the bytes of stacking from a
+        # CT windowed whole
+        rng = np.random.default_rng(seed)
+        nz = int(rng.integers(1, 9))
+        ct = rng.integers(-2 ** 15, 2 ** 15, (nz, 4, 6), dtype=np.int16)
+        ct.flat[rng.choice(ct.size, 4, replace=False)] = [-32768, 32767, -200, 250]
+        norm = hu_window_normalize(ct)
+        z = np.concatenate(([0, nz - 1], rng.integers(0, nz, 6)))
+        assert (hu_window_normalize(stack_adjacent_slices(ct, z)).tobytes()
+                == stack_adjacent_slices(norm, z).tobytes())
+        # a training batch: each slice stacked and flipped, then the batch
+        # stacked; both volumes see the same flip draws
+        flips = rng.random(2 * z.size)
+        target = np.zeros((1, 4, 6), dtype=np.uint8)
+        batches = [np.stack([flip_augment(stack_adjacent_slices(volume, k), target, draws)[0]
+                             for k in z])
+                   for volume, draws in ((ct, _FixedRng(flips)), (norm, _FixedRng(flips)))]
+        assert hu_window_normalize(batches[0]).tobytes() == batches[1].tobytes()
+
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_index_array_out_of_range_rejected(self, bad):
         # a negative index would otherwise wrap, and clamping would hide it
@@ -132,8 +154,9 @@ class TestSampleSlices:
             assert abs(kept / nz - p) <= 0.01
 
     def test_channel_structure(self):
-        # training stacks each drawn index with its neighbours, in draw order
-        image = RNG.uniform(size=(20, 4, 4)).astype(np.float32)
+        # training stacks each drawn index of the int16 CT with its
+        # neighbours, in draw order
+        image = RNG.integers(-1000, 1000, (20, 4, 4)).astype(np.int16)
         target = np.zeros((20, 4, 4), dtype=np.uint8)
         target[::2, 1, 1] = 1
         cfg = TrainConfig(seed=0, p_pos=1.0, p_neg=1.0)
