@@ -126,10 +126,12 @@ def check_ct(dtype, source) -> None:
     """A one-line :class:`DatasetError` naming ``source`` and ``dtype``
     unless a CT's voxel ``dtype`` is int16 HU, the only input that HU
     windowing accepts.  A float volume is most likely windowed already:
-    windowing it again would squeeze every voxel into [0.4444, 0.4467]."""
+    windowing it again would squeeze every voxel into [0.4444, 0.4467],
+    and the message says so for a float dtype only."""
     if dtype != np.int16:
-        raise DatasetError(f"{source}: a CT volume must hold int16 HU, got "
-                           f"{dtype}; a windowed volume cannot be windowed again")
+        windowed = ("; a windowed volume cannot be windowed again"
+                    if np.issubdtype(dtype, np.floating) else "")
+        raise DatasetError(f"{source}: a CT volume must hold int16 HU, got {dtype}{windowed}")
 
 
 def load_dataset(data_dir) -> list[tuple[str, Volume, Volume]]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HU_WINDOW = (-200.0, 250.0)
+HU_WINDOW = (-200, 250)
 
 
 class EmptyMaskError(ValueError):
@@ -27,9 +27,12 @@ def hu_window_normalize(voxels: np.ndarray) -> np.ndarray:
     The window is fixed, not per-slice, so intensities stay comparable
     across slices and volumes.
     """
-    lo, hi = HU_WINDOW
-    x = np.array(voxels, dtype=np.float32)
-    np.clip(x, lo, hi, out=x)
+    # clipped before the float32 cast, with int16 bounds so that an int16 CT
+    # is clipped as 2-byte ints (Python floats would promote it to float64);
+    # rounding to float32 keeps order and each bound is exact there, so the
+    # bytes are those of clipping after the cast
+    lo, hi = map(np.int16, HU_WINDOW)
+    x = np.clip(voxels, lo, hi).astype(np.float32, copy=False)
     x -= lo
     x /= hi - lo
     return x

@@ -19,10 +19,18 @@ list of parameters' values into it, leaving each ``data`` a view there, and
 :func:`clip_gradients` and :func:`sgd_step` are passes over it and the
 caller's flat momentum buffer in chunks that fit in cache, each chunk of
 the per-parameter gradients gathered as the pass reaches it.
+
+:func:`grad_check` compares the tape's gradients with central finite
+differences.  Its calls of ``f`` are independent, so a long check forks one
+child for half of them where a second CPU is free; threads would gain
+nothing, since per-op Python holds the GIL.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import signal
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -510,7 +518,19 @@ _KINK_LOG: Optional[list] = None
 # +4.1-6.2% (8 runs), and +4.5-5.2% (6 runs) with each call's output and
 # relu masks freed before the next call; 32 copies 1637-1729 ms and +8.2%
 # (4 runs).  The report is bit-identical at 1, 8, 16, 24 and 32 copies.
+# Those RSS figures are one process's, taken before grad_check forked; a
+# forked child's peak is its own and is not in them.
 GRAD_CHECK_COPIES = 16
+
+# A check that makes at least this many calls of ``f`` forks one child for
+# the second half of them (see grad_check).  A fork, with its
+# copy-on-write faults and the child's exit, costs about 3 ms.  Best of 7
+# on a 2-vCPU Xeon, one BLAS thread, against the one-process path: encoder
+# 475 -> 261 ms and fednet_forward 900 -> 465 ms (384 calls each),
+# feature_fuse 35.5 -> 23 ms (192 calls); conv2d/weight, whose 216 calls
+# take 5.1 ms, went to 5.8 ms.  The suite's set-up check in the benchmark
+# makes 32 calls and does not fork.
+GRAD_CHECK_FORK_CALLS = 64
 
 
 def log_kink_pattern(x: np.ndarray) -> None:
@@ -572,8 +592,17 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4,
     where each sample's arithmetic does not depend on the batch size, as in
     every forward op of :mod:`fednet.ops` (``ops.dense`` computes each row
     as its own 1-row product for this reason).
+
+    A check of ``GRAD_CHECK_FORK_CALLS`` calls or more runs on two CPUs
+    where this process may use two and has no other thread: it forks one
+    child for the second half of the calls, cut where no +h/-h pair is
+    split, and the child hands back its values and relu verdicts through a
+    shared anonymous mapping.  The report is the same either way.  ``f``
+    must then be a pure function of its input, as every check's is, because
+    what it changes in the child stays there.  If the child fails, this
+    process evaluates its half again, so whatever ``f`` raised surfaces
+    here; on every way out the child is reaped.
     """
-    global _KINK_LOG
     if x.data.dtype != np.float64:
         raise ValueError("grad_check requires float64 tensors (verification precision)")
     if not 0 < tol < np.inf:
@@ -605,37 +634,78 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4,
     moved[0::2] = flat_x + steps
     moved[1::2] = flat_x - steps
     copies = GRAD_CHECK_COPIES if samplewise else 1
-    values = np.empty(2 * n)
-    valid = np.ones(n, dtype=bool)
-    up_layout: tuple = ()
-    up_row = None
-    for start in range(0, 2 * n, copies):
-        k = min(copies, 2 * n - start)
-        batch = np.repeat(x.data[None], k, axis=0)
-        batch.reshape(k, n)[np.arange(k), np.arange(start, start + k) // 2] = moved[start:start + k]
-        _KINK_LOG = []
+
+    def evaluate(starts: range) -> None:
+        """Fill ``values`` and ``valid`` for the calls of f that begin at
+        ``starts``, copies of whole +h/-h pairs from an even start on."""
+        global _KINK_LOG
+        up_layout: tuple = ()
+        up_row = None
+        for start in starts:
+            k = min(copies, 2 * n - start)
+            batch = np.repeat(x.data[None], k, axis=0)
+            coords = np.arange(start, start + k) // 2
+            batch.reshape(k, n)[np.arange(k), coords] = moved[start:start + k]
+            _KINK_LOG = []
+            try:
+                out = f(Tensor(batch.reshape(_stacked(x.shape, k)))).data
+                masks = _KINK_LOG
+            finally:
+                _KINK_LOG = None
+            if out.shape != _stacked(y.shape, k):
+                raise ValueError(f"f gave shape {out.shape} for {k} stacked copies of x; "
+                                 f"expected {_stacked(y.shape, k)}")
+            weighted = out.reshape((k,) + y.shape) * weights
+            values[start:start + k] = weighted.reshape(k, -1).sum(axis=1)
+            # Row j holds copy j's relu masks end to end.  The copies of one
+            # call go through the same relu calls; across the two calls of a
+            # serial pair, the layout (each mask's length, so also their
+            # count) tells rows of equal length apart.
+            layout = tuple(m.size // k for m in masks)
+            rows = np.concatenate([m.reshape(k, -1) for m in masks]
+                                  or [np.empty((k, 0), bool)], axis=1)
+            if k > 1:
+                valid[start // 2:(start + k) // 2] = (rows[0::2] == rows[1::2]).all(axis=1)
+            elif start % 2 == 0:
+                up_layout, up_row = layout, rows[0]
+            else:
+                valid[start // 2] = up_layout == layout and (up_row == rows[0]).all()
+
+    starts = range(0, 2 * n, copies)
+    # a fork needs a second CPU to pay, and deadlocks can follow a fork of a
+    # process with another thread
+    if (len(starts) < GRAD_CHECK_FORK_CALLS or len(os.sched_getaffinity(0)) < 2
+            or threading.active_count() > 1):
+        values = np.empty(2 * n)
+        valid = np.ones(n, dtype=bool)
+        evaluate(starts)
+    else:
+        # One child takes the calls from `cut` on, an even start, and writes
+        # its values and valid flags into memory that both processes map.
+        cut = starts[len(starts) // 2] // 2 * 2
+        mine, theirs = range(0, cut, copies), range(cut, 2 * n, copies)
+        shared = mmap.mmap(-1, 17 * n)  # 2n float64 values, then n flags
+        values = np.frombuffer(shared, np.float64, 2 * n)
+        valid = np.frombuffer(shared, bool, n, offset=16 * n)
+        valid[:] = True
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                evaluate(theirs)
+                code = 0
+            finally:
+                os._exit(code)
         try:
-            out = f(Tensor(batch.reshape(_stacked(x.shape, k)))).data
-            masks = _KINK_LOG
-        finally:
-            _KINK_LOG = None
-        if out.shape != _stacked(y.shape, k):
-            raise ValueError(f"f gave shape {out.shape} for {k} stacked copies of x; "
-                             f"expected {_stacked(y.shape, k)}")
-        values[start:start + k] = (out.reshape((k,) + y.shape) * weights).reshape(k, -1).sum(axis=1)
-        # Row j holds copy j's relu masks end to end.  The copies of one call
-        # go through the same relu calls; across the two calls of a serial
-        # pair, the layout (each mask's length, so also their count) tells
-        # rows of equal length apart.
-        layout = tuple(m.size // k for m in masks)
-        rows = np.concatenate([m.reshape(k, -1) for m in masks] or [np.empty((k, 0), bool)],
-                              axis=1)
-        if k > 1:
-            valid[start // 2:(start + k) // 2] = (rows[0::2] == rows[1::2]).all(axis=1)
-        elif start % 2 == 0:
-            up_layout, up_row = layout, rows[0]
-        else:
-            valid[start // 2] = up_layout == layout and (up_row == rows[0]).all()
+            evaluate(mine)
+            _, status = os.waitpid(pid, 0)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        if os.waitstatus_to_exitcode(status) != 0:
+            # whatever failed in the child fails here as it would serially
+            evaluate(theirs)
     flat_n = (values[0::2] - values[1::2]) / (2.0 * steps)
 
     skipped = int((~valid).sum())

@@ -1,6 +1,10 @@
 """Tape recording, the reverse pass, SGD updates, and the gradient checker."""
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -565,3 +569,139 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             grad_check(lambda v: calls.append(v) or v, leaf(np.ones(3)), tol=tol)
         assert not calls
+
+
+# ---------------------------------------------------------------------------
+# grad_check on two CPUs.  A process forks only while it has no thread but
+# its own, and tier-1's inference tests start a worker thread, so each fork
+# case runs in a fresh interpreter: ``python -c`` imports this module and
+# calls one ``fork_case_*`` function, which asserts what it checks.
+# ---------------------------------------------------------------------------
+
+def counting_forks(monkeypatch) -> list:
+    """Wrap os.fork so that each call appends to the returned list."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def one_cpu(fn):
+    """fn() with os.sched_getaffinity reporting one CPU."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return fn()
+
+
+def kinked_checks():
+    """(f, x, samplewise): conv(relu(x)) as a samplewise check of exactly
+    GRAD_CHECK_FORK_CALLS calls, and as a one-copy check of 65 coordinates,
+    whose cut rounds down to an even start; in each, every fourth coordinate
+    from 1 on lies within h of relu's kink."""
+    rng = np.random.default_rng(33)
+    n = tensor.GRAD_CHECK_FORK_CALLS * GRAD_CHECK_COPIES // 2
+    checks = []
+    for shape, samplewise in (((n // 64, 2, 4, 8), True), ((1, 1, 5, 13), False)):
+        w = Tensor(rng.standard_normal((3, shape[1], 3, 3)))
+        b = Tensor(rng.standard_normal(3))
+        x = rng.uniform(-1, 1, shape)
+        near = x.reshape(-1)[1::4]  # not 32, whose pair the one-copy cut must keep whole
+        near[:] = rng.uniform(-5e-6, 5e-6, near.size)
+        checks.append((lambda v, w=w, b=b: ops.conv2d(ops.relu(v), w, b, 1, 1), x, samplewise))
+    return checks
+
+
+def fork_case_reports():
+    assert threading.active_count() == 1 and len(os.sched_getaffinity(0)) >= 2
+    forks = counting_forks(pytest.MonkeyPatch())
+    for f, x, samplewise in kinked_checks():
+        forked = grad_check(f, leaf(x), samplewise=samplewise)
+        assert len(forks) == 1
+        serial = one_cpu(lambda: grad_check(f, leaf(x), samplewise=samplewise))
+        assert len(forks) == 1
+        assert forked.passed and forked.kink_coords_skipped > 0
+        assert forked == serial, (forked, serial)
+        forks.clear()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def raising_on(coords: range):
+    """(f, x): a one-copy check of 64 coordinates whose f raises when it
+    moves a coordinate in ``coords``."""
+    x0 = np.random.default_rng(34).uniform(-1, 1, 64)
+
+    def f(v):
+        moved = np.flatnonzero(v.data != x0)
+        if moved.size and moved[0] in coords:
+            raise RuntimeError(f"moved coordinate {moved[0]}")
+        return ops.relu(v)
+
+    return f, x0
+
+
+def error_of(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+def fork_case_raises():
+    assert threading.active_count() == 1 and len(os.sched_getaffinity(0)) >= 2
+    forks = counting_forks(pytest.MonkeyPatch())
+    # coordinates 32-63 are the child's half: the first f fails there only,
+    # first at 40 on one CPU too; the second fails in the parent's half
+    for coords, expected in ((range(40, 64), "moved coordinate 40"),
+                             (range(0, 1), "moved coordinate 0")):
+        f, x0 = raising_on(coords)
+        serial = one_cpu(lambda: error_of(lambda: grad_check(f, leaf(x0))))
+        assert serial == (RuntimeError, expected) and not forks
+        assert error_of(lambda: grad_check(f, leaf(x0))) == serial
+        assert len(forks) == 1
+        forks.clear()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def run_fork_case(name: str) -> None:
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("grad_check forks only where the process may run on two CPUs")
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c",
+                           f"import test_autodiff; test_autodiff.{name}()"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+class TestGradCheckFork:
+    def test_forked_reports_equal_one_cpu_reports(self):
+        run_fork_case("fork_case_reports")
+
+    def test_error_in_either_half_raises_as_serially_and_reaps_the_child(self):
+        run_fork_case("fork_case_raises")
+
+    def test_no_fork_with_a_second_thread(self, monkeypatch):
+        forks = counting_forks(monkeypatch)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            for f, x, samplewise in kinked_checks():
+                assert grad_check(f, leaf(x), samplewise=samplewise).passed
+        finally:
+            stop.set()
+            other.join()
+        assert forks == []
+
+    def test_no_fork_on_one_cpu(self, monkeypatch):
+        forks = counting_forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        for f, x, samplewise in kinked_checks():
+            assert grad_check(f, leaf(x), samplewise=samplewise).passed
+        assert forks == []

@@ -660,12 +660,14 @@ class TestPredictVolume:
     @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
     def test_non_int16_ct_raises_before_any_pass(self, dtype):
         # a float32 CT is most likely windowed already; windowing it again
-        # would squeeze every voxel into [0.4444, 0.4467]
+        # would squeeze every voxel into [0.4444, 0.4467]. No windowing
+        # makes uint8, so its message does not say so
         net = PassRecorder()
         name = np.dtype(dtype).name
+        reason = "; a windowed volume cannot be windowed again" if dtype == np.float32 else ""
         with pytest.raises(harness.DatasetError,
-                           match=f"^predict_volume: a CT volume must hold int16 HU, got {name};"
-                                 " a windowed volume cannot be windowed again$"):
+                           match=f"^predict_volume: a CT volume must hold int16 HU, got {name}"
+                                 f"{reason}$"):
             harness.predict_volume(net, np.zeros((48, 64, 64), dtype=dtype), range(48), 0.5)
         assert net.sizes == []
 

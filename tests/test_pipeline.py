@@ -45,6 +45,14 @@ class TestHuWindowNormalize:
         assert out.dtype == np.float32 and expected.dtype == np.float32
         assert out.tobytes() == expected.tobytes()
 
+    def test_every_int16_windows_as_its_float_copies_bytewise(self):
+        # the window clips an int16 CT before its float32 cast, a float CT
+        # after the cast; every int16 value is exact in both float types
+        hu = np.arange(-2 ** 15, 2 ** 15, dtype=np.int16).reshape(16, 64, 64)
+        out = hu_window_normalize(hu).tobytes()
+        for dtype in (np.float32, np.float64):
+            assert hu_window_normalize(hu.astype(dtype)).tobytes() == out
+
     def test_float32_input_left_unchanged(self):
         vol = RNG.uniform(-1000, 1000, (3, 4, 5)).astype(np.float32)
         before = vol.copy()
